@@ -330,11 +330,13 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     solution_set = solve_all(family, config)
     timings["solve"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    reps = []
-    for point in solution_set.points:
-        rep = classify_point(family, point)
-        verdict = verify_representation(f, rep)
-        reps.append(replace(rep, basepoint_free=verdict.basepoint_free))
+    # Smoothness makes every representation basepoint-free: a common zero v
+    # of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)
+    # = 0, so v would be a singular point, and smoothness was decided exactly
+    # above.  The numeric basepoint search stays in `verify`, where f may be
+    # singular.
+    reps = [replace(classify_point(family, point), basepoint_free=True)
+            for point in solution_set.points]
     timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
 

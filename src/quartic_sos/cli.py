@@ -115,8 +115,6 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
             report.sos_total, report.mixed_real_total, report.nonreal_total
         )
     )
-    budget = "yes" if report.solution_set.budget_exhausted else "no"
-    out.write(f"budget exhausted: {budget}\n")
     out.write(f"certified: {'pass' if report.passed else 'FAIL'}\n")
 
 

@@ -32,7 +32,7 @@ affine patch, where every class lives at ordinary-sized coordinates.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,13 +65,12 @@ class SolveConfig:
     newton_max_iters: int = 100
     convergence_tol: float = 1e-12
     dedup_tol: float = 1e-6
-    real_tol: float = 1e-8
     master_seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        if not (self.convergence_tol < self.real_tol < self.dedup_tol):
-            raise ValueError("need convergence_tol < real_tol < dedup_tol")
+        if not self.convergence_tol < self.dedup_tol:
+            raise ValueError("need convergence_tol < dedup_tol")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.master_seed < 0:
@@ -108,11 +107,10 @@ class GramPoint:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """All rank-3 classes found, with counts and a completeness flag."""
+    """All rank-3 classes found, with their counts."""
 
     points: Tuple[GramPoint, ...]
     counts: Tuple[int, int, int]
-    budget_exhausted: bool
     config: SolveConfig
     scale: float = 1.0
 
@@ -124,13 +122,11 @@ class SolutionSet:
                 "real_total": self.counts[1],
                 "psd_total": self.counts[2],
             },
-            "budget_exhausted": self.budget_exhausted,
             "config": {
                 "restarts": self.config.restarts,
                 "newton_max_iters": self.config.newton_max_iters,
                 "convergence_tol": self.config.convergence_tol,
                 "dedup_tol": self.config.dedup_tol,
-                "real_tol": self.config.real_tol,
                 "threads": self.config.threads,
             },
             "seed": self.config.master_seed,
@@ -197,6 +193,19 @@ def _lam_scale(lam: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.max(np.abs(lam), axis=-1))
 
 
+def _damped_step(J, F):
+    """Batched damped normal-equation step d = -(J^H J + mu I)^-1 J^H F.
+
+    mu is a tiny multiple of trace(J^H J): it keeps the solve regular at a
+    rank-deficient Jacobian without slowing quadratic convergence.
+    """
+    JH = np.conj(np.transpose(J, (0, 2, 1)))
+    A = JH @ J
+    mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
+    A = A + mu * np.eye(J.shape[2], dtype=A.dtype)[None]
+    return np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
+
+
 def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr, max_iters, tol):
     """Damped Gauss-Newton with backtracking on a batch of starts.
 
@@ -219,11 +228,7 @@ def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr, max_iters, tol):
             break
         G, N, F, nrm = G[keep], N[keep], F[keep], nrm[keep]
         J = _jacobian(G, N, k_rows[active], Btr)
-        JH = np.conj(np.transpose(J, (0, 2, 1)))
-        A = JH @ J
-        mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
-        A = A + mu * np.eye(15, dtype=A.dtype)[None]
-        delta = np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
+        delta = _damped_step(J, F)
         undecided = np.ones(active.size, dtype=bool)
         for alpha in _BACKTRACK:
             idx = np.where(undecided)[0]
@@ -266,13 +271,6 @@ def _run_chunk(lo, hi, seed, G0r, Btr, max_iters, tol):
     return lam, K, res
 
 
-#: Residual band in which a stalled restart is worth re-charting: orders of
-#: magnitude above tolerance yet clearly descending toward a root rather
-#: than wandering.
-_RESCUE_RES = 1e-2
-_RESCUE_ITERS = 12
-_RESCUE_CAP = 4096
-
 #: Completion stage: batches of homogenized-family restarts, spent only
 #: when the affine stage reports fewer than 63 classes.
 _PROJ_BATCH = 2048
@@ -295,20 +293,16 @@ def _newton_plain(lam, K, id_rows, k_rows, base, Btr, iters):
     """Full-step Newton polish: converge fast or get discarded.
 
     No damping or backtracking on purpose.  This runs on points already
-    believed to sit inside a quadratic convergence basin (re-charted
-    stalls, completion candidates); a start that needs creeping is not
-    such a point, and the caller drops it by its final residual.
+    believed to sit inside a quadratic convergence basin (completion
+    candidates); a start that needs creeping is not such a point, and the
+    caller drops it by its final residual.
     """
     lam = lam.copy()
     K = K.copy()
     for _ in range(iters):
         G, N, F = _assemble(lam, K, id_rows, k_rows, base, Btr)
         J = _jacobian(G, N, k_rows, Btr)
-        JH = np.conj(np.transpose(J, (0, 2, 1)))
-        A = JH @ J
-        mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
-        A = A + mu * np.eye(15, dtype=A.dtype)[None]
-        delta = np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
+        delta = _damped_step(J, F)
         lam = lam + delta[:, :6]
         K = K + delta[:, 6:]
     _, _, F = _assemble(lam, K, id_rows, k_rows, base, Btr)
@@ -334,6 +328,16 @@ def _best_chart(G: np.ndarray):
     return c, Nc[list(CHART_K_ROWS[c]), :].reshape(9)
 
 
+def _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a):
+    """G, N and residual of the homogenized system at (h, mu) = hmu.
+
+    h G0 + sum mu_i B_i is the affine family at lam = mu with per-slice
+    base h G0; the patch equation a . (h, mu) = 1 is the 19th residual.
+    """
+    G, N, F = _assemble(hmu[:, 1:], K, id_rows, k_rows, hmu[:, 0, None, None] * G0r, Btr)
+    return G, N, np.concatenate([F, (hmu @ a - 1.0)[:, None]], axis=1)
+
+
 def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a, iters, tol):
     """Batched Gauss-Newton on the homogenized family h G0 + sum mu_i B_i.
 
@@ -345,56 +349,25 @@ def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a, iters, tol):
     """
     hmu = hmu.copy()
     K = K.copy()
-    n = hmu.shape[0]
-    rr = np.arange(n)
-    eye16 = np.eye(16, dtype=complex)[None]
-    active = np.arange(n)
-
-    def system(sel, hmu_s, K_s):
-        m = sel.size
-        G = hmu_s[:, 0, None, None] * G0r[None] + np.einsum("ri,iab->rab", hmu_s[:, 1:], Btr)
-        N = np.zeros((m, 6, 3), dtype=complex)
-        mr = np.arange(m)
-        for b in range(3):
-            N[mr, id_rows[sel, b], b] = 1.0
-        Km = K_s.reshape(m, 3, 3)
-        for c in range(3):
-            for b in range(3):
-                N[mr, k_rows[sel, c], b] = Km[:, c, b]
-        F = np.concatenate([(G @ N).reshape(m, 18), (hmu_s @ a - 1.0)[:, None]], axis=1)
-        return G, N, F
-
+    active = np.arange(hmu.shape[0])
     for _ in range(iters):
-        if active.size == 0:
-            break
-        G, N, F = system(active, hmu[active], K[active])
-        nrm = np.linalg.norm(F, axis=1)
-        keep = nrm >= tol
+        G, N, F = _projective_system(hmu[active], K[active], id_rows[active], k_rows[active],
+                                     G0r, Btr, a)
+        keep = np.linalg.norm(F, axis=1) >= tol
         active = active[keep]
         if active.size == 0:
             break
         G, N, F = G[keep], N[keep], F[keep]
         m = active.size
+        # columns (h, mu, K); the patch row is a on (h, mu)
         J = np.zeros((m, 19, 16), dtype=complex)
-        J[:, :18, 0] = (G0r[None] @ N).reshape(m, 18)
-        for i in range(6):
-            J[:, :18, 1 + i] = (Btr[i][None] @ N).reshape(m, 18)
-        mr = np.arange(m)
-        for c in range(3):
-            cols = G[mr, :, k_rows[active, c]]
-            for b in range(3):
-                block = np.zeros((m, 6, 3), dtype=complex)
-                block[:, :, b] = cols
-                J[:, :18, 7 + 3 * c + b] = block.reshape(m, 18)
-        J[:, 18, :7] = a[None, :]
-        JH = np.conj(np.transpose(J, (0, 2, 1)))
-        A = JH @ J
-        mu_d = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
-        A = A + mu_d * eye16
-        delta = np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
+        J[:, :18, 0] = (G0r @ N).reshape(m, 18)
+        J[:, :18, 1:] = _jacobian(G, N, k_rows[active], Btr)
+        J[:, 18, :7] = a
+        delta = _damped_step(J, F)
         hmu[active] = hmu[active] + delta[:, :7]
         K[active] = K[active] + delta[:, 7:]
-    _, _, F = system(rr, hmu, K)
+    _, _, F = _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a)
     return hmu, K, np.linalg.norm(F, axis=1)
 
 
@@ -481,37 +454,6 @@ def _pull_real(lam, Kc, chart, res, G0r, Btr, config: SolveConfig):
     return lam, Kc, chart, res
 
 
-def _rescue_stalled(lam, K, res, G0r, Btr, config: SolveConfig):
-    """Re-chart stalled restarts and finish them with plain Newton.
-
-    A restart whose round-robin chart happens to be near-singular at the
-    root it is approaching stalls on a residual plateau: the Gauss-Newton
-    model is built in coordinates that degenerate there, so damping can
-    never buy a full step.  Recomputing the kernel chart at the stalled
-    point restores quadratic convergence for slices that were genuinely
-    close, and plain Newton silently discards the rest.
-    """
-    scl = _lam_scale(lam)
-    near = np.flatnonzero((res >= config.convergence_tol * scl) & (res < _RESCUE_RES * scl))
-    if near.size > _RESCUE_CAP:
-        near = near[np.argsort(res[near], kind="stable")[:_RESCUE_CAP]]
-        near.sort()
-    if near.size == 0:
-        empty = np.empty((0, 6), dtype=complex)
-        return empty, np.empty((0, 9), dtype=complex), np.empty(0), near, near
-    charts = np.empty(near.size, dtype=int)
-    K0 = np.empty((near.size, 9), dtype=complex)
-    for j, i in enumerate(near):
-        G = G0r + np.einsum("i,iab->ab", lam[i], Btr)
-        charts[j], K0[j] = _best_chart(G)
-    id_rows, k_rows = _chart_rows(charts)
-    lam_f, K_f, res_f = _newton_plain(
-        lam[near], K0, id_rows, k_rows, G0r[None].astype(complex), Btr, _RESCUE_ITERS,
-    )
-    good = res_f < config.convergence_tol * _lam_scale(lam_f)
-    return lam_f[good], K_f[good], res_f[good], near[good], charts[good]
-
-
 def _restart_classes(G0r, Btr, config: SolveConfig) -> List[dict]:
     """Deduplicated classes found by the chunked random-restart stage."""
     R = config.restarts
@@ -529,19 +471,7 @@ def _restart_classes(G0r, Btr, config: SolveConfig) -> List[dict]:
     res_all = np.concatenate([r[2] for r in results])
 
     ok = res_all < config.convergence_tol * _lam_scale(lam_all)
-    ids = np.flatnonzero(ok)
-    lam_c, K_c, res_c = lam_all[ok], K_all[ok], res_all[ok]
-    charts = ids % 3
-    r_lam, r_K, r_res, r_ids, r_charts = _rescue_stalled(
-        lam_all, K_all, res_all, G0r, Btr, config,
-    )
-    if r_ids.size:
-        lam_c = np.concatenate([lam_c, r_lam])
-        K_c = np.concatenate([K_c, r_K])
-        res_c = np.concatenate([res_c, r_res])
-        ids = np.concatenate([ids, r_ids])
-        charts = np.concatenate([charts, r_charts])
-    return _dedup(lam_c, K_c, res_c, ids, config.dedup_tol, charts)
+    return _dedup(lam_all[ok], K_all[ok], res_all[ok], np.flatnonzero(ok), config.dedup_tol)
 
 
 def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> SolutionSet:
@@ -569,20 +499,18 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
     _close_under_conjugation(classes, config.dedup_tol)
     points = _finalize(classes, G0, Bt, scale)
 
-    budget_exhausted = any(c["first"] >= 0.75 * config.restarts for c in classes)
     total = len(points)
     real_total = sum(1 for p in points if p.is_real)
     psd_total = sum(1 for p in points if p.is_psd)
     return SolutionSet(
         points=tuple(points),
         counts=(total, real_total, psd_total),
-        budget_exhausted=budget_exhausted,
         config=config,
         scale=scale,
     )
 
 
-def _dedup(lams, Ks, res, restart_ids, tol, charts=None) -> List[dict]:
+def _dedup(lams, Ks, res, restart_ids, tol) -> List[dict]:
     """Greedy clustering in restart order.
 
     Solution separations sit many orders of magnitude above tol, so greedy
@@ -601,7 +529,7 @@ def _dedup(lams, Ks, res, restart_ids, tol, charts=None) -> List[dict]:
         classes.append({
             "lam": lam.copy(),
             "K": Ks[i].copy(),
-            "chart": int(restart_ids[i]) % 3 if charts is None else int(charts[i]),
+            "chart": int(restart_ids[i]) % 3,
             "residual": float(res[i]),
             "hits": 1,
             "first": int(restart_ids[i]),
@@ -617,8 +545,8 @@ def _polish_real(classes: List[dict], G0r, Btr, config: SolveConfig) -> None:
     A class is marked real only if the real iteration reconverges to the
     same point, turning a tolerance judgment into a convergence fact.
     Anything within the dedup radius of its own conjugate gets the attempt:
-    ill conditioning can leave a real class with imaginary noise well above
-    real_tol, and a class that close to the real slice could not coexist
+    ill conditioning can leave a real class with imaginary noise far above
+    convergence_tol, and a class that close to the real slice could not coexist
     with a distinct conjugate partner anyway.
     """
     cand = [i for i, c in enumerate(classes)
@@ -733,6 +661,5 @@ def certify_count(solution_set: SolutionSet) -> dict:
         "nonreal_total": len(nonreal),
         "conjugate_pairs": len(nonreal) // 2 if pairing_ok else None,
         "conjugate_pairing_ok": pairing_ok,
-        "budget_exhausted": solution_set.budget_exhausted,
         "all_pass": all(passes.values()) and pairing_ok,
     }

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import quartic_sos.classify
 from quartic_sos.forms import QuadraticForm, parse_quartic, quad_square
 from quartic_sos.gram import SymMatrix6, build_family, representation_to_gram
 from quartic_sos.classify import (
@@ -17,7 +18,7 @@ from quartic_sos.classify import (
     theorem1_check,
     verify_representation,
 )
-from quartic_sos.solver import GramPoint
+from quartic_sos.solver import GramPoint, SolveConfig
 
 
 def _reconstruction_error(G: SymMatrix6, rep: Representation) -> float:
@@ -181,3 +182,15 @@ def test_theorem1_check_rejects_indefinite_input():
     with pytest.raises(HypothesisFailed) as err:
         theorem1_check(parse_quartic("x^4+y^4-z^4"))
     assert err.value.hypothesis == "nonnegative"
+
+
+def test_theorem1_check_derives_basepoint_freeness(monkeypatch):
+    # on a smooth quartic a shared zero of p1, p2, p3 would be a singular
+    # point, so the pipeline must settle basepoint-freeness without a search
+    def no_search(*args, **kwargs):
+        raise AssertionError("basepoint search ran on a smooth quartic")
+
+    monkeypatch.setattr(quartic_sos.classify, "basepoint_check", no_search)
+    report = theorem1_check(parse_quartic("x^4+y^4+z^4"), SolveConfig(restarts=6000))
+    assert len(report.representations) == 63
+    assert all(r.basepoint_free is True for r in report.representations)

@@ -39,7 +39,7 @@ def fermat_set(fermat_family):
 
 def test_config_orders_tolerances():
     with pytest.raises(ValueError):
-        SolveConfig(convergence_tol=1e-6, real_tol=1e-8, dedup_tol=1e-7)
+        SolveConfig(convergence_tol=1e-6, dedup_tol=1e-7)
     with pytest.raises(ValueError):
         SolveConfig(restarts=0)
     with pytest.raises(ValueError):
@@ -136,6 +136,16 @@ def test_certify_count_report(fermat_set):
     assert report["nonreal_total"] == 48
     assert report["conjugate_pairs"] == 24
     assert report["conjugate_pairing_ok"]
+
+
+def test_completion_stage_recovers_missed_classes(fermat_family):
+    # 200 restarts leave the affine stage short of 63 classes, so the
+    # projective completion stage has to supply the rest
+    config = SolveConfig(restarts=200, master_seed=0)
+    ss = solve_all(fermat_family, config)
+    assert ss.counts == (63, 15, 8)
+    assert certify_count(ss)["all_pass"]
+    assert sum(1 for p in ss.points if p.first_restart >= config.restarts) > 0
 
 
 def test_monotonicity_in_restarts(fermat_family):
