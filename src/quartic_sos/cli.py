@@ -160,12 +160,16 @@ def _load_quartic(text: str, json_in: bool) -> TernaryQuartic:
 
 
 def _resolve_seed(value: Optional[int]) -> int:
+    """The --seed value, else $QUARTIC_SOS_SEED, else 0; ValueError if malformed."""
     if value is not None:
         return value
     env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        return int(env)
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _nonnegative_int(env)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"${_SEED_ENV} must be a non-negative integer, got {env!r}") from None
 
 
 def _fail_input(message: str) -> int:
@@ -181,9 +185,9 @@ def _fail_input(message: str) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         f = _load_quartic(args.form, args.json_in)
+        seed = _resolve_seed(args.seed)
     except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail_input(str(exc))
-    seed = _resolve_seed(args.seed)
     out = sys.stdout
 
     out.write(f"input: {f}\n")
@@ -249,9 +253,9 @@ def _report_json(f: TernaryQuartic, seed: int, report: Theorem1Report) -> dict:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         f = _load_quartic(args.form, args.json_in)
+        seed = _resolve_seed(args.seed)
     except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail_input(str(exc))
-    seed = _resolve_seed(args.seed)
     config = SolveConfig(restarts=args.restarts, master_seed=seed, threads=args.threads)
     out = sys.stdout
     out.write(f"input: {f}\n")
@@ -328,7 +332,10 @@ def random_corpus_quartic(seed: int, index: int) -> TernaryQuartic:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+    try:
+        seed = _resolve_seed(args.seed)
+    except ValueError as exc:
+        return _fail_input(str(exc))
     out = sys.stdout
     entries = [("fermat", parse_quartic("x^4 + y^4 + z^4"))]
     for i in range(args.count):
@@ -413,6 +420,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(lowest: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lowest:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
+
+
 def _add_form_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("form", help="quartic as an expression, e.g. 'x^4+y^4+z^4'")
     parser.add_argument(
@@ -426,7 +449,7 @@ def _add_form_argument(parser: argparse.ArgumentParser) -> None:
 def _add_seed_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         help=f"master seed (default: ${_SEED_ENV} or 0); fixes all output bytes",
     )
@@ -454,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_form_argument(p_dec)
     _add_seed_argument(p_dec)
     p_dec.add_argument(
-        "--restarts", type=int, default=20000, help="solver restarts (default 20000)"
+        "--restarts", type=_positive_int, default=20000, help="solver restarts (default 20000)"
     )
     p_dec.add_argument(
-        "--threads", type=int, default=1, help="worker threads (result is identical)"
+        "--threads", type=_positive_int, default=1, help="worker threads (result is identical)"
     )
     p_dec.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     group = p_dec.add_mutually_exclusive_group()
@@ -478,13 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_argument(p_cor)
     p_cor.add_argument(
-        "--count", type=int, default=5, help="number of random quartics (default 5)"
+        "--count", type=_nonnegative_int, default=5, help="number of random quartics (default 5)"
     )
     p_cor.add_argument(
-        "--restarts", type=int, default=20000, help="solver restarts (default 20000)"
+        "--restarts", type=_positive_int, default=20000, help="solver restarts (default 20000)"
     )
     p_cor.add_argument(
-        "--threads", type=int, default=1, help="worker threads (result is identical)"
+        "--threads", type=_positive_int, default=1, help="worker threads (result is identical)"
     )
     p_cor.set_defaults(func=_cmd_corpus)
 

@@ -25,7 +25,7 @@ from .resultant import (
     gradient_resultant_is_nonzero,
     gradient_resultant_is_nonzero_gcp,
 )
-from .solver import GramPoint, RANK_EIG_TOL
+from .solver import GramPoint, RANK_EIG_TOL, _damped_step
 
 #: PSD / eigenvalue tolerance shared across the positivity decisions.
 PSD_TOL = 1e-8
@@ -123,17 +123,34 @@ def _eval_dmonomials(pts: np.ndarray) -> np.ndarray:
     return D
 
 
-def _gn_least_squares(fval, fjac, z, iters=60):
-    """Small batched damped Gauss-Newton with backtracking."""
-    z = z.copy()
-    dim = z.shape[1]
+def _seeded_common_zeros(eqs, eqs_jac, stream: int, trials: int, seed: int, iters: int = 60):
+    """Unit-normalized Newton limits for three homogeneous equations in v.
+
+    Damped Gauss-Newton with backtracking on {eqs(v) = 0, a . v = 1}, a a
+    seeded random complex chart, from `trials` seeded complex starts;
+    `eqs` and `eqs_jac` map (n, 3) points to (n, 3) values and (n, 3, 3)
+    Jacobians.  Limits that collapsed to the origin are dropped.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    chart = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    z = np.empty((trials, 3), dtype=complex)
+    for t in range(trials):
+        g = np.random.default_rng(np.random.SeedSequence([seed, stream, t]))
+        z[t] = (g.standard_normal(3) + 1j * g.standard_normal(3)) / np.sqrt(2)
+
+    def fval(z):
+        F = np.empty((z.shape[0], 4), dtype=complex)
+        F[:, :3] = eqs(z)
+        F[:, 3] = z @ chart - 1.0
+        return F
+
     for _ in range(iters):
-        F, J = fjac(z)
+        F = fval(z)
+        J = np.empty((z.shape[0], 4, 3), dtype=complex)
+        J[:, :3, :] = eqs_jac(z)
+        J[:, 3, :] = chart
         nrm = np.linalg.norm(F, axis=1)
-        JH = np.conj(np.transpose(J, (0, 2, 1)))
-        A = JH @ J
-        mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
-        delta = np.linalg.solve(A + mu * np.eye(dim, dtype=A.dtype), -(JH @ F[:, :, None]))[:, :, 0]
+        delta = _damped_step(J, F)
         undecided = np.ones(z.shape[0], dtype=bool)
         for alpha in (1.0, 0.5, 0.25, 0.125):
             idx = np.flatnonzero(undecided)
@@ -144,46 +161,25 @@ def _gn_least_squares(fval, fjac, z, iters=60):
             sel = idx[better]
             z[sel] = cand[better]
             undecided[sel] = False
-    return z
+    norms = np.linalg.norm(z, axis=1)
+    good = norms > 1e-8
+    return z[good] / norms[good, None]
 
 
 def _singular_witness(f: TernaryQuartic, trials: int, seed: int):
     """Best common zero of the gradient found by Newton, or None."""
     scale = float(f.max_abs_coeff())
-    H = _hessian_vectors(f, scale)
+    H = _hessian_vectors(f, scale).reshape(9, 6).T
+
+    def hessians(pts):
+        return (_eval_monomials(pts) @ H).reshape(-1, 3, 3)  # H(v) entries
 
     def grad_vals(pts):
-        Hv = _eval_monomials(pts) @ H.reshape(9, 6).T  # (n, 9) -> H(v) entries
-        Hm = Hv.reshape(-1, 3, 3)
-        return (Hm @ pts[:, :, None])[:, :, 0] / 3.0  # Euler: g = H v / 3
+        return (hessians(pts) @ pts[:, :, None])[:, :, 0] / 3.0  # Euler: g = H v / 3
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 102]))
-    chart = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    starts = np.empty((trials, 3), dtype=complex)
-    for t in range(trials):
-        g = np.random.default_rng(np.random.SeedSequence([seed, 102, t]))
-        starts[t] = (g.standard_normal(3) + 1j * g.standard_normal(3)) / np.sqrt(2)
-
-    def fval(z):
-        F = np.empty((z.shape[0], 4), dtype=complex)
-        F[:, :3] = grad_vals(z)
-        F[:, 3] = z @ chart - 1.0
-        return F
-
-    def fjac(z):
-        n = z.shape[0]
-        Hv = (_eval_monomials(z) @ H.reshape(9, 6).T).reshape(n, 3, 3)
-        J = np.empty((n, 4, 3), dtype=complex)
-        J[:, :3, :] = Hv
-        J[:, 3, :] = chart
-        return fval(z), J
-
-    z = _gn_least_squares(fval, fjac, starts)
-    norms = np.linalg.norm(z, axis=1)
-    good = norms > 1e-8
-    if not good.any():
+    zn = _seeded_common_zeros(grad_vals, hessians, 102, trials, seed)
+    if zn.shape[0] == 0:
         return None
-    zn = z[good] / norms[good, None]
     res = np.max(np.abs(grad_vals(zn)), axis=1)
     best = int(np.argmin(res))
     if res[best] < NEWTON_RESIDUAL_TOL:
@@ -204,33 +200,16 @@ def basepoint_check(forms: Sequence[QuadraticForm], trials: int = 100, seed: int
     row_scale[row_scale == 0] = 1.0
     Cn = C / row_scale[:, None]
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 103]))
-    chart = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    starts = np.empty((trials, 3), dtype=complex)
-    for t in range(trials):
-        g = np.random.default_rng(np.random.SeedSequence([seed, 103, t]))
-        starts[t] = (g.standard_normal(3) + 1j * g.standard_normal(3)) / np.sqrt(2)
+    def conics(z):
+        return _eval_monomials(z) @ Cn.T
 
-    def fval(z):
-        F = np.empty((z.shape[0], 4), dtype=complex)
-        F[:, :3] = _eval_monomials(z) @ Cn.T
-        F[:, 3] = z @ chart - 1.0
-        return F
+    def conics_jac(z):
+        return np.einsum("km,nmj->nkj", Cn, _eval_dmonomials(z))
 
-    def fjac(z):
-        n = z.shape[0]
-        J = np.empty((n, 4, 3), dtype=complex)
-        J[:, :3, :] = np.einsum("km,nmj->nkj", Cn, _eval_dmonomials(z))
-        J[:, 3, :] = chart
-        return fval(z), J
-
-    z = _gn_least_squares(fval, fjac, starts)
-    norms = np.linalg.norm(z, axis=1)
-    good = norms > 1e-8
-    if not good.any():
+    zn = _seeded_common_zeros(conics, conics_jac, 103, trials, seed)
+    if zn.shape[0] == 0:
         return True
-    zn = z[good] / norms[good, None]
-    res = np.max(np.abs(_eval_monomials(zn) @ Cn.T), axis=1)
+    res = np.max(np.abs(conics(zn)), axis=1)
     return not bool(np.min(res) < NEWTON_RESIDUAL_TOL)
 
 

@@ -27,6 +27,9 @@ relative to max(1, |lam|), and when the restart stage returns fewer than
 the 63 classes every smooth quartic carries, a deterministic completion
 pass re-solves the homogenized family h G0 + sum mu_i B_i on a random
 affine patch, where every class lives at ordinary-sized coordinates.
+Its solutions map back to lam = mu / h and enter the restart stage's
+pipeline as further starts: the same polish, convergence test and
+duplicate merge, after which the real polish decides every real class.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ CHART_K_ROWS: Tuple[Tuple[int, int, int], ...] = tuple(
 
 _BACKTRACK = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
+#: Gauss-Newton iteration cap per start.
+NEWTON_MAX_ITERS = 100
+#: A start has converged when |G(lam) N| < CONVERGENCE_TOL * max(1, |lam|).
+CONVERGENCE_TOL = 1e-12
+#: Converged starts within DEDUP_TOL * max(1, |lam|) of each other are one
+#: class; distinct classes sit orders of magnitude farther apart.
+DEDUP_TOL = 1e-6
+
 # Restarts are processed in fixed-size batches regardless of worker count,
 # so multi-threaded runs reproduce single-threaded output byte for byte.
 _CHUNK = 4096
@@ -62,15 +73,10 @@ class SolveConfig:
     """Knobs for the random-restart rank-3 search."""
 
     restarts: int = 20000
-    newton_max_iters: int = 100
-    convergence_tol: float = 1e-12
-    dedup_tol: float = 1e-6
     master_seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        if not self.convergence_tol < self.dedup_tol:
-            raise ValueError("need convergence_tol < dedup_tol")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.master_seed < 0:
@@ -124,9 +130,6 @@ class SolutionSet:
             },
             "config": {
                 "restarts": self.config.restarts,
-                "newton_max_iters": self.config.newton_max_iters,
-                "convergence_tol": self.config.convergence_tol,
-                "dedup_tol": self.config.dedup_tol,
                 "threads": self.config.threads,
             },
             "seed": self.config.master_seed,
@@ -206,7 +209,7 @@ def _damped_step(J, F):
     return np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
 
 
-def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr, max_iters, tol):
+def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr):
     """Damped Gauss-Newton with backtracking on a batch of starts.
 
     Each batch slice evolves independently of the others, which is what
@@ -217,12 +220,12 @@ def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr, max_iters, tol):
     n = lam.shape[0]
     base = (lambda sel: G0r[sel]) if G0r.ndim == 3 else (lambda sel: G0r)
     active = np.arange(n)
-    for _ in range(max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         if active.size == 0:
             break
         G, N, F = _assemble(lam[active], K[active], id_rows[active], k_rows[active], base(active), Btr)
         nrm = np.linalg.norm(F, axis=1)
-        keep = nrm >= tol * _lam_scale(lam[active])
+        keep = nrm >= CONVERGENCE_TOL * _lam_scale(lam[active])
         active = active[keep]
         if active.size == 0:
             break
@@ -253,11 +256,7 @@ def _chart_rows(charts: np.ndarray):
     return id_rows, k_rows
 
 
-def _chart_arrays(restart_ids: np.ndarray):
-    return _chart_rows(restart_ids % 3)
-
-
-def _run_chunk(lo, hi, seed, G0r, Btr, max_iters, tol):
+def _run_chunk(lo, hi, seed, G0r, Btr):
     n = hi - lo
     lam0 = np.empty((n, 6), dtype=complex)
     K0 = np.empty((n, 9), dtype=complex)
@@ -265,67 +264,19 @@ def _run_chunk(lo, hi, seed, G0r, Btr, max_iters, tol):
         g = np.random.default_rng(np.random.SeedSequence([seed, r]))
         lam0[r - lo] = (g.standard_normal(6) + 1j * g.standard_normal(6)) / np.sqrt(2)
         K0[r - lo] = (g.standard_normal(9) + 1j * g.standard_normal(9)) / np.sqrt(2)
-    ids = np.arange(lo, hi)
-    id_rows, k_rows = _chart_arrays(ids)
-    lam, K, res = _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr, max_iters, tol)
-    return lam, K, res
+    id_rows, k_rows = _chart_rows(np.arange(lo, hi) % 3)
+    return _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr)
 
 
 #: Completion stage: batches of homogenized-family restarts, spent only
 #: when the affine stage reports fewer than 63 classes.
 _PROJ_BATCH = 2048
 _PROJ_MAX_BATCHES = 8
-_PROJ_POLISH_ITERS = 16
 #: A homogenized solution maps back to an affine class lam = mu / h; past
 #: this bound it is indistinguishable from the h = 0 boundary (rank-3
 #: points of the bare kernel-basis pencil, which represent nothing), and
 #: double precision could not certify it anyway.
 _LAM_MAX = 1e6
-#: Completion classes live at large lam where isolation can sit near the
-#: double-precision floor, so repeated solves of the same class scatter
-#: further than the restart-stage duplicate radius.  Candidates within
-#: this relative radius are one class (distinct classes of the families
-#: we target are separated by orders of magnitude more).
-_PROJ_MERGE_REL = 1e-3
-
-
-def _newton_plain(lam, K, id_rows, k_rows, base, Btr, iters):
-    """Full-step Newton polish: converge fast or get discarded.
-
-    No damping or backtracking on purpose.  This runs on points already
-    believed to sit inside a quadratic convergence basin (completion
-    candidates); a start that needs creeping is not such a point, and the
-    caller drops it by its final residual.
-    """
-    lam = lam.copy()
-    K = K.copy()
-    for _ in range(iters):
-        G, N, F = _assemble(lam, K, id_rows, k_rows, base, Btr)
-        J = _jacobian(G, N, k_rows, Btr)
-        delta = _damped_step(J, F)
-        lam = lam + delta[:, :6]
-        K = K + delta[:, 6:]
-    _, _, F = _assemble(lam, K, id_rows, k_rows, base, Btr)
-    return lam, K, np.linalg.norm(F, axis=1)
-
-
-def _best_chart(G: np.ndarray):
-    """Kernel basis of a near-rank-3 matrix and its best-conditioned chart.
-
-    Returns (chart index, K block) with the chart whose identity-row 3x3
-    block of the kernel basis is farthest from singular.
-    """
-    _, _, Vh = np.linalg.svd(G)
-    N0 = Vh[3:].conj().T
-    best = None
-    for c in range(3):
-        block = N0[list(CHART_ID_ROWS[c]), :]
-        score = np.linalg.svd(block, compute_uv=False)[-1]
-        if best is None or score > best[0]:
-            best = (score, c, block)
-    _, c, block = best
-    Nc = N0 @ np.linalg.inv(block)
-    return c, Nc[list(CHART_K_ROWS[c]), :].reshape(9)
 
 
 def _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a):
@@ -338,7 +289,7 @@ def _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a):
     return G, N, np.concatenate([F, (hmu @ a - 1.0)[:, None]], axis=1)
 
 
-def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a, iters, tol):
+def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a):
     """Batched Gauss-Newton on the homogenized family h G0 + sum mu_i B_i.
 
     Unknowns per slice are (h, mu) in a random affine patch a . (h, mu)
@@ -350,10 +301,10 @@ def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a, iters, tol):
     hmu = hmu.copy()
     K = K.copy()
     active = np.arange(hmu.shape[0])
-    for _ in range(iters):
+    for _ in range(NEWTON_MAX_ITERS):
         G, N, F = _projective_system(hmu[active], K[active], id_rows[active], k_rows[active],
                                      G0r, Btr, a)
-        keep = np.linalg.norm(F, axis=1) >= tol
+        keep = np.linalg.norm(F, axis=1) >= CONVERGENCE_TOL
         active = active[keep]
         if active.size == 0:
             break
@@ -371,95 +322,42 @@ def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a, iters, tol):
     return hmu, K, np.linalg.norm(F, axis=1)
 
 
-def _projective_classes(G0r, Btr, config: SolveConfig, classes: List[dict]) -> List[dict]:
-    """Completion stage: classes recovered from the homogenized family.
+def _projective_classes(G0r, Btr, config: SolveConfig, classes: List[dict]) -> None:
+    """Completion stage: merge classes from the homogenized family into classes.
 
     Batches are seeded streams, so the result is a pure function of the
     config.  Solutions on the h = 0 boundary or beyond _LAM_MAX are
-    dropped, the rest are polished in an affine kernel chart and merged
-    at the completion radius, lowest residual winning.  A candidate whose
-    imaginary part is below the merge radius is pulled onto the real
-    slice if real Newton reconverges there.
+    dropped; the rest map to lam = mu / h with their kernel block K
+    unchanged (G(lam) is the homogenized matrix over h, so the kernel is
+    the same), get the restart stage's polish and convergence test, and
+    are merged like restarts numbered on from config.restarts.
     """
-    out: List[dict] = []
-    have = [c["lam"] for c in classes]
     G0c = G0r.astype(complex)
+    id_rows, k_rows = _chart_rows(np.arange(_PROJ_BATCH) % 3)
     for batch in range(_PROJ_MAX_BATCHES):
-        if len(classes) + len(out) >= 63:
+        if len(classes) >= 63:
             break
         g = np.random.default_rng(np.random.SeedSequence([config.master_seed, 106, batch]))
         a = (g.standard_normal(7) + 1j * g.standard_normal(7)) / np.sqrt(2)
         hmu0 = (g.standard_normal((_PROJ_BATCH, 7)) + 1j * g.standard_normal((_PROJ_BATCH, 7)))
         hmu0 /= (hmu0 @ a)[:, None]
         K0 = (g.standard_normal((_PROJ_BATCH, 9)) + 1j * g.standard_normal((_PROJ_BATCH, 9))) / np.sqrt(2)
-        id_rows, k_rows = _chart_arrays(np.arange(_PROJ_BATCH))
-        hmu, K, res = _gn_projective(hmu0, K0, id_rows, k_rows, G0c, Btr, a,
-                                     config.newton_max_iters, config.convergence_tol)
+        hmu, K, res = _gn_projective(hmu0, K0, id_rows, k_rows, G0c, Btr, a)
         h = hmu[:, 0]
-        finite = (res < config.convergence_tol) & (np.abs(h) > 0)
-        lam_all = np.where(finite[:, None], hmu[:, 1:], 0.0) / np.where(finite, h, 1.0)[:, None]
-        finite &= np.max(np.abs(lam_all), axis=1) < _LAM_MAX
-        cand = []
-        for i in np.flatnonzero(finite):
-            lam = lam_all[i]
-            if any(np.max(np.abs(lam - v)) < _PROJ_MERGE_REL * _lam_scale(lam) for v in have):
-                continue
-            G = G0c + np.einsum("i,iab->ab", lam, Btr)
-            chart, Kc = _best_chart(G)
-            rows = np.array([CHART_ID_ROWS[chart]]), np.array([CHART_K_ROWS[chart]])
-            lam_f, K_f, res_f = _newton_plain(lam[None], Kc[None], rows[0], rows[1],
-                                              G0c[None], Btr, _PROJ_POLISH_ITERS)
-            if res_f[0] >= config.convergence_tol * _lam_scale(lam_f[0]):
-                continue
-            cand.append((float(res_f[0]), int(i), lam_f[0], K_f[0], chart))
-        cand.sort(key=lambda t: (t[0], t[1]))
-        for resv, _, lam, Kc, chart in cand:
-            if any(np.max(np.abs(lam - v)) < _PROJ_MERGE_REL * _lam_scale(lam) for v in have):
-                continue
-            lam, Kc, chart, resv = _pull_real(lam, Kc, chart, resv, G0r, Btr, config)
-            have.append(lam)
-            out.append({
-                "lam": lam,
-                "K": Kc,
-                "chart": chart,
-                "residual": resv,
-                "hits": 0,
-                "first": config.restarts,
-                "is_real": False,
-            })
-    return out
-
-
-def _pull_real(lam, Kc, chart, res, G0r, Btr, config: SolveConfig):
-    """Land a completion class on the real slice when one is in reach.
-
-    At the scales the completion stage works at, the imaginary part of a
-    real class can carry noise far above the scaled real-detection
-    threshold, so the decision is made here: drop the imaginary part,
-    re-chart, and keep the real point only if real Newton reconverges
-    without leaving the merge radius.
-    """
-    scl = _lam_scale(lam)
-    if np.max(np.abs(lam.imag)) >= _PROJ_MERGE_REL * scl:
-        return lam, Kc, chart, res
-    G = G0r + np.einsum("i,iab->ab", lam.real, Btr)
-    chart_r, K_r = _best_chart(G)
-    rows = np.array([CHART_ID_ROWS[chart_r]]), np.array([CHART_K_ROWS[chart_r]])
-    lam_f, K_f, res_f = _newton_plain(lam.real[None], K_r.real[None], rows[0], rows[1],
-                                      G0r[None], Btr, _PROJ_POLISH_ITERS)
-    scl_f = _lam_scale(lam_f[0])
-    if (res_f[0] < config.convergence_tol * scl_f
-            and np.max(np.abs(lam_f[0] - lam.real)) < _PROJ_MERGE_REL * scl_f):
-        return lam_f[0].astype(complex), K_f[0].astype(complex), chart_r, float(res_f[0])
-    return lam, Kc, chart, res
+        finite = (res < CONVERGENCE_TOL) & (np.abs(h) > 0)
+        lam = np.where(finite[:, None], hmu[:, 1:], 0.0) / np.where(finite, h, 1.0)[:, None]
+        sel = np.flatnonzero(finite & (np.max(np.abs(lam), axis=1) < _LAM_MAX))
+        lam, K, res = _gauss_newton(lam[sel], K[sel], id_rows[sel], k_rows[sel], G0r, Btr)
+        ok = res < CONVERGENCE_TOL * _lam_scale(lam)
+        sel = sel[ok]
+        _dedup(classes, lam[ok], K[ok], res[ok], config.restarts + batch * _PROJ_BATCH + sel, sel % 3)
 
 
 def _restart_classes(G0r, Btr, config: SolveConfig) -> List[dict]:
     """Deduplicated classes found by the chunked random-restart stage."""
     R = config.restarts
     bounds = [(lo, min(lo + _CHUNK, R)) for lo in range(0, R, _CHUNK)]
-    args = [(lo, hi, config.master_seed, G0r, Btr, config.newton_max_iters, config.convergence_tol)
-            for lo, hi in bounds]
+    args = [(lo, hi, config.master_seed, G0r, Btr) for lo, hi in bounds]
     if config.threads > 1 and len(bounds) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(lambda a: _run_chunk(*a), args))
@@ -470,8 +368,11 @@ def _restart_classes(G0r, Btr, config: SolveConfig) -> List[dict]:
     K_all = np.concatenate([r[1] for r in results])
     res_all = np.concatenate([r[2] for r in results])
 
-    ok = res_all < config.convergence_tol * _lam_scale(lam_all)
-    return _dedup(lam_all[ok], K_all[ok], res_all[ok], np.flatnonzero(ok), config.dedup_tol)
+    ok = res_all < CONVERGENCE_TOL * _lam_scale(lam_all)
+    ids = np.flatnonzero(ok)
+    classes: List[dict] = []
+    _dedup(classes, lam_all[ok], K_all[ok], res_all[ok], ids, ids % 3)
+    return classes
 
 
 def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> SolutionSet:
@@ -494,9 +395,9 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
 
     classes = _restart_classes(G0r, Btr, config)
     if len(classes) < 63:
-        classes.extend(_projective_classes(G0r, Btr, config, classes))
-    _polish_real(classes, G0r, Btr, config)
-    _close_under_conjugation(classes, config.dedup_tol)
+        _projective_classes(G0r, Btr, config, classes)
+    _polish_real(classes, G0r, Btr)
+    _close_under_conjugation(classes)
     points = _finalize(classes, G0, Bt, scale)
 
     total = len(points)
@@ -510,66 +411,65 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
     )
 
 
-def _dedup(lams, Ks, res, restart_ids, tol) -> List[dict]:
-    """Greedy clustering in restart order.
+def _dedup(classes: List[dict], lams, Ks, res, restart_ids, charts) -> None:
+    """Greedy clustering in restart order, merged into classes.
 
-    Solution separations sit many orders of magnitude above tol, so greedy
-    representative matching and single-linkage clustering coincide.
+    A start within DEDUP_TOL of a class adds a hit to it; any other start
+    founds a new class in its own kernel chart.  Solution separations sit
+    many orders of magnitude above DEDUP_TOL, so greedy representative
+    matching and single-linkage clustering coincide.
     """
-    classes: List[dict] = []
-    reps = np.zeros((0, 6), dtype=complex)
+    reps = np.array([c["lam"] for c in classes], dtype=complex).reshape(-1, 6)
     for i in range(lams.shape[0]):
         lam = lams[i]
         if reps.shape[0]:
             d = np.max(np.abs(reps - lam[None, :]), axis=1)
             j = int(np.argmin(d))
-            if d[j] < tol * _lam_scale(lam):
+            if d[j] < DEDUP_TOL * _lam_scale(lam):
                 classes[j]["hits"] += 1
                 continue
         classes.append({
             "lam": lam.copy(),
             "K": Ks[i].copy(),
-            "chart": int(restart_ids[i]) % 3,
+            "chart": int(charts[i]),
             "residual": float(res[i]),
             "hits": 1,
             "first": int(restart_ids[i]),
             "is_real": False,
         })
         reps = np.vstack([reps, lam[None, :]])
-    return classes
 
 
-def _polish_real(classes: List[dict], G0r, Btr, config: SolveConfig) -> None:
+def _polish_real(classes: List[dict], G0r, Btr) -> None:
     """Re-run Newton in real arithmetic on near-real classes.
 
     A class is marked real only if the real iteration reconverges to the
     same point, turning a tolerance judgment into a convergence fact.
     Anything within the dedup radius of its own conjugate gets the attempt:
     ill conditioning can leave a real class with imaginary noise far above
-    convergence_tol, and a class that close to the real slice could not coexist
+    CONVERGENCE_TOL, and a class that close to the real slice could not coexist
     with a distinct conjugate partner anyway.
     """
     cand = [i for i, c in enumerate(classes)
-            if np.max(np.abs(c["lam"].imag)) < config.dedup_tol * _lam_scale(c["lam"])]
+            if np.max(np.abs(c["lam"].imag)) < DEDUP_TOL * _lam_scale(c["lam"])]
     if not cand:
         return
     lam0 = np.array([classes[i]["lam"].real for i in cand])
     K0 = np.array([classes[i]["K"].real for i in cand])
     charts = np.array([classes[i]["chart"] for i in cand])
     id_rows, k_rows = _chart_rows(charts)
-    lam, K, res = _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr,
-                                config.newton_max_iters, config.convergence_tol)
+    lam, K, res = _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr)
     for k, i in enumerate(cand):
         moved = np.max(np.abs(lam[k] - classes[i]["lam"].real))
         scl = _lam_scale(lam[k])
-        if res[k] < config.convergence_tol * scl and moved < config.dedup_tol * scl:
+        if res[k] < CONVERGENCE_TOL * scl and moved < DEDUP_TOL * scl:
             classes[i]["lam"] = lam[k].astype(complex)
             classes[i]["K"] = K[k].astype(complex)
             classes[i]["residual"] = float(res[k])
             classes[i]["is_real"] = True
 
 
-def _close_under_conjugation(classes: List[dict], tol: float) -> None:
+def _close_under_conjugation(classes: List[dict]) -> None:
     """Append any missing conjugate partners.
 
     The family is real, so conjugating a solution gives a solution with
@@ -583,7 +483,7 @@ def _close_under_conjugation(classes: List[dict], tol: float) -> None:
         if c["is_real"]:
             continue
         conj = np.conj(c["lam"])
-        radius = tol * _lam_scale(conj)
+        radius = DEDUP_TOL * _lam_scale(conj)
         if any(np.max(np.abs(conj - d["lam"])) < radius for d in classes):
             continue
         classes.append({
@@ -645,11 +545,10 @@ def certify_count(solution_set: SolutionSet) -> dict:
     passes = {k: actual[k] == expected[k] for k in expected}
 
     nonreal = [p for p in solution_set.points if not p.is_real]
-    dedup_tol = solution_set.config.dedup_tol
     paired = 0
     for p in nonreal:
         conj = np.conj(np.array(p.lam))
-        tol = dedup_tol * max(solution_set.scale, 1.0, float(np.max(np.abs(conj))))
+        tol = DEDUP_TOL * max(solution_set.scale, 1.0, float(np.max(np.abs(conj))))
         if any(np.max(np.abs(conj - np.array(q.lam))) < tol for q in nonreal):
             paired += 1
     pairing_ok = paired == len(nonreal) and len(nonreal) % 2 == 0

@@ -42,6 +42,32 @@ def test_malformed_input_exits_2(capsys):
     assert main(["check", "--json-in", '{"1,2": 1}']) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", FERMAT, "--restarts", "0"],
+    ["decompose", FERMAT, "--threads", "0"],
+    ["decompose", FERMAT, "--seed", "-1"],
+    ["check", FERMAT, "--seed", "-1"],
+    ["corpus", "--restarts", "0"],
+    ["corpus", "--count", "two"],
+])
+def test_out_of_range_numeric_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_seed_variable_exits_2(value, capsys, monkeypatch):
+    monkeypatch.setenv("QUARTIC_SOS_SEED", value)
+    assert main(["check", FERMAT]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $QUARTIC_SOS_SEED")
+
+
 def test_verify_unreadable_certificate_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify", FERMAT, "--cert", str(missing)]) == EXIT_INPUT

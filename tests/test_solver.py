@@ -19,6 +19,7 @@ from quartic_sos.gram import (
     representation_to_gram,
 )
 from quartic_sos.solver import (
+    DEDUP_TOL,
     GramPoint,
     SolveConfig,
     certify_count,
@@ -38,8 +39,6 @@ def fermat_set(fermat_family):
 
 
 def test_config_orders_tolerances():
-    with pytest.raises(ValueError):
-        SolveConfig(convergence_tol=1e-6, dedup_tol=1e-7)
     with pytest.raises(ValueError):
         SolveConfig(restarts=0)
     with pytest.raises(ValueError):
@@ -93,7 +92,7 @@ def test_lambda_zero_is_a_psd_class(fermat_set):
 
 
 def test_points_are_separated(fermat_set):
-    tol = fermat_set.config.dedup_tol
+    tol = DEDUP_TOL
     lams = [np.array(p.lam) for p in fermat_set.points]
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
@@ -138,7 +137,7 @@ def test_certify_count_report(fermat_set):
     assert report["conjugate_pairing_ok"]
 
 
-def test_completion_stage_recovers_missed_classes(fermat_family):
+def test_completion_stage_recovers_missed_classes(fermat_family, fermat_set):
     # 200 restarts leave the affine stage short of 63 classes, so the
     # projective completion stage has to supply the rest
     config = SolveConfig(restarts=200, master_seed=0)
@@ -146,6 +145,20 @@ def test_completion_stage_recovers_missed_classes(fermat_family):
     assert ss.counts == (63, 15, 8)
     assert certify_count(ss)["all_pass"]
     assert sum(1 for p in ss.points if p.first_restart >= config.restarts) > 0
+    # every class, completion classes included, was reached by some start
+    assert all(p.hits >= 1 for p in ss.points)
+    # the classes are the 6000-restart run's classes, one to one
+    reference = [np.array(q.lam) for q in fermat_set.points]
+    matched = set()
+    for p in ss.points:
+        lam = np.array(p.lam)
+        dist = [np.max(np.abs(lam - r)) for r in reference]
+        j = int(np.argmin(dist))
+        assert dist[j] < 1e-9 * max(1.0, np.max(np.abs(lam)))
+        q = fermat_set.points[j]
+        assert (p.is_real, p.signature) == (q.is_real, q.signature)
+        matched.add(j)
+    assert len(matched) == 63
 
 
 def test_monotonicity_in_restarts(fermat_family):
