@@ -11,6 +11,7 @@ successive rank-1 extractions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -88,17 +89,37 @@ class Representation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
+        """Read a certificate; ValueError on a number that is not finite."""
+        def coeff(re, im):
+            re, im = _finite(re), _finite(im)
+            return complex(re, im) if im != 0 else re
+
         forms = tuple(
-            QuadraticForm(tuple(complex(re, im) if im != 0 else float(re) for re, im in coeffs))
+            QuadraticForm(tuple(coeff(re, im) for re, im in coeffs))
             for coeffs in data["forms"]
         )
         return cls(
-            signs=tuple(int(s) for s in data["signs"]),
+            signs=tuple(int(_finite(s)) for s in data["signs"]),
             forms=forms,
-            class_lambda=tuple(complex(re, im) for re, im in data["class_lambda"]),
-            residual=float(data["residual"]),
+            class_lambda=tuple(complex(_finite(re), _finite(im)) for re, im in data["class_lambda"]),
+            residual=_finite(data["residual"]),
             basepoint_free=data.get("basepoint_free"),
         )
+
+
+def _finite(value) -> float:
+    """float(value), rejecting infinities, NaN and integers beyond float range.
+
+    Python's json reads Infinity, NaN and 1e400 as floats, which would
+    otherwise pass into verification as garbage.
+    """
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"certificate number {value!r} is not finite")
+    return x
 
 
 def _first_significant(coeffs) -> complex:

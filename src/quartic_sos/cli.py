@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -131,6 +132,8 @@ def _coeff_from_json(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {value!r} is not a finite number")
         return Fraction(value).limit_denominator(10**12) if value != int(value) else Fraction(int(value))
     raise ValueError(f"unsupported coefficient {value!r}")
 

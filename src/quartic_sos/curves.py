@@ -25,7 +25,7 @@ from .resultant import (
     gradient_resultant_is_nonzero,
     gradient_resultant_is_nonzero_gcp,
 )
-from .solver import GramPoint, RANK_EIG_TOL, _damped_step
+from .solver import GramPoint, RANK_EIG_TOL
 
 #: PSD / eigenvalue tolerance shared across the positivity decisions.
 PSD_TOL = 1e-8
@@ -121,6 +121,19 @@ def _eval_dmonomials(pts: np.ndarray) -> np.ndarray:
     D[:, 4] = np.stack([z, o, x], axis=1)
     D[:, 5] = np.stack([y, x, o], axis=1)
     return D
+
+
+def _damped_step(J, F):
+    """Batched damped normal-equation step d = -(J^H J + mu I)^-1 J^H F.
+
+    mu is a tiny multiple of trace(J^H J): it keeps the solve regular at a
+    rank-deficient Jacobian without slowing quadratic convergence.
+    """
+    JH = np.conj(np.transpose(J, (0, 2, 1)))
+    A = JH @ J
+    mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
+    A = A + mu * np.eye(J.shape[2], dtype=A.dtype)[None]
+    return np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
 
 
 def _seeded_common_zeros(eqs, eqs_jac, stream: int, trials: int, seed: int, iters: int = 60):

@@ -8,6 +8,11 @@ complementary rows, so rank(G(lam)) <= 3 becomes the bilinear system
     G(lam) . N(K) = 0        (18 equations, 15 unknowns)
 
 solved by damped Gauss-Newton from independent complex Gaussian starts.
+The Jacobian of G(lam) N(K) touches K only through the three columns of
+G(lam) on the K rows, so the K block of its normal equations is a 3x3
+matrix times the 3x3 identity; each step eliminates that block and solves
+a 6x6 Schur system for lam (7x7 for the completion stage's (h, mu)),
+which gives the dense normal-equation step at a fraction of the cost.
 Converged solutions are deduplicated into classes, near-real classes are
 re-polished in real arithmetic, and real classes carry the eigenvalue
 signature of G(lam); signature (3,0) is the positive semidefinite case.
@@ -157,7 +162,7 @@ def _assemble(lam, K, id_rows, k_rows, G0r, Btr):
     """
     n = lam.shape[0]
     base = G0r if G0r.ndim == 3 else G0r[None]
-    G = base + np.einsum("ri,iab->rab", lam, Btr)
+    G = base + (lam[:, None, :] @ Btr.reshape(6, 36)).reshape(n, 6, 6)
     N = np.zeros((n, 6, 3), dtype=lam.dtype)
     rr = np.arange(n)
     for b in range(3):
@@ -170,22 +175,6 @@ def _assemble(lam, K, id_rows, k_rows, G0r, Btr):
     return G, N, F
 
 
-def _jacobian(G, N, k_rows, Btr):
-    """Batched Jacobian of F wrt (lam, K): shape (n, 18, 15)."""
-    n = G.shape[0]
-    J = np.empty((n, 18, 15), dtype=np.result_type(G, N))
-    BN = np.einsum("iab,nbc->niac", Btr, N)
-    J[:, :, :6] = BN.reshape(n, 6, 18).transpose(0, 2, 1)
-    rr = np.arange(n)
-    for a in range(3):
-        cols = G[rr, :, k_rows[:, a]]
-        for b in range(3):
-            block = np.zeros((n, 6, 3), dtype=J.dtype)
-            block[:, :, b] = cols
-            J[:, :, 6 + 3 * a + b] = block.reshape(n, 18)
-    return J
-
-
 def _lam_scale(lam: np.ndarray) -> np.ndarray:
     """Per-slice residual scale max(1, |lam|_inf).
 
@@ -196,17 +185,45 @@ def _lam_scale(lam: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.max(np.abs(lam), axis=-1))
 
 
-def _damped_step(J, F):
-    """Batched damped normal-equation step d = -(J^H J + mu I)^-1 J^H F.
+def _gn_step(P, GK, F, patch=None):
+    """Batched damped Gauss-Newton step for F = G . N(K), by block elimination.
 
-    mu is a tiny multiple of trace(J^H J): it keeps the solve regular at a
-    rank-deficient Jacobian without slowing quadratic convergence.
+    P (n, p, 18) holds the transposed parameter columns of the Jacobian J:
+    vec(B_i N) for lam, or vec(G0 N) and then vec(B_i N) for (h, mu).
+    GK (n, 6, 3) holds the columns G[:, k_a] of G on the chart's K rows; the
+    K[a, b] column of J is G[:, k_a] placed in output column b, so the K
+    block of J^H J is M (x) I3 with M = GK^H GK.  One batched 3x3 solve
+    removes it and a p x p Schur system gives the parameter step.
+    With `patch` = a, J has a 19th row, a on the parameters and 0 on K,
+    whose residual is F[:, 18].
+
+    The step is the one the dense normal equations give,
+    d = -(J^H J + mu I)^-1 J^H F, with mu a tiny multiple of trace(J^H J):
+    it keeps the solve regular at a rank-deficient Jacobian without slowing
+    quadratic convergence.  Returns d (n, p + 9): parameters, then K
+    row-major.
     """
-    JH = np.conj(np.transpose(J, (0, 2, 1)))
-    A = JH @ J
-    mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
-    A = A + mu * np.eye(J.shape[2], dtype=A.dtype)[None]
-    return np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
+    n, p, _ = P.shape
+    F18 = F[:, :18]
+    # J_p^H [J_p | F]: the parameter block and its right-hand side
+    A = np.conj(P) @ np.concatenate([np.swapaxes(P, 1, 2), F18[:, :, None]], axis=2)
+    # GK^H [GK | B_1 N .. B_p N | G N]: M, then the coupling and K right-hand side
+    cols = P.reshape(n, p, 6, 3).transpose(0, 2, 1, 3).reshape(n, 6, 3 * p)
+    X = np.conj(np.swapaxes(GK, 1, 2)) @ np.concatenate([GK, cols, F18.reshape(n, 6, 3)], axis=2)
+    M, X = X[:, :, :3], X[:, :, 3:]
+    trace = np.trace(A[:, :, :p], axis1=1, axis2=2).real + 3.0 * np.trace(M, axis1=1, axis2=2).real
+    if patch is not None:
+        A[:, :, :p] += np.conj(patch)[:, None] * patch[None, :]
+        A[:, :, p] += np.conj(patch)[None, :] * F[:, 18, None]
+        trace += np.vdot(patch, patch).real
+    mu = (1e-12 * trace + 1e-14)[:, None, None]
+    Y = np.linalg.solve(M + mu * np.eye(3), X)
+    Xr = X.reshape(n, 3, p + 1, 3).transpose(0, 2, 1, 3).reshape(n, p + 1, 9)
+    Yr = Y.reshape(n, 3, p + 1, 3).transpose(0, 2, 1, 3).reshape(n, p + 1, 9)
+    S = A - np.conj(Xr[:, :p]) @ np.swapaxes(Yr, 1, 2)
+    dp = np.linalg.solve(S[:, :, :p] + mu * np.eye(p), -S[:, :, p:])
+    dK = -(Yr[:, p] + (np.swapaxes(dp, 1, 2) @ Yr[:, :p])[:, 0])
+    return np.concatenate([dp[:, :, 0], dK], axis=1)
 
 
 def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr):
@@ -230,8 +247,9 @@ def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr):
         if active.size == 0:
             break
         G, N, F, nrm = G[keep], N[keep], F[keep], nrm[keep]
-        J = _jacobian(G, N, k_rows[active], Btr)
-        delta = _damped_step(J, F)
+        P = (Btr.reshape(36, 6) @ N).reshape(-1, 6, 18)
+        GK = np.take_along_axis(G, k_rows[active][:, None, :], axis=2)
+        delta = _gn_step(P, GK, F)
         undecided = np.ones(active.size, dtype=bool)
         for alpha in _BACKTRACK:
             idx = np.where(undecided)[0]
@@ -257,13 +275,11 @@ def _chart_rows(charts: np.ndarray):
 
 
 def _run_chunk(lo, hi, seed, G0r, Btr):
-    n = hi - lo
-    lam0 = np.empty((n, 6), dtype=complex)
-    K0 = np.empty((n, 9), dtype=complex)
+    z = np.empty((hi - lo, 30))
     for r in range(lo, hi):
-        g = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        lam0[r - lo] = (g.standard_normal(6) + 1j * g.standard_normal(6)) / np.sqrt(2)
-        K0[r - lo] = (g.standard_normal(9) + 1j * g.standard_normal(9)) / np.sqrt(2)
+        z[r - lo] = np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(30)
+    lam0 = (z[:, :6] + 1j * z[:, 6:12]) / np.sqrt(2)
+    K0 = (z[:, 12:21] + 1j * z[:, 21:]) / np.sqrt(2)
     id_rows, k_rows = _chart_rows(np.arange(lo, hi) % 3)
     return _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr)
 
@@ -300,6 +316,7 @@ def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a):
     """
     hmu = hmu.copy()
     K = K.copy()
+    basis = np.concatenate([G0r[None], Btr]).reshape(42, 6)
     active = np.arange(hmu.shape[0])
     for _ in range(NEWTON_MAX_ITERS):
         G, N, F = _projective_system(hmu[active], K[active], id_rows[active], k_rows[active],
@@ -309,13 +326,9 @@ def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a):
         if active.size == 0:
             break
         G, N, F = G[keep], N[keep], F[keep]
-        m = active.size
-        # columns (h, mu, K); the patch row is a on (h, mu)
-        J = np.zeros((m, 19, 16), dtype=complex)
-        J[:, :18, 0] = (G0r @ N).reshape(m, 18)
-        J[:, :18, 1:] = _jacobian(G, N, k_rows[active], Btr)
-        J[:, 18, :7] = a
-        delta = _damped_step(J, F)
+        P = (basis @ N).reshape(-1, 7, 18)
+        GK = np.take_along_axis(G, k_rows[active][:, None, :], axis=2)
+        delta = _gn_step(P, GK, F, patch=a)
         hmu[active] = hmu[active] + delta[:, :7]
         K[active] = K[active] + delta[:, 7:]
     _, _, F = _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a)
@@ -416,28 +429,35 @@ def _dedup(classes: List[dict], lams, Ks, res, restart_ids, charts) -> None:
 
     A start within DEDUP_TOL of a class adds a hit to it; any other start
     founds a new class in its own kernel chart.  Solution separations sit
-    many orders of magnitude above DEDUP_TOL, so greedy representative
-    matching and single-linkage clustering coincide.
+    many orders of magnitude above DEDUP_TOL, so a start is near at most
+    one class, and greedy representative matching and single-linkage
+    clustering coincide.  That lets the merge run in bulk: every start is
+    matched against the existing classes at once, then the first start
+    left founds a class and takes every remaining start near it, until
+    none is left.
     """
-    reps = np.array([c["lam"] for c in classes], dtype=complex).reshape(-1, 6)
-    for i in range(lams.shape[0]):
-        lam = lams[i]
-        if reps.shape[0]:
-            d = np.max(np.abs(reps - lam[None, :]), axis=1)
-            j = int(np.argmin(d))
-            if d[j] < DEDUP_TOL * _lam_scale(lam):
-                classes[j]["hits"] += 1
-                continue
+    radius = DEDUP_TOL * _lam_scale(lams)
+    left = np.arange(lams.shape[0])
+    if classes:
+        d = np.stack([np.max(np.abs(lams - c["lam"]), axis=1) for c in classes])
+        j = np.argmin(d, axis=0)
+        near = d[j, left] < radius
+        for k, hits in zip(*np.unique(j[near], return_counts=True)):
+            classes[k]["hits"] += int(hits)
+        left = left[~near]
+    while left.size:
+        i = left[0]
+        near = np.max(np.abs(lams[left] - lams[i]), axis=1) < radius[left]
         classes.append({
-            "lam": lam.copy(),
+            "lam": lams[i].copy(),
             "K": Ks[i].copy(),
             "chart": int(charts[i]),
             "residual": float(res[i]),
-            "hits": 1,
+            "hits": int(near.sum()),
             "first": int(restart_ids[i]),
             "is_real": False,
         })
-        reps = np.vstack([reps, lam[None, :]])
+        left = left[~near]
 
 
 def _polish_real(classes: List[dict], G0r, Btr) -> None:

@@ -68,6 +68,44 @@ def test_malformed_seed_variable_exits_2(value, capsys, monkeypatch):
     assert captured.err.startswith("error: $QUARTIC_SOS_SEED")
 
 
+INF, NAN = float("inf"), float("nan")
+UNIT_FORMS = [[[1 if j == i else 0, 0] for j in range(6)] for i in range(3)]
+
+
+def _fermat_cert(**fields):
+    # (x^2)^2 + (y^2)^2 + (z^2)^2 with some fields replaced
+    cert = {"signs": [1, 1, 1], "forms": UNIT_FORMS, "class_lambda": [[0, 0]] * 6,
+            "residual": 0.0, "basepoint_free": None}
+    cert.update(fields)
+    return cert
+
+
+# Python's json reads Infinity, -Infinity, NaN and 1e400 as floats
+@pytest.mark.parametrize("argv, cert", [
+    (["check", "--json-in", '{"4,0,0": Infinity, "0,4,0": 1, "0,0,4": 1}'], None),
+    (["decompose", "--json-in", '{"4,0,0": 1, "0,4,0": 1e400, "0,0,4": 1}'], None),
+    (["check", "--json-in", '{"4,0,0": 1, "0,4,0": 1, "0,0,4": NaN}'], None),
+    (["verify", "--json-in", '{"4,0,0": -Infinity, "0,4,0": 1, "0,0,4": 1}'], _fermat_cert()),
+    (["verify", FERMAT], _fermat_cert(forms=[[[INF, 0]] + [[0, 0]] * 5] + UNIT_FORMS[1:])),
+    (["verify", FERMAT], _fermat_cert(forms=[[[1, 0]] + [[0, NAN]] * 5] + UNIT_FORMS[1:])),
+    (["verify", FERMAT], _fermat_cert(signs=[INF, 1, 1])),
+    (["verify", FERMAT], _fermat_cert(class_lambda=[[0, NAN]] * 6)),
+    (["verify", FERMAT], _fermat_cert(residual=INF)),
+], ids=["check-quartic-inf", "decompose-quartic-1e400", "check-quartic-nan",
+        "verify-quartic-minus-inf", "verify-form-inf", "verify-form-nan",
+        "verify-sign-inf", "verify-lambda-nan", "verify-residual-inf"])
+def test_non_finite_json_number_exits_2(argv, cert, tmp_path, capsys):
+    if cert is not None:
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert), encoding="utf-8")
+        argv = argv + ["--cert", str(path)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "finite" in captured.err
+
+
 def test_verify_unreadable_certificate_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify", FERMAT, "--cert", str(missing)]) == EXIT_INPUT

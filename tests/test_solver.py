@@ -13,15 +13,20 @@ import pytest
 
 from quartic_sos.forms import QuadraticForm, parse_quartic
 from quartic_sos.gram import (
+    KERNEL_BASIS_TENSOR,
     build_family,
     gram_to_quartic,
     lambda_of_gram,
     representation_to_gram,
 )
 from quartic_sos.solver import (
+    CHART_ID_ROWS,
+    CHART_K_ROWS,
     DEDUP_TOL,
     GramPoint,
     SolveConfig,
+    _dedup,
+    _gn_step,
     certify_count,
     residual_system,
     solve_all,
@@ -177,6 +182,116 @@ def test_seed_determinism_and_thread_independence(fermat_family):
     # thread count changes the config echo but not a single solution byte
     points = [json.dumps([p.to_json() for p in s.points], sort_keys=True) for s in runs]
     assert points[0] == points[2]
+    # nor which starts reached each class
+    counters = [[(p.hits, p.first_restart) for p in s.points] for s in runs]
+    assert counters[0] == counters[1] == counters[2]
+
+
+def _kernel_matrix(K, chart):
+    N = np.zeros((6, 3), dtype=K.dtype)
+    for b in range(3):
+        N[CHART_ID_ROWS[chart][b], b] = 1.0
+        for a in range(3):
+            N[CHART_K_ROWS[chart][a], b] = K[a, b]
+    return N
+
+
+def _dense_step(J, F):
+    JH = J.conj().T
+    A = JH @ J
+    mu = 1e-12 * np.trace(A).real + 1e-14
+    return np.linalg.solve(A + mu * np.eye(J.shape[1]), -(JH @ F))
+
+
+@pytest.mark.parametrize("system", ["affine", "affine-real", "patched"])
+def test_gn_step_matches_dense_normal_equations(system):
+    # J built column by column from its definition: parameter columns
+    # vec(B_i N) (and vec(G0 N) for h), K[a, b] columns G[:, k_a] in output
+    # column b, and for the patched system a last row a on (h, mu)
+    rng = np.random.default_rng(np.random.SeedSequence([17, len(system)]))
+    complex_ = system != "affine-real"
+    G0 = rng.standard_normal((6, 6))
+    G0 = G0 + G0.T
+    basis = [G0] if system == "patched" else []
+    basis += list(KERNEL_BASIS_TENSOR)
+    p = len(basis)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    a = draw(p) if system == "patched" else None
+    for chart in (0, 1, 2):
+        for _ in range(4):
+            x, K = draw(p), draw(3, 3)
+            G = sum(xi * Bi for xi, Bi in zip(x, basis))
+            if system != "patched":
+                G = G + G0
+            N = _kernel_matrix(K, chart)
+            F = (G @ N).reshape(18)
+            J = np.zeros((18, p + 9), dtype=F.dtype)
+            for i, Bi in enumerate(basis):
+                J[:, i] = (Bi @ N).reshape(18)
+            for ka, k in enumerate(CHART_K_ROWS[chart]):
+                for b in range(3):
+                    col = np.zeros((6, 3), dtype=F.dtype)
+                    col[:, b] = G[:, k]
+                    J[:, p + 3 * ka + b] = col.reshape(18)
+            if a is not None:
+                J = np.vstack([J, np.concatenate([a, np.zeros(9)])])
+                F = np.append(F, x @ a - 1.0)
+            expected = _dense_step(J, F)
+            P = J[:18, :p].T[None]
+            GK = G[:, list(CHART_K_ROWS[chart])][None]
+            step = _gn_step(P, GK, F[None], patch=a)[0]
+            assert step.dtype == expected.dtype
+            assert np.max(np.abs(step - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def _greedy_merge(classes, lams, Ks, res, ids, charts):
+    """The merge one start at a time: the reference for _dedup."""
+    for i in range(lams.shape[0]):
+        if classes:
+            d = [np.max(np.abs(c["lam"] - lams[i])) for c in classes]
+            j = int(np.argmin(d))
+            if d[j] < DEDUP_TOL * max(1.0, np.max(np.abs(lams[i]))):
+                classes[j]["hits"] += 1
+                continue
+        classes.append({"lam": lams[i].copy(), "K": Ks[i].copy(), "chart": int(charts[i]),
+                        "residual": float(res[i]), "hits": 1, "first": int(ids[i]),
+                        "is_real": False})
+
+
+def test_bulk_merge_matches_greedy_loop():
+    rng = np.random.default_rng(np.random.SeedSequence([18]))
+    centers = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+    centers[3] *= 1e4  # the merge radius is relative to max(1, |lam|)
+    centers[7] *= 1e-3
+    sizes = rng.integers(1, 30, size=12)
+    lams = []
+    for c, m in zip(centers, sizes):
+        jitter = rng.uniform(-1, 1, (m, 6)) + 1j * rng.uniform(-1, 1, (m, 6))
+        lams.append(c + 0.1 * DEDUP_TOL * max(1.0, np.max(np.abs(c))) * jitter)
+    lams = np.concatenate(lams)[rng.permutation(sizes.sum())]
+    n = lams.shape[0]
+    Ks = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
+    res = rng.uniform(0, 1e-13, n)
+    ids = 500 + np.sort(rng.choice(4 * n, n, replace=False))
+
+    def existing():
+        # classes already found at three of the centers
+        return [{"lam": centers[j].copy(), "K": np.zeros(9, dtype=complex), "chart": j % 3,
+                 "residual": 0.0, "hits": 5, "first": j, "is_real": False} for j in (9, 2, 5)]
+
+    for before in ([], existing()):
+        bulk, greedy = [dict(c) for c in before], [dict(c) for c in before]
+        _dedup(bulk, lams, Ks, res, ids, ids % 3)
+        _greedy_merge(greedy, lams, Ks, res, ids, ids % 3)
+        assert len(bulk) == len(greedy) == 12
+        for b, g in zip(bulk, greedy):
+            assert set(b) == set(g)
+            for key in b:
+                assert np.array_equal(b[key], g[key]), key
 
 
 def test_solution_set_json_shape(fermat_set):
