@@ -14,7 +14,7 @@ print("input:", f)
 # rank-3 solve over the Gram family, classification of every class
 from quartic_sos import SolveConfig, theorem1_check
 
-report = theorem1_check(f, SolveConfig(restarts=6000))
+report = theorem1_check(f, SolveConfig())
 counts = report.solution_set.counts
 print("classes found:", counts[0])
 print("real classes:", counts[1])

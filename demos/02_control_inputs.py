@@ -19,7 +19,7 @@ print("value there:", eval_quartic(f, positivity.counterexample))
 # no positive-semidefinite Gram point can exist for it, and none is found
 from quartic_sos import SolveConfig, solve_all
 
-solution = solve_all(build_family(f), SolveConfig(restarts=6000))
+solution = solve_all(build_family(f), SolveConfig())
 print("classes:", solution.counts[0], " sums of three squares:", solution.counts[2])
 
 # a singular quartic: the exact Macaulay test refuses it up front,
@@ -31,6 +31,6 @@ print("\ninput:", g)
 status = smoothness_test(g)
 print("smooth:", status.smooth, " method:", status.method)
 try:
-    theorem1_check(g, SolveConfig(restarts=6000))
+    theorem1_check(g, SolveConfig())
 except HypothesisFailed as exc:
     print("pipeline refused:", exc.hypothesis, "-", exc.detail)

@@ -10,6 +10,7 @@ command line tool.
 """
 
 from .forms import (
+    FloatRangeError,
     FormError,
     FormSyntaxError,
     NotHomogeneousError,
@@ -64,6 +65,7 @@ from .classify import (
 from .cli import main, random_corpus_quartic
 
 __all__ = [
+    "FloatRangeError",
     "FormError",
     "FormSyntaxError",
     "NotHomogeneousError",

@@ -188,6 +188,7 @@ def _fail_input(message: str) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         f = _load_quartic(args.form, args.json_in)
+        f.float_scale()  # FloatRangeError before any stage runs
         seed = _resolve_seed(args.seed)
     except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail_input(str(exc))
@@ -244,6 +245,8 @@ def _run_pipeline(f: TernaryQuartic, config: SolveConfig):
     report = theorem1_check(f, config)
     for stage, secs in report.timings.items():
         sys.stderr.write(f"timing {stage}: {secs:.3f}s\n")
+    ss = report.solution_set
+    sys.stderr.write(f"paths: {ss.tracked} tracked, {ss.retracked} retracked, {ss.failed} failed\n")
     return report
 
 
@@ -256,6 +259,7 @@ def _report_json(f: TernaryQuartic, seed: int, report: Theorem1Report) -> dict:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         f = _load_quartic(args.form, args.json_in)
+        f.float_scale()  # FloatRangeError before any stage runs
         seed = _resolve_seed(args.seed)
     except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail_input(str(exc))
@@ -480,10 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_form_argument(p_dec)
     _add_seed_argument(p_dec)
     p_dec.add_argument(
-        "--restarts", type=_positive_int, default=20000, help="solver restarts (default 20000)"
+        "--restarts", type=_positive_int, default=20000,
+        help="accepted; no longer changes the result (default 20000)"
     )
     p_dec.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads (result is identical)"
+        "--threads", type=_positive_int, default=1,
+        help="accepted; no longer changes the result (default 1)"
     )
     p_dec.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     group = p_dec.add_mutually_exclusive_group()
@@ -507,10 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--count", type=_nonnegative_int, default=5, help="number of random quartics (default 5)"
     )
     p_cor.add_argument(
-        "--restarts", type=_positive_int, default=20000, help="solver restarts (default 20000)"
+        "--restarts", type=_positive_int, default=20000,
+        help="accepted; no longer changes the result (default 20000)"
     )
     p_cor.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads (result is identical)"
+        "--threads", type=_positive_int, default=1,
+        help="accepted; no longer changes the result (default 1)"
     )
     p_cor.set_defaults(func=_cmd_corpus)
 

@@ -180,8 +180,9 @@ def _seeded_common_zeros(eqs, eqs_jac, stream: int, trials: int, seed: int, iter
 
 
 def _singular_witness(f: TernaryQuartic, trials: int, seed: int):
-    """Best common zero of the gradient found by Newton, or None."""
-    scale = float(f.max_abs_coeff())
+    """Best common zero of the gradient found by Newton, or None; FloatRangeError
+    when floats cannot hold f (`TernaryQuartic.float_scale`)."""
+    scale = f.float_scale()
     H = _hessian_vectors(f, scale).reshape(9, 6).T
 
     def hessians(pts):
@@ -326,9 +327,10 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
     compact); eigenvalue ascent plus alternating-projection polish
     certifies by exhibiting a PSD member of the Gram family.  Decisions
     use the quartic rescaled to unit max coefficient, making verdicts
-    invariant under positive scaling.
+    invariant under positive scaling; FloatRangeError when floats cannot
+    hold it (`TernaryQuartic.float_scale`).
     """
-    scale = float(f.max_abs_coeff())
+    scale = f.float_scale()
     min_val, min_pt = _sphere_falsify(f, scale, seed)
     if min_val < -PSD_TOL:
         return PositivityStatus(

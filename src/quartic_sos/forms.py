@@ -67,6 +67,10 @@ class ZeroFormError(FormError):
     """The polynomial is identically zero."""
 
 
+class FloatRangeError(FormError):
+    """The coefficients span more than the float arithmetic of the numeric stages holds."""
+
+
 # ---------------------------------------------------------------------------
 # polynomial-dict helpers
 # ---------------------------------------------------------------------------
@@ -348,6 +352,24 @@ class TernaryQuartic:
 
     def max_abs_coeff(self) -> float:
         return max(abs(c) for c in self.coeffs.values())
+
+    def float_scale(self) -> float:
+        """float(m), m the largest |coefficient|: the numeric stages work on f / m.
+
+        FloatRangeError unless m and every |coefficient| / m lie in
+        2^-1000..2^1000.  Outside that span a coefficient of f / m, or one
+        of its derivatives (at most 12 times it), would overflow or round
+        towards 0, and a verdict on the rounded quartic would not be one on f.
+        """
+        m = self.max_abs_coeff()
+        q = Fraction(m) if self.is_rational() else m
+        for r in (q, *(abs(c) / q for c in self.coeffs.values())):
+            if not 2.0 ** -1000 <= r <= 2.0 ** 1000:
+                raise FloatRangeError(
+                    "coefficients span more than float range (each |c| / max |c| "
+                    "and max |c| must lie in 2^-1000..2^1000)"
+                )
+        return float(m)
 
 
 @dataclass(frozen=True)

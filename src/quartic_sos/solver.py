@@ -1,47 +1,30 @@
-"""Locate every rank-3 point of a Gram family by seeded random restarts.
+"""Locate the 63 rank-3 points of a Gram family by tracking Fermat's.
 
-A rank-3 member G(lam) of the family has a 3-dimensional kernel.  In a
-kernel chart the kernel is the column span of a 6x3 matrix N carrying the
-3x3 identity on a fixed row triple and an unknown 3x3 block K on the
-complementary rows, so rank(G(lam)) <= 3 becomes the bilinear system
+In a kernel chart the kernel of a rank-3 G is the span of a 6x3 matrix N
+with the identity on a row triple ID and an unknown block K on the other
+rows KR.  With G = h G0 + sum mu_i B_i on a seeded patch a . (h, mu) = 1,
+rank(G) <= 3 is a square bilinear system in (h, mu, K): G[KR, KR] K +
+G[KR, ID] = 0 (9 equations), the upper entries of the then symmetric
+G[ID, KR] K + G[ID, ID] (6) and the patch.
 
-    G(lam) . N(K) = 0        (18 equations, 15 unknowns)
-
-solved by damped Gauss-Newton from independent complex Gaussian starts.
-The Jacobian of G(lam) N(K) touches K only through the three columns of
-G(lam) on the K rows, so the K block of its normal equations is a 3x3
-matrix times the 3x3 identity; each step eliminates that block and solves
-a 6x6 Schur system for lam (7x7 for the completion stage's (h, mu)),
-which gives the dense normal-equation step at a fraction of the cost.
-Converged solutions are deduplicated into classes, near-real classes are
-re-polished in real arithmetic, and real classes carry the eigenvalue
-signature of G(lam); signature (3,0) is the positive semidefinite case.
-
-The family is conjugated by a seeded random orthogonal matrix before
-solving.  This leaves the lam coordinates of every rank-3 point unchanged
-while making kernel charts generic, and the quartic is rescaled to unit
-max coefficient internally (lam scales linearly with the quartic, so
-results are mapped back exactly).
-
-Quartics close to the discriminant carry classes whose lam is enormous
-(the affine family pins the base matrix at coefficient 1, so a class
-whose Gram matrix is nearly a pure kernel-basis combination sits near
-infinity in lam).  Such classes are invisible to any affine start
-distribution; residual and distance thresholds are therefore applied
-relative to max(1, |lam|), and when the restart stage returns fewer than
-the 63 classes every smooth quartic carries, a deterministic completion
-pass re-solves the homogenized family h G0 + sum mu_i B_i on a random
-affine patch, where every class lives at ordinary-sized coordinates.
-Its solutions map back to lam = mu / h and enter the restart stage's
-pipeline as further starts: the same polish, convergence test and
-duplicate merge, after which the real polish decides every real class.
+A smooth quartic has exactly 63 rank-3 classes, one per nonzero 2-torsion
+point of the Jacobian of f = 0, so a coefficient-parameter homotopy (Morgan
+& Sommese 1989) carries the exact classes of the Fermat quartic to those of
+f along G0 = (1 - s) G0_Fermat + s G0_f, s = t / (t + gamma (1 - t)); the
+seeded unit complex gamma keeps the paths off singular quartics for t < 1.
+Each path, in its own kernel chart, is tracked by an RK4 predictor and a
+Newton corrector; one that fails or lands on another's endpoint is tracked
+again with smaller steps (unless all 63 did: f is then singular), and if it
+fails again the count certification fails.  Near-real endpoints are real
+when a real-arithmetic re-polish reconverges to them.  f is divided by its
+largest coefficient (`TernaryQuartic.float_scale`).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,33 +32,26 @@ from .gram import KERNEL_BASIS_TENSOR, GramFamily
 
 #: |eigenvalue| (or singular value) above this counts toward the rank.
 RANK_EIG_TOL = 1e-8
-
-#: Kernel charts: which row triple of N carries the identity block.
-CHART_ID_ROWS: Tuple[Tuple[int, int, int], ...] = tuple(
-    tuple(sorted(((3 + 2 * c) % 6, (4 + 2 * c) % 6, (5 + 2 * c) % 6))) for c in range(3)
-)
-CHART_K_ROWS: Tuple[Tuple[int, int, int], ...] = tuple(
-    tuple(sorted(set(range(6)) - set(rows))) for rows in CHART_ID_ROWS
-)
-
-_BACKTRACK = (1.0, 0.5, 0.25, 0.125, 0.0625)
-
-#: Gauss-Newton iteration cap per start.
-NEWTON_MAX_ITERS = 100
-#: A start has converged when |G(lam) N| < CONVERGENCE_TOL * max(1, |lam|).
+#: An endpoint is a class when |G(lam) N| < CONVERGENCE_TOL * max(1, |lam|).
 CONVERGENCE_TOL = 1e-12
-#: Converged starts within DEDUP_TOL * max(1, |lam|) of each other are one
-#: class; distinct classes sit orders of magnitude farther apart.
+#: Endpoints within DEDUP_TOL * max(1, |lam|) of each other are one class;
+#: distinct classes sit orders of magnitude farther apart.
 DEDUP_TOL = 1e-6
 
-# Restarts are processed in fixed-size batches regardless of worker count,
-# so multi-threaded runs reproduce single-threaded output byte for byte.
-_CHUNK = 4096
+_COUNT_KEYS = ("complex_total", "real_total", "psd_total")
+_G0_FERMAT = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+#: Kernel charts, one per row triple: N's identity rows and its K rows.
+_ID_ROWS = np.array(list(itertools.combinations(range(6), 3)))
+_K_ROWS = np.array([sorted(set(range(6)) - set(rows)) for rows in _ID_ROWS])
+#: Per chart, the 15 entries of vec(G N) (row-major 6x3) in the system.
+_EQUATIONS = np.array([np.concatenate([(k[:, None] * 3 + np.arange(3)).ravel(),
+                                       (i[:, None] * 3 + np.arange(3)).ravel()[[0, 1, 2, 4, 5, 8]]])
+                       for i, k in zip(_ID_ROWS, _K_ROWS)])
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for the random-restart rank-3 search."""
+    """The seed; `restarts` and `threads` are checked and echoed, nothing more."""
 
     restarts: int = 20000
     master_seed: int = 0
@@ -92,7 +68,7 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class GramPoint:
-    """One equivalence class of quadratic representations: a rank-3 lam."""
+    """One class of quadratic representations, a rank-3 lam, found by path `first_restart`."""
 
     lam: Tuple[complex, ...]
     is_real: bool
@@ -118,461 +94,243 @@ class GramPoint:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """All rank-3 classes found, with their counts."""
+    """All rank-3 classes found, their counts and the (deterministic, not
+    serialized) counts of paths tracked, retracked and failed."""
 
     points: Tuple[GramPoint, ...]
     counts: Tuple[int, int, int]
     config: SolveConfig
     scale: float = 1.0
+    tracked: int = 0
+    retracked: int = 0
+    failed: int = 0
 
     def to_json(self) -> dict:
         return {
             "points": [p.to_json() for p in self.points],
-            "counts": {
-                "complex_total": self.counts[0],
-                "real_total": self.counts[1],
-                "psd_total": self.counts[2],
-            },
-            "config": {
-                "restarts": self.config.restarts,
-                "threads": self.config.threads,
-            },
+            "counts": dict(zip(_COUNT_KEYS, self.counts)),
+            "config": {"restarts": self.config.restarts, "threads": self.config.threads},
             "seed": self.config.master_seed,
         }
 
 
 def residual_system(family: GramFamily, lam: Sequence[complex], K) -> np.ndarray:
-    """Entries of G(lam) . [K; I3], row-major, in the primary kernel chart.
-
-    [K; I3] stacks the unknown 3x3 block over the identity, so vanishing of
-    all 18 entries forces the sheared span into the kernel of G(lam),
-    i.e. rank(G(lam)) <= 3.
-    """
-    G = family.base.to_array(complex)
-    lam = np.asarray(lam, dtype=complex)
-    G = G + np.einsum("i,iab->ab", lam, KERNEL_BASIS_TENSOR)
+    """Entries of G(lam) . [K; I3], row-major; all 18 vanish exactly when the
+    span of [K; I3] lies in the kernel of G(lam), so rank(G(lam)) <= 3."""
+    G = family.base.to_array(complex) + np.einsum("i,iab->ab", np.asarray(lam, dtype=complex), KERNEL_BASIS_TENSOR)
     N = np.vstack([np.asarray(K, dtype=complex).reshape(3, 3), np.eye(3)])
     return (G @ N).reshape(18)
 
 
-def _assemble(lam, K, id_rows, k_rows, G0r, Btr):
-    """Batched G(lam), N(K) and flattened residual F = G N.
-
-    G0r may be one shared 6x6 base or a broadcastable (n, 6, 6) stack.
-    """
-    n = lam.shape[0]
-    base = G0r if G0r.ndim == 3 else G0r[None]
-    G = base + (lam[:, None, :] @ Btr.reshape(6, 36)).reshape(n, 6, 6)
-    N = np.zeros((n, 6, 3), dtype=lam.dtype)
-    rr = np.arange(n)
-    for b in range(3):
-        N[rr, id_rows[:, b], b] = 1.0
-    Km = K.reshape(n, 3, 3)
-    for a in range(3):
-        for b in range(3):
-            N[rr, k_rows[:, a], b] = Km[:, a, b]
-    F = (G @ N).reshape(n, 18)
-    return G, N, F
+def _kernel(K, chart):
+    """Batched N(K): the identity on the chart's ID rows, K on its K rows."""
+    n = K.shape[0]
+    N = np.zeros((n, 6, 3), dtype=K.dtype)
+    rows = np.arange(n)[:, None]
+    N[rows, _ID_ROWS[chart]] = np.eye(3)
+    N[rows, _K_ROWS[chart]] = K.reshape(n, 3, 3)
+    return N
 
 
-def _lam_scale(lam: np.ndarray) -> np.ndarray:
-    """Per-slice residual scale max(1, |lam|_inf).
-
-    The residual G(lam) N grows linearly with lam, so convergence and
-    duplicate thresholds are meaningful only relative to this scale;
-    absolute thresholds would silently reject every large class.
-    """
-    return np.maximum(1.0, np.max(np.abs(lam), axis=-1))
-
-
-def _gn_step(P, GK, F, patch=None):
-    """Batched damped Gauss-Newton step for F = G . N(K), by block elimination.
-
-    P (n, p, 18) holds the transposed parameter columns of the Jacobian J:
-    vec(B_i N) for lam, or vec(G0 N) and then vec(B_i N) for (h, mu).
-    GK (n, 6, 3) holds the columns G[:, k_a] of G on the chart's K rows; the
-    K[a, b] column of J is G[:, k_a] placed in output column b, so the K
-    block of J^H J is M (x) I3 with M = GK^H GK.  One batched 3x3 solve
-    removes it and a p x p Schur system gives the parameter step.
-    With `patch` = a, J has a 19th row, a on the parameters and 0 on K,
-    whose residual is F[:, 18].
-
-    The step is the one the dense normal equations give,
-    d = -(J^H J + mu I)^-1 J^H F, with mu a tiny multiple of trace(J^H J):
-    it keeps the solve regular at a rank-deficient Jacobian without slowing
-    quadratic convergence.  Returns d (n, p + 9): parameters, then K
-    row-major.
-    """
-    n, p, _ = P.shape
-    F18 = F[:, :18]
-    # J_p^H [J_p | F]: the parameter block and its right-hand side
-    A = np.conj(P) @ np.concatenate([np.swapaxes(P, 1, 2), F18[:, :, None]], axis=2)
-    # GK^H [GK | B_1 N .. B_p N | G N]: M, then the coupling and K right-hand side
-    cols = P.reshape(n, p, 6, 3).transpose(0, 2, 1, 3).reshape(n, 6, 3 * p)
-    X = np.conj(np.swapaxes(GK, 1, 2)) @ np.concatenate([GK, cols, F18.reshape(n, 6, 3)], axis=2)
-    M, X = X[:, :, :3], X[:, :, 3:]
-    trace = np.trace(A[:, :, :p], axis1=1, axis2=2).real + 3.0 * np.trace(M, axis1=1, axis2=2).real
-    if patch is not None:
-        A[:, :, :p] += np.conj(patch)[:, None] * patch[None, :]
-        A[:, :, p] += np.conj(patch)[None, :] * F[:, 18, None]
-        trace += np.vdot(patch, patch).real
-    mu = (1e-12 * trace + 1e-14)[:, None, None]
-    Y = np.linalg.solve(M + mu * np.eye(3), X)
-    Xr = X.reshape(n, 3, p + 1, 3).transpose(0, 2, 1, 3).reshape(n, p + 1, 9)
-    Yr = Y.reshape(n, 3, p + 1, 3).transpose(0, 2, 1, 3).reshape(n, p + 1, 9)
-    S = A - np.conj(Xr[:, :p]) @ np.swapaxes(Yr, 1, 2)
-    dp = np.linalg.solve(S[:, :, :p] + mu * np.eye(p), -S[:, :, p:])
-    dK = -(Yr[:, p] + (np.swapaxes(dp, 1, 2) @ Yr[:, :p])[:, 0])
-    return np.concatenate([dp[:, :, 0], dK], axis=1)
+def _system(x, base, a, chart):
+    """Residual (n, 16) and Jacobian (n, 16, 16) at x = (h, mu, K), base (n, 6, 6),
+    patch a.  The h and mu_i columns are vec(G0 N) and vec(B_i N); the K[i, j]
+    column is G[:, KR[i]] in kernel column j."""
+    n = x.shape[0]
+    mats = np.concatenate([base[:, None], np.broadcast_to(KERNEL_BASIS_TENSOR, (n, 6, 6, 6))], axis=1)
+    N = _kernel(x[:, 7:], chart)
+    G = np.einsum("nj,njab->nab", x[:, :7], mats)
+    GK = np.take_along_axis(G, _K_ROWS[chart][:, None, :], axis=2)
+    J = np.concatenate([np.swapaxes((mats @ N[:, None]).reshape(n, 7, 18), 1, 2),
+                        (GK[:, :, None, :, None] * np.eye(3)[:, None, :]).reshape(n, 18, 9)], axis=2)
+    eq = _EQUATIONS[chart]
+    H = np.take_along_axis((G @ N).reshape(n, 18), eq, axis=1)
+    patch = np.broadcast_to(np.concatenate([a, np.zeros(9)]), (n, 1, 16))
+    return (np.concatenate([H, (x[:, :7] @ a - 1.0)[:, None]], axis=1),
+            np.concatenate([np.take_along_axis(J, eq[:, :, None], axis=1), patch], axis=1))
 
 
-def _gauss_newton(lam, K, id_rows, k_rows, G0r, Btr):
-    """Damped Gauss-Newton with backtracking on a batch of starts.
+def _solve(J, rhs):
+    """Batched J^-1 rhs; a slice with a singular J gets NaN (a failed step)."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        bad = ~(np.abs(np.linalg.det(J)) > 0)
+        out = np.linalg.solve(np.where(bad[:, None, None], np.eye(J.shape[1]), J), rhs[:, :, None])
+        return np.where(bad[:, None], np.nan, out[:, :, 0])
 
-    Each batch slice evolves independently of the others, which is what
-    makes chunked and threaded runs bit-identical to serial ones.
-    """
-    lam = lam.copy()
-    K = K.copy()
-    n = lam.shape[0]
-    base = (lambda sel: G0r[sel]) if G0r.ndim == 3 else (lambda sel: G0r)
-    active = np.arange(n)
-    for _ in range(NEWTON_MAX_ITERS):
-        if active.size == 0:
+
+def _correct(x, base, a, chart):
+    """Three Newton steps, accepted when the first moves x by less than
+    1e-3 max(1, |x|) and each later one contracts tenfold or is below 1e-8
+    max(1, |x|).  The norm covers K too, or paths jump between classes; the
+    floor sits above cond * eps on ill-conditioned paths."""
+    size = np.maximum(1.0, np.max(np.abs(x), axis=1))
+    ok, prev = np.ones(x.shape[0], dtype=bool), None
+    for _ in range(3):
+        H, J = _system(x, base, a, chart)
+        d = _solve(J, -H)
+        step = np.max(np.abs(d), axis=1)
+        ok &= step < 1e-3 * size if prev is None else (step <= prev / 10) | (step < 1e-8 * size)
+        x, prev = x + d, step
+    return x, ok & np.all(np.isfinite(x), axis=1)
+
+
+def _best_chart(N):
+    """Chart whose ID rows carry the best-conditioned part of span(N), and K there."""
+    Q, _ = np.linalg.qr(N)
+    chart = np.argmax(np.linalg.svd(Q[:, _ID_ROWS], compute_uv=False)[:, :, -1], axis=1)
+    Q_id, Q_k = (np.take_along_axis(Q, rows[chart][:, :, None], axis=1) for rows in (_ID_ROWS, _K_ROWS))
+    return chart, (Q_k @ np.linalg.inv(Q_id)).reshape(-1, 9)
+
+
+def _base(t, G0f, gamma):
+    """G0(s(t)) = (1 - s) G0_Fermat + s G0_f per path, and its t-derivative."""
+    d = t + gamma * (1.0 - t)
+    s = (t / d)[:, None, None]
+    return (1.0 - s) * _G0_FERMAT + s * G0f, (gamma / d ** 2)[:, None, None] * (G0f - _G0_FERMAT)
+
+
+def _track(x, chart, G0f, gamma, a, dt_max):
+    """Track paths from t = 0 to exactly t = 1; returns (x, chart, ok).  The step
+    doubles (to at most dt_max) after 3 accepted steps and halves on a reject;
+    a path fails when its step falls below 1e-12 or its Jacobian is singular."""
+    def velocity(x, t, c):  # dx/dt = -J^-1 dH/dt; only the base moves with t
+        base, dbase = _base(t, G0f, gamma)
+        Ht = (x[:, 0, None, None] * (dbase @ _kernel(x[:, 7:], c))).reshape(-1, 18)
+        Ht = np.pad(np.take_along_axis(Ht, _EQUATIONS[c], axis=1), ((0, 0), (0, 1)))
+        return _solve(_system(x, base, a, c)[1], -Ht)
+
+    x, chart, n = x.copy(), chart.copy(), x.shape[0]
+    t, dt, wins, active = np.zeros(n), np.full(n, dt_max / 4), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    for _ in range(20000):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        G, N, F = _assemble(lam[active], K[active], id_rows[active], k_rows[active], base(active), Btr)
-        nrm = np.linalg.norm(F, axis=1)
-        keep = nrm >= CONVERGENCE_TOL * _lam_scale(lam[active])
-        active = active[keep]
-        if active.size == 0:
-            break
-        G, N, F, nrm = G[keep], N[keep], F[keep], nrm[keep]
-        P = (Btr.reshape(36, 6) @ N).reshape(-1, 6, 18)
-        GK = np.take_along_axis(G, k_rows[active][:, None, :], axis=2)
-        delta = _gn_step(P, GK, F)
-        undecided = np.ones(active.size, dtype=bool)
-        for alpha in _BACKTRACK:
-            idx = np.where(undecided)[0]
-            if idx.size == 0:
-                break
-            cand_l = lam[active[idx]] + alpha * delta[idx, :6]
-            cand_K = K[active[idx]] + alpha * delta[idx, 6:]
-            _, _, Fc = _assemble(cand_l, cand_K, id_rows[active[idx]], k_rows[active[idx]], base(active[idx]), Btr)
-            better = np.linalg.norm(Fc, axis=1) < nrm[idx]
-            sel = idx[better]
-            lam[active[sel]] = cand_l[better]
-            K[active[sel]] = cand_K[better]
-            undecided[sel] = False
-        active = active[~undecided]  # stalled slices retire as non-converged
-    _, _, F = _assemble(lam, K, id_rows, k_rows, G0r, Btr)
-    return lam, K, np.linalg.norm(F, axis=1)
+        t0, c, x0 = t[idx], chart[idx], x[idx]
+        t1 = np.where(t0 + dt[idx] >= 1.0, 1.0, t0 + dt[idx])
+        h = (t1 - t0)[:, None]
+        k1 = velocity(x0, t0, c)
+        k2 = velocity(x0 + h / 2 * k1, t0 + h[:, 0] / 2, c)
+        k3 = velocity(x0 + h / 2 * k2, t0 + h[:, 0] / 2, c)
+        k4 = velocity(x0 + h * k3, t1, c)
+        xc, ok = _correct(x0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), _base(t1, G0f, gamma)[0], a, c)
+        acc, rej = idx[ok], idx[~ok]
+        x[acc], t[acc], wins[acc] = xc[ok], t1[ok], wins[acc] + 1
+        grow = acc[wins[acc] == 3]
+        dt[grow], wins[grow] = np.minimum(2 * dt[grow], dt_max), 0
+        dt[rej], wins[rej] = dt[rej] / 2, 0
+        big = acc[np.max(np.abs(x[acc, 7:]), axis=1) > 4.0]
+        if big.size:
+            chart[big], x[big, 7:] = _best_chart(_kernel(x[big, 7:], chart[big]))
+        active[acc[t[acc] == 1.0]] = False
+        active[rej[(dt[rej] < 1e-12) | ~np.all(np.isfinite(k1[~ok]), axis=1)]] = False
+    return x, chart, t == 1.0
 
 
-def _chart_rows(charts: np.ndarray):
-    id_rows = np.array([CHART_ID_ROWS[c] for c in charts])
-    k_rows = np.array([CHART_K_ROWS[c] for c in charts])
-    return id_rows, k_rows
+def _endpoints(x, chart, G0f):
+    """lam = mu / h, the affine residual |G(lam) N| and the scale max(1, |lam|)."""
+    lam = x[:, 1:7] / x[:, :1]
+    G = G0f + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
+    res = np.linalg.norm((G @ _kernel(x[:, 7:], chart)).reshape(-1, 18), axis=1)
+    return lam, res, np.maximum(1.0, np.max(np.abs(lam), axis=1))
 
 
-def _run_chunk(lo, hi, seed, G0r, Btr):
-    z = np.empty((hi - lo, 30))
-    for r in range(lo, hi):
-        z[r - lo] = np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(30)
-    lam0 = (z[:, :6] + 1j * z[:, 6:12]) / np.sqrt(2)
-    K0 = (z[:, 12:21] + 1j * z[:, 21:]) / np.sqrt(2)
-    id_rows, k_rows = _chart_rows(np.arange(lo, hi) % 3)
-    return _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr)
+def _near(lam, scl, ok):
+    """(n, n) mask of pairs of distinct good endpoints within DEDUP_TOL."""
+    near = np.max(np.abs(lam[:, None] - lam[None]), axis=2) < DEDUP_TOL * scl[:, None]
+    return near & ok[:, None] & ok[None] & ~np.eye(len(ok), dtype=bool)
 
 
-#: Completion stage: batches of homogenized-family restarts, spent only
-#: when the affine stage reports fewer than 63 classes.
-_PROJ_BATCH = 2048
-_PROJ_MAX_BATCHES = 8
-#: A homogenized solution maps back to an affine class lam = mu / h; past
-#: this bound it is indistinguishable from the h = 0 boundary (rank-3
-#: points of the bare kernel-basis pencil, which represent nothing), and
-#: double precision could not certify it anyway.
-_LAM_MAX = 1e6
-
-
-def _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a):
-    """G, N and residual of the homogenized system at (h, mu) = hmu.
-
-    h G0 + sum mu_i B_i is the affine family at lam = mu with per-slice
-    base h G0; the patch equation a . (h, mu) = 1 is the 19th residual.
-    """
-    G, N, F = _assemble(hmu[:, 1:], K, id_rows, k_rows, hmu[:, 0, None, None] * G0r, Btr)
-    return G, N, np.concatenate([F, (hmu @ a - 1.0)[:, None]], axis=1)
-
-
-def _gn_projective(hmu, K, id_rows, k_rows, G0r, Btr, a):
-    """Batched Gauss-Newton on the homogenized family h G0 + sum mu_i B_i.
-
-    Unknowns per slice are (h, mu) in a random affine patch a . (h, mu)
-    = 1 plus the kernel-chart block K; the system is the 18 kernel
-    equations and the patch equation.  On the patch every class has
-    coordinates of ordinary size, so classes at huge affine lam (tiny h)
-    keep honestly sized basins here.
-    """
-    hmu = hmu.copy()
-    K = K.copy()
-    basis = np.concatenate([G0r[None], Btr]).reshape(42, 6)
-    active = np.arange(hmu.shape[0])
-    for _ in range(NEWTON_MAX_ITERS):
-        G, N, F = _projective_system(hmu[active], K[active], id_rows[active], k_rows[active],
-                                     G0r, Btr, a)
-        keep = np.linalg.norm(F, axis=1) >= CONVERGENCE_TOL
-        active = active[keep]
-        if active.size == 0:
-            break
-        G, N, F = G[keep], N[keep], F[keep]
-        P = (basis @ N).reshape(-1, 7, 18)
-        GK = np.take_along_axis(G, k_rows[active][:, None, :], axis=2)
-        delta = _gn_step(P, GK, F, patch=a)
-        hmu[active] = hmu[active] + delta[:, :7]
-        K[active] = K[active] + delta[:, 7:]
-    _, _, F = _projective_system(hmu, K, id_rows, k_rows, G0r, Btr, a)
-    return hmu, K, np.linalg.norm(F, axis=1)
-
-
-def _projective_classes(G0r, Btr, config: SolveConfig, classes: List[dict]) -> None:
-    """Completion stage: merge classes from the homogenized family into classes.
-
-    Batches are seeded streams, so the result is a pure function of the
-    config.  Solutions on the h = 0 boundary or beyond _LAM_MAX are
-    dropped; the rest map to lam = mu / h with their kernel block K
-    unchanged (G(lam) is the homogenized matrix over h, so the kernel is
-    the same), get the restart stage's polish and convergence test, and
-    are merged like restarts numbered on from config.restarts.
-    """
-    G0c = G0r.astype(complex)
-    id_rows, k_rows = _chart_rows(np.arange(_PROJ_BATCH) % 3)
-    for batch in range(_PROJ_MAX_BATCHES):
-        if len(classes) >= 63:
-            break
-        g = np.random.default_rng(np.random.SeedSequence([config.master_seed, 106, batch]))
-        a = (g.standard_normal(7) + 1j * g.standard_normal(7)) / np.sqrt(2)
-        hmu0 = (g.standard_normal((_PROJ_BATCH, 7)) + 1j * g.standard_normal((_PROJ_BATCH, 7)))
-        hmu0 /= (hmu0 @ a)[:, None]
-        K0 = (g.standard_normal((_PROJ_BATCH, 9)) + 1j * g.standard_normal((_PROJ_BATCH, 9))) / np.sqrt(2)
-        hmu, K, res = _gn_projective(hmu0, K0, id_rows, k_rows, G0c, Btr, a)
-        h = hmu[:, 0]
-        finite = (res < CONVERGENCE_TOL) & (np.abs(h) > 0)
-        lam = np.where(finite[:, None], hmu[:, 1:], 0.0) / np.where(finite, h, 1.0)[:, None]
-        sel = np.flatnonzero(finite & (np.max(np.abs(lam), axis=1) < _LAM_MAX))
-        lam, K, res = _gauss_newton(lam[sel], K[sel], id_rows[sel], k_rows[sel], G0r, Btr)
-        ok = res < CONVERGENCE_TOL * _lam_scale(lam)
-        sel = sel[ok]
-        _dedup(classes, lam[ok], K[ok], res[ok], config.restarts + batch * _PROJ_BATCH + sel, sel % 3)
-
-
-def _restart_classes(G0r, Btr, config: SolveConfig) -> List[dict]:
-    """Deduplicated classes found by the chunked random-restart stage."""
-    R = config.restarts
-    bounds = [(lo, min(lo + _CHUNK, R)) for lo in range(0, R, _CHUNK)]
-    args = [(lo, hi, config.master_seed, G0r, Btr) for lo, hi in bounds]
-    if config.threads > 1 and len(bounds) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda a: _run_chunk(*a), args))
-    else:
-        results = [_run_chunk(*a) for a in args]
-
-    lam_all = np.concatenate([r[0] for r in results])
-    K_all = np.concatenate([r[1] for r in results])
-    res_all = np.concatenate([r[2] for r in results])
-
-    ok = res_all < CONVERGENCE_TOL * _lam_scale(lam_all)
-    ids = np.flatnonzero(ok)
-    classes: List[dict] = []
-    _dedup(classes, lam_all[ok], K_all[ok], res_all[ok], ids, ids % 3)
-    return classes
+def _start(a):
+    """Projective start points (h, mu, K) and their charts, from FERMAT_CLASSES."""
+    lam = np.array(FERMAT_CLASSES, dtype=float) @ np.array([1.0, np.sqrt(2.0), 1j, 1j * np.sqrt(2.0)])
+    _, _, Vh = np.linalg.svd(_G0_FERMAT + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR))
+    chart, K = _best_chart(np.conj(np.swapaxes(Vh[:, 3:], 1, 2)))
+    hmu = np.concatenate([np.ones((len(lam), 1)), lam], axis=1)
+    return np.concatenate([hmu / (hmu @ a)[:, None], K], axis=1), chart
 
 
 def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> SolutionSet:
-    """Find all rank-3 classes of the family by random restarts.
-
-    When the restart stage reports fewer than the 63 classes a smooth
-    quartic carries, a deterministic completion pass re-solves the
-    homogenized family on a random affine patch and merges in whatever
-    the affine restarts missed (classes near infinity in lam, whose
-    affine attraction basins are vanishingly small).
-    """
-    scale = float(family.source.max_abs_coeff())
-    G0 = family.base.to_array(float) / scale
-    Bt = KERNEL_BASIS_TENSOR
-
+    """Find the rank-3 classes of the family by tracking Fermat's 63."""
+    scale = family.source.float_scale()  # FloatRangeError when floats cannot hold f
+    G0f = family.base.to_array(float) / scale
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    G0r = Q @ G0 @ Q.T
-    Btr = np.einsum("ab,ibc,dc->iad", Q, Bt, Q)
-
-    classes = _restart_classes(G0r, Btr, config)
-    if len(classes) < 63:
-        _projective_classes(G0r, Btr, config, classes)
-    _polish_real(classes, G0r, Btr)
-    _close_under_conjugation(classes)
-    points = _finalize(classes, G0, Bt, scale)
-
-    total = len(points)
-    real_total = sum(1 for p in points if p.is_real)
-    psd_total = sum(1 for p in points if p.is_psd)
-    return SolutionSet(
-        points=tuple(points),
-        counts=(total, real_total, psd_total),
-        config=config,
-        scale=scale,
-    )
-
-
-def _dedup(classes: List[dict], lams, Ks, res, restart_ids, charts) -> None:
-    """Greedy clustering in restart order, merged into classes.
-
-    A start within DEDUP_TOL of a class adds a hit to it; any other start
-    founds a new class in its own kernel chart.  Solution separations sit
-    many orders of magnitude above DEDUP_TOL, so a start is near at most
-    one class, and greedy representative matching and single-linkage
-    clustering coincide.  That lets the merge run in bulk: every start is
-    matched against the existing classes at once, then the first start
-    left founds a class and takes every remaining start near it, until
-    none is left.
-    """
-    radius = DEDUP_TOL * _lam_scale(lams)
-    left = np.arange(lams.shape[0])
-    if classes:
-        d = np.stack([np.max(np.abs(lams - c["lam"]), axis=1) for c in classes])
-        j = np.argmin(d, axis=0)
-        near = d[j, left] < radius
-        for k, hits in zip(*np.unique(j[near], return_counts=True)):
-            classes[k]["hits"] += int(hits)
-        left = left[~near]
-    while left.size:
-        i = left[0]
-        near = np.max(np.abs(lams[left] - lams[i]), axis=1) < radius[left]
-        classes.append({
-            "lam": lams[i].copy(),
-            "K": Ks[i].copy(),
-            "chart": int(charts[i]),
-            "residual": float(res[i]),
-            "hits": int(near.sum()),
-            "first": int(restart_ids[i]),
-            "is_real": False,
-        })
-        left = left[~near]
+    gamma = np.exp(2j * np.pi * rng.uniform())
+    a = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / np.sqrt(2)
+    x0, chart0 = _start(a)
+    n = len(x0)
+    x, chart, ok = x0.copy(), chart0.copy(), np.zeros(n, dtype=bool)
+    lam, res, scl = np.zeros((n, 6), dtype=complex), np.zeros(n), np.ones(n)
+    todo, retracked = np.arange(n), 0
+    with np.errstate(all="ignore"):  # a failing path may go singular or overflow
+        for attempt in range(3):
+            x[todo], chart[todo], ok[todo] = _track(x0[todo], chart0[todo], G0f, gamma, a, 0.1 / 4 ** attempt)
+            lam[todo], res[todo], scl[todo] = _endpoints(x[todo], chart[todo], G0f)
+            ok &= np.isfinite(scl) & (res < CONVERGENCE_TOL * scl)
+            todo = np.flatnonzero(~ok | np.any(_near(lam, scl, ok), axis=1))
+            if todo.size in (0, n) or attempt == 2:  # no path on a class: f is singular
+                break
+            retracked += todo.size
+        ok &= ~np.any(np.triu(_near(lam, scl, ok)), axis=0)  # the lowest index keeps a shared endpoint
+        is_real = _polish_real(x, chart, lam, res, scl, ok, G0f)
+    idx = np.flatnonzero(ok)
+    points = _finalize(idx, lam[idx], is_real[idx], res[idx], G0f, scale)
+    counts = (len(points), sum(p.is_real for p in points), sum(p.is_psd for p in points))
+    return SolutionSet(points=tuple(points), counts=counts, config=config, scale=scale,
+                       tracked=n, retracked=retracked, failed=n - len(points))
 
 
-def _polish_real(classes: List[dict], G0r, Btr) -> None:
-    """Re-run Newton in real arithmetic on near-real classes.
-
-    A class is marked real only if the real iteration reconverges to the
-    same point, turning a tolerance judgment into a convergence fact.
-    Anything within the dedup radius of its own conjugate gets the attempt:
-    ill conditioning can leave a real class with imaginary noise far above
-    CONVERGENCE_TOL, and a class that close to the real slice could not coexist
-    with a distinct conjugate partner anyway.
-    """
-    cand = [i for i, c in enumerate(classes)
-            if np.max(np.abs(c["lam"].imag)) < DEDUP_TOL * _lam_scale(c["lam"])]
-    if not cand:
-        return
-    lam0 = np.array([classes[i]["lam"].real for i in cand])
-    K0 = np.array([classes[i]["K"].real for i in cand])
-    charts = np.array([classes[i]["chart"] for i in cand])
-    id_rows, k_rows = _chart_rows(charts)
-    lam, K, res = _gauss_newton(lam0, K0, id_rows, k_rows, G0r, Btr)
-    for k, i in enumerate(cand):
-        moved = np.max(np.abs(lam[k] - classes[i]["lam"].real))
-        scl = _lam_scale(lam[k])
-        if res[k] < CONVERGENCE_TOL * scl and moved < DEDUP_TOL * scl:
-            classes[i]["lam"] = lam[k].astype(complex)
-            classes[i]["K"] = K[k].astype(complex)
-            classes[i]["residual"] = float(res[k])
-            classes[i]["is_real"] = True
+def _polish_real(x, chart, lam, res, scl, ok, G0f):
+    """Endpoints within DEDUP_TOL of their conjugate are real when the corrector,
+    in real arithmetic on the patch h = 1, reconverges to them; lam and res
+    of real classes are updated in place."""
+    is_real = np.zeros(len(ok), dtype=bool)
+    cand = np.flatnonzero(ok & (np.max(np.abs(lam.imag), axis=1) < DEDUP_TOL * scl))
+    if cand.size:
+        xr = np.concatenate([np.ones((cand.size, 1)), lam[cand].real, x[cand, 7:].real], axis=1)
+        xr, conv = _correct(xr, np.broadcast_to(G0f, (cand.size, 6, 6)), np.eye(7)[0], chart[cand])
+        lr, rr, sr = _endpoints(xr, chart[cand], G0f)
+        real = conv & (rr < CONVERGENCE_TOL * sr) & (np.max(np.abs(lr - lam[cand]), axis=1) < DEDUP_TOL * sr)
+        lam[cand[real]], res[cand[real]], is_real[cand[real]] = lr[real], rr[real], True
+    return is_real
 
 
-def _close_under_conjugation(classes: List[dict]) -> None:
-    """Append any missing conjugate partners.
-
-    The family is real, so conjugating a solution gives a solution with
-    identical residual; with generous restart budgets partners are found
-    independently and this is a no-op.
-    """
-    i = 0
-    while i < len(classes):
-        c = classes[i]
-        i += 1
-        if c["is_real"]:
-            continue
-        conj = np.conj(c["lam"])
-        radius = DEDUP_TOL * _lam_scale(conj)
-        if any(np.max(np.abs(conj - d["lam"])) < radius for d in classes):
-            continue
-        classes.append({
-            "lam": conj,
-            "K": np.conj(c["K"]),
-            "chart": c["chart"],
-            "residual": c["residual"],
-            "hits": 0,
-            "first": c["first"],
-            "is_real": False,
-        })
-
-
-def _finalize(classes: List[dict], G0, Bt, scale: float) -> List[GramPoint]:
+def _finalize(index, lam, is_real, residual, G0, scale: float):
+    """GramPoints in canonical order, with lam mapped back by `scale`."""
     points = []
-    for c in classes:
-        G = G0 + np.einsum("i,iab->ab", c["lam"], Bt)
+    for i, lm, real, r in zip(index, lam, is_real, residual):
+        G = G0 + np.einsum("i,iab->ab", lm, KERNEL_BASIS_TENSOR)
         sv = np.linalg.svd(G, compute_uv=False)
         cut = RANK_EIG_TOL * max(1.0, float(sv[0]))
-        rank = int((sv > cut).sum())
         signature = None
-        if c["is_real"]:
+        if real:
             ev = np.linalg.eigvalsh(G.real)
             signature = (int((ev > cut).sum()), int((ev < -cut).sum()))
-        lam_out = tuple(complex(z) * scale for z in c["lam"])
-        points.append(GramPoint(
-            lam=lam_out,
-            is_real=bool(c["is_real"]),
-            signature=signature,
-            rank=rank,
-            residual=c["residual"],
-            hits=int(c["hits"]),
-            first_restart=int(c["first"]),
-        ))
-    points.sort(key=_sort_key)
-    return points
+        points.append(GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
+                                signature=signature, rank=int((sv > cut).sum()), residual=float(r),
+                                hits=1, first_restart=int(i)))
+    return sorted(points, key=_sort_key)
 
 
 def _sort_key(p: GramPoint):
+    """Real first, PSD first among real, then the start-table index (not the
+    float lam, whose last bits would reorder Fermat's exactly tied classes)."""
     sig = (p.signature[1], -p.signature[0]) if p.signature is not None else (0, 0)
-    re = tuple(z.real for z in p.lam)
-    im = tuple(z.imag for z in p.lam)
-    return (0 if p.is_real else 1, sig, re, im)
+    return (0 if p.is_real else 1, sig, p.first_restart)
 
 
 def certify_count(solution_set: SolutionSet) -> dict:
-    """Compare class counts against the smooth non-negative expectation.
-
-    Expected: 63 classes (2^6 - 1 two-torsion points), 15 real (2^4 - 1),
-    8 positive semidefinite, with the 48 non-real classes in 24 conjugate
-    pairs.
-    """
-    expected = {"complex_total": 63, "real_total": 15, "psd_total": 8}
-    actual = {
-        "complex_total": solution_set.counts[0],
-        "real_total": solution_set.counts[1],
-        "psd_total": solution_set.counts[2],
-    }
+    """Compare class counts against the smooth non-negative expectation:
+    63 classes (2^6 - 1 two-torsion points), 15 real (2^4 - 1), 8 positive
+    semidefinite, and the 48 non-real ones in 24 conjugate pairs."""
+    expected = dict(zip(_COUNT_KEYS, (63, 15, 8)))
+    actual = dict(zip(_COUNT_KEYS, solution_set.counts))
     passes = {k: actual[k] == expected[k] for k in expected}
-
-    nonreal = [p for p in solution_set.points if not p.is_real]
-    paired = 0
-    for p in nonreal:
-        conj = np.conj(np.array(p.lam))
-        tol = DEDUP_TOL * max(solution_set.scale, 1.0, float(np.max(np.abs(conj))))
-        if any(np.max(np.abs(conj - np.array(q.lam))) < tol for q in nonreal):
-            paired += 1
-    pairing_ok = paired == len(nonreal) and len(nonreal) % 2 == 0
-
+    nonreal = np.array([p.lam for p in solution_set.points if not p.is_real]).reshape(-1, 6)
+    tol = DEDUP_TOL * np.maximum(max(solution_set.scale, 1.0), np.max(np.abs(nonreal), axis=1, initial=0.0))
+    near = np.max(np.abs(np.conj(nonreal)[:, None] - nonreal[None]), axis=2, initial=0.0) < tol[:, None]
+    pairing_ok = bool(np.all(np.any(near, axis=1))) and len(nonreal) % 2 == 0
     return {
         "expected": expected,
         "actual": actual,
@@ -582,3 +340,72 @@ def certify_count(solution_set: SolutionSet) -> dict:
         "conjugate_pairing_ok": pairing_ok,
         "all_pass": all(passes.values()) and pairing_ok,
     }
+
+
+#: The 63 rank-3 classes of x^4 + y^4 + z^4 in canonical order, one row
+#: per class: (a, b, c, d) stands for lam_i = a + b sqrt(2) + i (c + d sqrt(2)).
+FERMAT_CLASSES: Tuple[Tuple[Tuple[int, int, int, int], ...], ...] = (
+    ((-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((1, -1, 0, 0), (1, -1, 0, 0), (1, -1, 0, 0), (-2, 1, 0, 0), (2, -1, 0, 0), (2, -1, 0, 0)),
+    ((1, -1, 0, 0), (1, -1, 0, 0), (1, -1, 0, 0), (-2, 1, 0, 0), (-2, 1, 0, 0), (-2, 1, 0, 0)),
+    ((1, -1, 0, 0), (1, -1, 0, 0), (1, -1, 0, 0), (2, -1, 0, 0), (-2, 1, 0, 0), (2, -1, 0, 0)),
+    ((1, -1, 0, 0), (1, -1, 0, 0), (1, -1, 0, 0), (2, -1, 0, 0), (2, -1, 0, 0), (-2, 1, 0, 0)),
+    ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (-2, -1, 0, 0), (2, 1, 0, 0)),
+    ((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (-2, -1, 0, 0), (-2, -1, 0, 0), (-2, -1, 0, 0)),
+    ((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (2, 1, 0, 0), (-2, -1, 0, 0)),
+    ((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (-2, -1, 0, 0), (2, 1, 0, 0), (2, 1, 0, 0)),
+    ((-1, -1, 0, 0), (-1, -1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (0, 0, -2, -1), (0, 0, -2, -1)),
+    ((-1, -1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0), (0, 0, -2, -1), (2, 1, 0, 0), (0, 0, -2, -1)),
+    ((-1, -1, 0, 0), (-1, -1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (0, 0, 2, 1), (0, 0, 2, 1)),
+    ((-1, -1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 2, 1), (-2, -1, 0, 0), (0, 0, -2, -1)),
+    ((-1, -1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 2, 1), (2, 1, 0, 0), (0, 0, 2, 1)),
+    ((-1, -1, 0, 0), (-1, -1, 0, 0), (1, 1, 0, 0), (-2, -1, 0, 0), (0, 0, 2, 1), (0, 0, -2, -1)),
+    ((-1, -1, 0, 0), (-1, -1, 0, 0), (1, 1, 0, 0), (-2, -1, 0, 0), (0, 0, -2, -1), (0, 0, 2, 1)),
+    ((-1, -1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0), (0, 0, -2, -1), (-2, -1, 0, 0), (0, 0, 2, 1)),
+    ((-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0)),
+    ((-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (-2, 0, 0, 0)),
+    ((-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (-2, 0, 0, 0)),
+    ((-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0)),
+    ((1, -1, 0, 0), (-1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 2, -1), (0, 0, -2, 1), (-2, 1, 0, 0)),
+    ((1, -1, 0, 0), (-1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, -2, 1), (0, 0, -2, 1), (2, -1, 0, 0)),
+    ((1, -1, 0, 0), (-1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, -2, 1), (0, 0, 2, -1), (-2, 1, 0, 0)),
+    ((1, -1, 0, 0), (-1, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 2, -1), (0, 0, 2, -1), (2, -1, 0, 0)),
+    ((0, 0, -1, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (0, 0, -1, 0), (1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (0, 0, -1, 0), (-1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (0, 0, -1, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (0, 0, -1, 0), (-1, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, -1, 0), (1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0)),
+    ((0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 0)),
+    ((-1, 1, 0, 0), (1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 2, -1), (2, -1, 0, 0), (0, 0, 2, -1)),
+    ((-1, 1, 0, 0), (1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, -2, 1), (2, -1, 0, 0), (0, 0, -2, 1)),
+    ((-1, 1, 0, 0), (-1, 1, 0, 0), (1, -1, 0, 0), (2, -1, 0, 0), (0, 0, 2, -1), (0, 0, 2, -1)),
+    ((-1, 1, 0, 0), (1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 2, -1), (-2, 1, 0, 0), (0, 0, -2, 1)),
+    ((-1, 1, 0, 0), (1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, -2, 1), (-2, 1, 0, 0), (0, 0, 2, -1)),
+    ((-1, 1, 0, 0), (-1, 1, 0, 0), (1, -1, 0, 0), (-2, 1, 0, 0), (0, 0, -2, 1), (0, 0, 2, -1)),
+    ((-1, 1, 0, 0), (-1, 1, 0, 0), (1, -1, 0, 0), (-2, 1, 0, 0), (0, 0, 2, -1), (0, 0, -2, 1)),
+    ((-1, 1, 0, 0), (-1, 1, 0, 0), (1, -1, 0, 0), (2, -1, 0, 0), (0, 0, -2, 1), (0, 0, -2, 1)),
+    ((1, 0, 0, 0), (0, 0, -1, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, -2, 0)),
+    ((1, 0, 0, 0), (0, 0, -1, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 2, 0)),
+    ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, -2, 0)),
+    ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 2, 0)),
+    ((1, 1, 0, 0), (-1, -1, 0, 0), (-1, -1, 0, 0), (0, 0, 2, 1), (0, 0, -2, -1), (-2, -1, 0, 0)),
+    ((1, 1, 0, 0), (-1, -1, 0, 0), (-1, -1, 0, 0), (0, 0, -2, -1), (0, 0, -2, -1), (2, 1, 0, 0)),
+    ((1, 1, 0, 0), (-1, -1, 0, 0), (-1, -1, 0, 0), (0, 0, -2, -1), (0, 0, 2, 1), (-2, -1, 0, 0)),
+    ((1, 1, 0, 0), (-1, -1, 0, 0), (-1, -1, 0, 0), (0, 0, 2, 1), (0, 0, 2, 1), (2, 1, 0, 0)),
+)

@@ -262,3 +262,27 @@ def test_corpus_count_zero_is_deterministic(capsys):
     assert len(row) == 1
     assert row[0].split() == ["fermat", "63", "15", "8", "pass"]
     assert lines[-1] == "corpus: all pass"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("form", ["10^400*x^4 + y^4 + z^4", "10^400*x^4 + y^4 - z^4",
+                                  "0.{}1*(x^4 + y^4 + z^4)".format("0" * 399)])
+def test_coefficient_beyond_float_range_is_rejected(command, form, capsys):
+    # divided by 10^400, y^4 and z^4 would round to 0 and leave x^4, whose
+    # verdicts would be reported for the indefinite quartic too; a tiny
+    # largest coefficient would round the scale itself to 0
+    rc = main([command, form])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert "float range" in captured.err
+    assert "Traceback" not in captured.err
+    assert "nonnegative:" not in captured.out
+    assert "certified:" not in captured.out
+
+
+def test_decompose_prints_path_counters_on_stderr(capsys):
+    assert main(["decompose", FERMAT]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "paths: 63 tracked, 0 retracked, 0 failed\n" in captured.err
+    assert "paths:" not in captured.out

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from quartic_sos.forms import (
     DEGREE4_MONOMIALS,
+    FloatRangeError,
     QuadraticForm,
     TernaryQuartic,
     eval_quartic,
@@ -19,6 +21,7 @@ from quartic_sos.curves import (
     numeric_singularity_oracle,
     smoothness_test,
 )
+from quartic_sos.solver import solve_all
 
 
 def _random_quartic(rng) -> TernaryQuartic:
@@ -112,6 +115,19 @@ def test_positivity_verdicts_are_scale_invariant():
         assert a.nonnegative == b.nonnegative
     f = parse_quartic("x^4+y^4+z^4")
     assert smoothness_test(f.scaled(Fraction(25))).smooth == smoothness_test(f).smooth
+
+
+def test_numeric_stages_reject_coefficients_beyond_float_range():
+    # divided by 10^400, y^4 and z^4 would round to 0 and leave x^4, a
+    # nonnegative quartic standing in for an indefinite one
+    f = parse_quartic("10^400*x^4 + y^4 - z^4")
+    family = build_family(f)
+    for stage in (lambda: nonnegativity_test(f, family), lambda: numeric_singularity_oracle(f),
+                  lambda: solve_all(family)):
+        with pytest.raises(FloatRangeError):
+            stage()
+    assert smoothness_test(f).smooth  # the exact stage still answers
+    assert parse_quartic("10^300*x^4 + y^4 - z^4").float_scale() == 1e300
 
 
 def test_basepoint_check_named_examples():

@@ -1,32 +1,34 @@
-"""Unit tests for the rank-3 solver on the Fermat quartic.
+"""Unit tests for the rank-3 solver.
 
 The full-scale count reproductions live in test_acceptance; these tests
-exercise the machinery (residual system, config validation, dedup
-separation, conjugation closure, ordering, determinism) at small restart
-budgets.
+exercise the machinery: the exact start table, the square system and its
+Jacobian, config validation, class separation, conjugate pairing,
+ordering, determinism and the path counters.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quartic_sos.forms import QuadraticForm, parse_quartic
+from quartic_sos import solver
+from quartic_sos.cli import random_corpus_quartic
+from quartic_sos.forms import QuadraticForm, apply_linear_change, parse_quartic
 from quartic_sos.gram import (
-    KERNEL_BASIS_TENSOR,
+    KERNEL_BASIS,
     build_family,
     gram_to_quartic,
     lambda_of_gram,
     representation_to_gram,
 )
 from quartic_sos.solver import (
-    CHART_ID_ROWS,
-    CHART_K_ROWS,
     DEDUP_TOL,
+    FERMAT_CLASSES,
     GramPoint,
     SolveConfig,
-    _dedup,
-    _gn_step,
+    _finalize,
+    _system,
     certify_count,
     residual_system,
     solve_all,
@@ -142,36 +144,6 @@ def test_certify_count_report(fermat_set):
     assert report["conjugate_pairing_ok"]
 
 
-def test_completion_stage_recovers_missed_classes(fermat_family, fermat_set):
-    # 200 restarts leave the affine stage short of 63 classes, so the
-    # projective completion stage has to supply the rest
-    config = SolveConfig(restarts=200, master_seed=0)
-    ss = solve_all(fermat_family, config)
-    assert ss.counts == (63, 15, 8)
-    assert certify_count(ss)["all_pass"]
-    assert sum(1 for p in ss.points if p.first_restart >= config.restarts) > 0
-    # every class, completion classes included, was reached by some start
-    assert all(p.hits >= 1 for p in ss.points)
-    # the classes are the 6000-restart run's classes, one to one
-    reference = [np.array(q.lam) for q in fermat_set.points]
-    matched = set()
-    for p in ss.points:
-        lam = np.array(p.lam)
-        dist = [np.max(np.abs(lam - r)) for r in reference]
-        j = int(np.argmin(dist))
-        assert dist[j] < 1e-9 * max(1.0, np.max(np.abs(lam)))
-        q = fermat_set.points[j]
-        assert (p.is_real, p.signature) == (q.is_real, q.signature)
-        matched.add(j)
-    assert len(matched) == 63
-
-
-def test_monotonicity_in_restarts(fermat_family):
-    small = solve_all(fermat_family, SolveConfig(restarts=2500, master_seed=0))
-    large = solve_all(fermat_family, SolveConfig(restarts=5000, master_seed=0))
-    assert all(a <= b for a, b in zip(small.counts, large.counts))
-
-
 def test_seed_determinism_and_thread_independence(fermat_family):
     runs = [
         solve_all(fermat_family, SolveConfig(restarts=5000, master_seed=3, threads=t))
@@ -187,111 +159,162 @@ def test_seed_determinism_and_thread_independence(fermat_family):
     assert counters[0] == counters[1] == counters[2]
 
 
-def _kernel_matrix(K, chart):
-    N = np.zeros((6, 3), dtype=K.dtype)
-    for b in range(3):
-        N[CHART_ID_ROWS[chart][b], b] = 1.0
-        for a in range(3):
-            N[CHART_K_ROWS[chart][a], b] = K[a, b]
-    return N
-
-
-def _dense_step(J, F):
-    JH = J.conj().T
-    A = JH @ J
-    mu = 1e-12 * np.trace(A).real + 1e-14
-    return np.linalg.solve(A + mu * np.eye(J.shape[1]), -(JH @ F))
-
-
 @pytest.mark.parametrize("system", ["affine", "affine-real", "patched"])
-def test_gn_step_matches_dense_normal_equations(system):
-    # J built column by column from its definition: parameter columns
-    # vec(B_i N) (and vec(G0 N) for h), K[a, b] columns G[:, k_a] in output
-    # column b, and for the patched system a last row a on (h, mu)
+def test_system_jacobian_matches_central_differences(system):
+    # the system is bilinear, so central differences are exact up to rounding;
+    # the h and mu columns, the K columns and the patch row are all checked.
+    # "patched" is the tracker's complex system on a random patch, "affine"
+    # the same on the patch h = 1, and "affine-real" the real re-polish's
     rng = np.random.default_rng(np.random.SeedSequence([17, len(system)]))
     complex_ = system != "affine-real"
-    G0 = rng.standard_normal((6, 6))
-    G0 = G0 + G0.T
-    basis = [G0] if system == "patched" else []
-    basis += list(KERNEL_BASIS_TENSOR)
-    p = len(basis)
 
     def draw(*shape):
         z = rng.standard_normal(shape)
         return z + 1j * rng.standard_normal(shape) if complex_ else z
 
-    a = draw(p) if system == "patched" else None
-    for chart in (0, 1, 2):
-        for _ in range(4):
-            x, K = draw(p), draw(3, 3)
-            G = sum(xi * Bi for xi, Bi in zip(x, basis))
-            if system != "patched":
-                G = G + G0
-            N = _kernel_matrix(K, chart)
-            F = (G @ N).reshape(18)
-            J = np.zeros((18, p + 9), dtype=F.dtype)
-            for i, Bi in enumerate(basis):
-                J[:, i] = (Bi @ N).reshape(18)
-            for ka, k in enumerate(CHART_K_ROWS[chart]):
-                for b in range(3):
-                    col = np.zeros((6, 3), dtype=F.dtype)
-                    col[:, b] = G[:, k]
-                    J[:, p + 3 * ka + b] = col.reshape(18)
-            if a is not None:
-                J = np.vstack([J, np.concatenate([a, np.zeros(9)])])
-                F = np.append(F, x @ a - 1.0)
-            expected = _dense_step(J, F)
-            P = J[:18, :p].T[None]
-            GK = G[:, list(CHART_K_ROWS[chart])][None]
-            step = _gn_step(P, GK, F[None], patch=a)[0]
-            assert step.dtype == expected.dtype
-            assert np.max(np.abs(step - expected)) <= 1e-11 * np.max(np.abs(expected))
+    base = draw(6, 6)
+    base = (base + base.T)[None]
+    a = draw(7) if system == "patched" else np.eye(7)[0]
+    eps = 1e-6
+    for chart in (0, 9, 19):
+        c = np.array([chart])
+        x = draw(16)[None]
+        H, J = _system(x, base, a, c)
+        assert H.shape == (1, 16) and J.shape == (1, 16, 16)
+        assert np.iscomplexobj(J) == complex_
+        for j in range(16):
+            e = np.zeros(16)
+            e[j] = eps
+            diff = (_system(x + e, base, a, c)[0] - _system(x - e, base, a, c)[0]) / (2 * eps)
+            assert np.max(np.abs(diff - J[:, :, j])) <= 1e-8 * max(1.0, np.max(np.abs(J)))
 
 
-def _greedy_merge(classes, lams, Ks, res, ids, charts):
-    """The merge one start at a time: the reference for _dedup."""
-    for i in range(lams.shape[0]):
-        if classes:
-            d = [np.max(np.abs(c["lam"] - lams[i])) for c in classes]
-            j = int(np.argmin(d))
-            if d[j] < DEDUP_TOL * max(1.0, np.max(np.abs(lams[i]))):
-                classes[j]["hits"] += 1
-                continue
-        classes.append({"lam": lams[i].copy(), "K": Ks[i].copy(), "chart": int(charts[i]),
-                        "residual": float(res[i]), "hits": 1, "first": int(ids[i]),
-                        "is_real": False})
+def _sqrt2_sign(v):
+    """Exact sign of v = a + b sqrt(2), an element of Q(sqrt 2) in sympy."""
+    b, a = ([0, 0] + v.to_list())[-2:]
+    if a * b >= 0:
+        return (a + b > 0) - (a + b < 0)
+    return (a > 0) - (a < 0) if a * a > 2 * b * b else (b > 0) - (b < 0)
 
 
-def test_bulk_merge_matches_greedy_loop():
-    rng = np.random.default_rng(np.random.SeedSequence([18]))
-    centers = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-    centers[3] *= 1e4  # the merge radius is relative to max(1, |lam|)
-    centers[7] *= 1e-3
-    sizes = rng.integers(1, 30, size=12)
-    lams = []
-    for c, m in zip(centers, sizes):
-        jitter = rng.uniform(-1, 1, (m, 6)) + 1j * rng.uniform(-1, 1, (m, 6))
-        lams.append(c + 0.1 * DEDUP_TOL * max(1.0, np.max(np.abs(c))) * jitter)
-    lams = np.concatenate(lams)[rng.permutation(sizes.sum())]
-    n = lams.shape[0]
-    Ks = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
-    res = rng.uniform(0, 1e-13, n)
-    ids = 500 + np.sort(rng.choice(4 * n, n, replace=False))
+def _sign_changes(signs):
+    signs = [s for s in signs if s]
+    return sum(1 for p, q in zip(signs, signs[1:]) if p != q)
 
-    def existing():
-        # classes already found at three of the centers
-        return [{"lam": centers[j].copy(), "K": np.zeros(9, dtype=complex), "chart": j % 3,
-                 "residual": 0.0, "hits": 5, "first": j, "is_real": False} for j in (9, 2, 5)]
 
-    for before in ([], existing()):
-        bulk, greedy = [dict(c) for c in before], [dict(c) for c in before]
-        _dedup(bulk, lams, Ks, res, ids, ids % 3)
-        _greedy_merge(greedy, lams, Ks, res, ids, ids % 3)
-        assert len(bulk) == len(greedy) == 12
-        for b, g in zip(bulk, greedy):
-            assert set(b) == set(g)
-            for key in b:
-                assert np.array_equal(b[key], g[key]), key
+def test_fermat_start_table_is_exact():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def gram(field, lam):
+        """G_Fermat(lam) = diag(1, 1, 1, 0, 0, 0) + sum lam_i B_i over `field`."""
+        G = [[field.one if p == q < 3 else field.zero for q in range(6)] for p in range(6)]
+        for value, B in zip(lam, KERNEL_BASIS):
+            B = B.to_array(int)
+            for p, q in zip(*np.nonzero(B)):
+                G[p][q] += field.convert(int(B[p, q])) * value
+        return DomainMatrix(G, (6, 6), field)
+
+    gaussian = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.I)
+    root2, i = gaussian.from_sympy(sympy.sqrt(2)), gaussian.from_sympy(sympy.I)
+    real_field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+    table = [tuple(tuple(c) for c in row) for row in FERMAT_CLASSES]
+    assert len(table) == 63 and len(set(table)) == 63
+    assert {tuple((a, b, -c, -d) for a, b, c, d in row) for row in table} == set(table)
+
+    signatures = []
+    for row in table:
+        lam = [gaussian.convert(a) + gaussian.convert(b) * root2
+               + (gaussian.convert(c) + gaussian.convert(d) * root2) * i for a, b, c, d in row]
+        assert gram(gaussian, lam).rank() == 3
+        if all(c == d == 0 for _, _, c, d in row):
+            # a real symmetric matrix has a real-rooted characteristic
+            # polynomial, so Descartes' rule counts its positive and
+            # negative eigenvalues exactly
+            charpoly = gram(real_field, [real_field([b, a]) for a, b, _, _ in row]).charpoly()
+            signs = [_sqrt2_sign(v) for v in charpoly]
+            signatures.append((_sign_changes(signs),
+                               _sign_changes([s * (-1) ** k for k, s in enumerate(signs)])))
+    assert len(signatures) == 15
+    assert signatures.count((3, 0)) == 8
+    assert all(sum(sig) == 3 for sig in signatures)
+    # the table is in canonical order: real first, PSD first among real
+    assert table[:15] == [row for row in table if all(c == d == 0 for _, _, c, d in row)]
+    assert signatures == sorted(signatures, key=lambda sig: (sig[1], -sig[0]))
+
+
+def test_class_order_ignores_last_bits(fermat_set):
+    points = fermat_set.points
+    index = [p.first_restart for p in points]
+    lam = np.array([p.lam for p in points])
+    real = [p.is_real for p in points]
+    res = [p.residual for p in points]
+    G0 = build_family(parse_quartic("x^4+y^4+z^4")).base.to_array(float)
+    rng = np.random.default_rng(np.random.SeedSequence([19]))
+    nudged = lam.copy()
+    for _ in range(3):
+        toward = np.where(rng.random(lam.shape) < 0.5, -np.inf, np.inf)
+        nudged = np.nextafter(nudged.real, toward) + 1j * np.where(
+            nudged.imag == 0, 0.0, np.nextafter(nudged.imag, -toward))
+    assert not np.array_equal(nudged, lam)
+    for values in (lam, nudged):
+        again = _finalize(index, values, real, res, G0, 1.0)
+        assert [p.first_restart for p in again] == index
+
+
+def test_singular_family_reports_failed_paths():
+    # (x^2+y^2+z^2)^2 is singular: the homotopy has no 63 regular endpoints
+    ss = solve_all(build_family(parse_quartic("(x^2+y^2+z^2)^2")), SolveConfig())
+    assert ss.tracked == 63
+    assert ss.failed > 0
+    assert ss.counts[0] == 63 - ss.failed
+    assert not certify_count(ss)["all_pass"]
+
+
+def test_retrack_recovers_a_failed_and_a_jumped_path(fermat_family, monkeypatch):
+    # fault recovery: on the first attempt path 5 fails and path 7 lands on
+    # path 6's class; both colliding paths and the failed one are retracked
+    track, sizes = solver._track, []
+
+    def faulty(x, chart, *args):
+        x, chart, ok = track(x, chart, *args)
+        if not sizes:
+            x[7], chart[7], ok[5] = x[6], chart[6], False
+        sizes.append(len(ok))
+        return x, chart, ok
+
+    monkeypatch.setattr(solver, "_track", faulty)
+    ss = solve_all(fermat_family, SolveConfig())
+    assert sizes == [63, 3]
+    assert (ss.counts, ss.retracked, ss.failed) == ((63, 15, 8), 3, 0)
+    assert certify_count(ss)["all_pass"]
+
+
+def test_retrack_rescues_an_unconverged_path():
+    # at seed 2 path 31 of this quartic reaches t = 1 with a residual above
+    # CONVERGENCE_TOL; tracked again with smaller steps it lands on its class
+    ss = solve_all(build_family(random_corpus_quartic(0, 4)), SolveConfig(master_seed=2))
+    assert (ss.counts, ss.retracked, ss.failed) == ((63, 15, 8), 1, 0)
+    assert certify_count(ss)["all_pass"]
+
+
+def test_corrector_norm_keeps_paths_on_their_class():
+    # the corrector's acceptance norm covers the kernel block K as well as
+    # (h, mu); measured on (h, mu) alone, a path of this quartic jumps to
+    # another path's class at seed 2 and has to be retracked
+    ss = solve_all(build_family(random_corpus_quartic(0, 0)), SolveConfig(master_seed=2))
+    assert (ss.counts, ss.retracked, ss.failed) == ((63, 15, 8), 0, 0)
+
+
+def test_ill_conditioned_change_of_variables():
+    # Fermat after ((-1,-1,1),(2,1,-3),(-3,-3,1)), a change of variables drawn
+    # by the benchmark's input generator; the square system's condition
+    # number reaches ~1e6 at its classes
+    M = [[Fraction(v) for v in row] for row in ((-1, -1, 1), (2, 1, -3), (-3, -3, 1))]
+    ss = solve_all(build_family(apply_linear_change(parse_quartic("x^4+y^4+z^4"), M)), SolveConfig())
+    assert ss.counts == (63, 15, 8)
+    assert certify_count(ss)["all_pass"]
+    assert (ss.tracked, ss.failed) == (63, 0)
 
 
 def test_solution_set_json_shape(fermat_set):
