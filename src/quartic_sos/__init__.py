@@ -30,6 +30,7 @@ from .gram import (
     NotInFamilyError,
     SymMatrix6,
     build_family,
+    complete_squares,
     gram_to_quartic,
     lambda_of_gram,
     representation_to_gram,
@@ -57,8 +58,7 @@ from .classify import (
     Theorem1Report,
     VerifyVerdict,
     classify_point,
-    factor_complex,
-    factor_real,
+    factor,
     theorem1_check,
     verify_representation,
 )
@@ -83,6 +83,7 @@ __all__ = [
     "NotInFamilyError",
     "KERNEL_BASIS",
     "build_family",
+    "complete_squares",
     "gram_to_quartic",
     "representation_to_gram",
     "lambda_of_gram",
@@ -103,8 +104,7 @@ __all__ = [
     "Theorem1Report",
     "HypothesisFailed",
     "RankMismatchError",
-    "factor_real",
-    "factor_complex",
+    "factor",
     "verify_representation",
     "classify_point",
     "theorem1_check",

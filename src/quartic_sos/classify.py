@@ -2,11 +2,10 @@
 
 A rank-3 Gram matrix G factors as e1 v1 v1^T + e2 v2 v2^T + e3 v3 v3^T,
 which reads as f = e1 p^2 + e2 q^2 + e3 r^2 with p, q, r quadratic forms.
-Real matrices factor through the eigendecomposition (signs from
-eigenvalue signs); complex symmetric matrices factor by Lagrange pivoted
-completion of squares, where a vanishing diagonal is handled by the
-hyperbolic identity  uv = ((u+v)/2)^2 + (i(u-v)/2)^2  realized as two
-successive rank-1 extractions.
+One pivoted completion of squares (`gram.complete_squares`) does it for
+every class: a real G is eliminated in real arithmetic and the signs of its
+pivots are its signature (Sylvester's law of inertia); a complex G gets
+three complex squares with signs +1.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .forms import QuadraticForm, TernaryQuartic, quad_square
-from .gram import GramFamily, SymMatrix6, build_family, gram_to_poly
+from .gram import GramFamily, SymMatrix6, build_family, complete_squares, gram_to_poly
 from .curves import (
     CurveStatus,
     PositivityStatus,
@@ -29,7 +28,6 @@ from .curves import (
     smoothness_test,
 )
 from .solver import (
-    RANK_EIG_TOL,
     GramPoint,
     SolutionSet,
     SolveConfig,
@@ -39,9 +37,6 @@ from .solver import (
 
 #: Relative residual bound for accepted representations.
 REPRESENTATION_TOL = 1e-8
-
-#: Diagonal pivot threshold in the complex completion of squares.
-PIVOT_TOL = 1e-10
 
 
 class RankMismatchError(ValueError):
@@ -163,68 +158,20 @@ def _relative_residual(f_coeffs: dict, signs, forms) -> float:
     return worst / max(abs(complex(c)) for c in f_coeffs.values())
 
 
-def factor_real(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
-    """Factor a real rank-3 Gram matrix through its eigendecomposition."""
-    A = G.to_array(complex)
-    if np.max(np.abs(A.imag)) > 0:
-        raise ValueError("factor_real requires a real matrix")
-    A = A.real
-    norm = max(np.max(np.abs(A)), 1e-300)
-    ev, U = np.linalg.eigh(A / norm)
-    order = np.argsort(-np.abs(ev), kind="stable")
-    if np.abs(ev[order[3]]) >= RANK_EIG_TOL:
-        raise RankMismatchError(
-            f"fourth singular value {np.abs(ev[order[3]]) * norm:.3e} exceeds rank-3 tolerance"
-        )
-    signs = []
-    vecs = []
-    for i in order[:3]:
-        mu = ev[i] * norm
-        signs.append(1 if mu > 0 else -1)
-        vecs.append(np.sqrt(abs(mu)) * U[:, i])
-    signs, forms = _canonicalize(signs, vecs)
-    residual = _relative_residual(gram_to_poly(G), signs, forms)
-    return Representation(signs=signs, forms=forms, class_lambda=tuple(class_lambda),
-                          residual=residual)
+def factor(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
+    """Factor a rank-3 Gram matrix by one completion of squares (`complete_squares`).
 
-
-def factor_complex(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
-    """Factor a complex symmetric rank-3 matrix by completion of squares.
-
-    Pivot rule: largest-modulus diagonal entry above PIVOT_TOL, else a
-    rank-1 extraction along e_u + e_v at the largest off-diagonal entry
-    (the first half of the hyperbolic identity; the complement surfaces
-    as a diagonal pivot on the next round).  All signs are +1: complex
-    squares absorb them.
+    A matrix whose entries are all real is eliminated in real arithmetic, and
+    the signs are its signature; any other gets three complex squares with
+    signs +1.  RankMismatchError unless the rank is 3.
     """
     A = G.to_array(complex)
-    norm = max(np.max(np.abs(A)), 1e-300)
-    S = A / norm
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[3] >= RANK_EIG_TOL:
-        raise RankMismatchError(
-            f"fourth singular value {sv[3] * norm:.3e} exceeds rank-3 tolerance"
-        )
-    vecs = []
-    for _ in range(3):
-        diag = np.abs(np.diag(S))
-        j = int(np.argmax(diag))
-        if diag[j] > PIVOT_TOL:
-            d = np.zeros(6)
-            d[j] = 1.0
-        else:
-            off = np.abs(np.triu(S, 1))
-            u, v = np.unravel_index(int(np.argmax(off)), off.shape)
-            d = np.zeros(6)
-            d[u] = 1.0
-            d[v] = 1.0
-        Sd = S @ d
-        pivot = d @ Sd
-        w = Sd / np.sqrt(complex(pivot))
-        vecs.append(w)
-        S = S - np.outer(w, w)
-    root = np.sqrt(norm)
-    signs, forms = _canonicalize([1, 1, 1], [root * w for w in vecs])
+    if not np.any(A.imag):
+        A = A.real
+    signs, vecs = complete_squares(A)
+    if len(signs) != 3:
+        raise RankMismatchError(f"completion of squares has rank {len(signs)}, not 3")
+    signs, forms = _canonicalize(signs, vecs)
     residual = _relative_residual(gram_to_poly(G), signs, forms)
     return Representation(signs=signs, forms=forms, class_lambda=tuple(class_lambda),
                           residual=residual)
@@ -272,15 +219,10 @@ def verify_representation(f: TernaryQuartic, rep: Representation) -> VerifyVerdi
 
 
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:
-    """Representation of one solver class, via the real or complex factor."""
-    G = family.matrix_at(point.lam)
-    if point.is_real:
-        G = SymMatrix6(tuple(complex(v).real for v in G.entries))
-        rep = factor_real(G, class_lambda=point.lam)
-    else:
-        G = SymMatrix6(tuple(complex(v) for v in G.entries))
-        rep = factor_complex(G, class_lambda=point.lam)
-    return rep
+    """Representation of one solver class.  A real class has real lam, and a
+    non-real lam puts its imaginary part into the G entries it is read from
+    (`gram.LAMBDA_SLOTS`), so `factor` reads reality off G itself."""
+    return factor(family.matrix_at(point.lam), class_lambda=point.lam)
 
 
 @dataclass(frozen=True)

@@ -196,27 +196,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     out.write(f"input: {f}\n")
     t0 = time.perf_counter()
-    if f.is_rational():
-        curve = smoothness_test(f)
-        smooth_text = "yes" if curve.smooth else "no"
-        out.write(f"smooth: {smooth_text} (exact, method {curve.method})\n")
-        if curve.witness is not None:
-            w = ", ".join(_fmt_num(c) for c in curve.witness)
-            out.write(f"singular point near: ({w})\n")
-        found_evidence = numeric_singularity_oracle(f, seed=seed)
-        agree = found_evidence != curve.smooth
-        out.write(
-            f"numeric singularity search: "
-            f"{'found' if found_evidence else 'none found'} "
-            f"[{'agrees' if agree else 'DISAGREES'}]\n"
-        )
-        smooth = curve.smooth
-    else:
-        smooth = not numeric_singularity_oracle(f, seed=seed)
-        out.write(
-            "smooth: {} (numeric search only; exact test needs rational "
-            "coefficients)\n".format("yes" if smooth else "no")
-        )
+    curve = smoothness_test(f)  # both loaders give rational coefficients
+    smooth = curve.smooth
+    out.write(f"smooth: {'yes' if smooth else 'no'} (exact, method {curve.method})\n")
+    if curve.witness is not None:
+        w = ", ".join(_fmt_num(c) for c in curve.witness)
+        out.write(f"singular point near: ({w})\n")
+    found_evidence = numeric_singularity_oracle(f, seed=seed)
+    out.write(
+        f"numeric singularity search: "
+        f"{'found' if found_evidence else 'none found'} "
+        f"[{'agrees' if found_evidence != smooth else 'DISAGREES'}]\n"
+    )
     sys.stderr.write(f"timing smoothness: {time.perf_counter() - t0:.3f}s\n")
 
     t0 = time.perf_counter()

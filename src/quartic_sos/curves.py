@@ -2,30 +2,36 @@
 non-negativity of the quartic, plus basepoint-freeness of representations.
 
 Smoothness is decided exactly (Macaulay resultant of the gradient, see
-`resultant`), with a probabilistic Newton search as an independent
-cross-check.  Non-negativity is decided by a pair of one-sided searches:
-minimizing f on the unit sphere falsifies, and maximizing the minimum
-eigenvalue of the Gram family certifies (a PSD family member is a
-sum-of-squares witness, which for ternary quartics is equivalent to
-non-negativity).
+`resultant`), with a probabilistic Newton search for a singular point as
+an independent cross-check; the search runs after an exact power-of-2
+rescaling of x and y that brings the coefficients to one magnitude.
+Non-negativity is decided by a pair of one-sided searches: minimizing f on
+the unit sphere falsifies, and maximizing the minimum eigenvalue of the
+Gram family certifies (a PSD family member is a sum-of-squares witness,
+which for ternary quartics is equivalent to non-negativity); the
+certificate's signature is read off its completion of squares
+(`gram.complete_squares`).  Both Newton searches and the sphere search
+evaluate f and its derivatives through one table of the Hessian entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .forms import PolyDict, QuadraticForm, TernaryQuartic, gradient, poly_diff
-from .gram import KERNEL_BASIS_TENSOR, GramFamily
+from .gram import KERNEL_BASIS_TENSOR, GramFamily, complete_squares
 from .resultant import (
     RESULTANT_ORDERINGS,
     DegenerateResultantError,
     gradient_resultant_is_nonzero,
     gradient_resultant_is_nonzero_gcp,
 )
-from .solver import GramPoint, RANK_EIG_TOL
+from .solver import GramPoint
 
 #: PSD / eigenvalue tolerance shared across the positivity decisions.
 PSD_TOL = 1e-8
@@ -92,14 +98,25 @@ def numeric_singularity_oracle(f: TernaryQuartic, trials: int = 200, seed: int =
 
 
 def _hessian_vectors(f: TernaryQuartic, scale: float) -> np.ndarray:
-    """(3, 3, 6) array: H[j][k] is the quadratic f_jk in the monomial order."""
+    """(6, 9) table: m(v) @ table is the Hessian of f / scale at v, row-major,
+    each entry f_jk a quadratic in the monomial order."""
     H = np.zeros((3, 3, 6))
     polys = list(gradient(f))
     for j in range(3):
         for k in range(3):
             q: PolyDict = poly_diff(polys[j], k)
             H[j, k] = [float(c) / scale for c in QuadraticForm.from_dict(q).coeffs]
-    return H
+    return H.reshape(9, 6).T
+
+
+def _hessians(table: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) Hessians H(v) per row of pts."""
+    return (_eval_monomials(pts) @ table).reshape(-1, 3, 3)
+
+
+def _gradients(table: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(n, 3) gradients per row of pts; by Euler's relation grad f = H(v) v / 3."""
+    return (_hessians(table, pts) @ pts[:, :, None])[:, :, 0] / 3.0
 
 
 def _eval_monomials(pts: np.ndarray) -> np.ndarray:
@@ -179,25 +196,41 @@ def _seeded_common_zeros(eqs, eqs_jac, stream: int, trials: int, seed: int, iter
     return z[good] / norms[good, None]
 
 
+def _balancing_exponents(f: TernaryQuartic) -> Tuple[int, int]:
+    """(a, b) such that x -> 2^a x, y -> 2^b y brings the coefficients of f
+    closest to one magnitude: rounded least squares on log2 |c|."""
+    rows, rhs = [], []
+    for (i, j, _), c in f.coeffs.items():
+        q = abs(Fraction(c))
+        rows.append((i, j, -1.0))
+        rhs.append(-(math.log2(q.numerator) - math.log2(q.denominator)))
+    a, b, _ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
+    return int(np.rint(a)), int(np.rint(b))
+
+
 def _singular_witness(f: TernaryQuartic, trials: int, seed: int):
     """Best common zero of the gradient found by Newton, or None; FloatRangeError
-    when floats cannot hold f (`TernaryQuartic.float_scale`)."""
-    scale = f.float_scale()
-    H = _hessian_vectors(f, scale).reshape(9, 6).T
+    when floats cannot hold f (`TernaryQuartic.float_scale`).
 
-    def hessians(pts):
-        return (_eval_monomials(pts) @ H).reshape(-1, 3, 3)  # H(v) entries
-
-    def grad_vals(pts):
-        return (hessians(pts) @ pts[:, :, None])[:, :, 0] / 3.0  # Euler: g = H v / 3
-
-    zn = _seeded_common_zeros(grad_vals, hessians, 102, trials, seed)
+    The search runs on g(v) = f(Dv), D = diag(2^a, 2^b, 1) from
+    `_balancing_exponents`: the substitution is exact and keeps smoothness,
+    and it keeps the absolute residual test meaningful when the coefficients
+    of f span many orders of magnitude.  A witness v of g maps back to Dv.
+    """
+    f.float_scale()  # a verdict on a rounded f would not be one on f
+    a, b = _balancing_exponents(f)
+    D = np.array([2.0 ** a, 2.0 ** b, 1.0])
+    g = TernaryQuartic({e: c * Fraction(2) ** (a * e[0] + b * e[1]) for e, c in f.coeffs.items()})
+    table = _hessian_vectors(g, g.float_scale())
+    zn = _seeded_common_zeros(lambda pts: _gradients(table, pts), lambda pts: _hessians(table, pts),
+                              102, trials, seed)
     if zn.shape[0] == 0:
         return None
-    res = np.max(np.abs(grad_vals(zn)), axis=1)
+    res = np.max(np.abs(_gradients(table, zn)), axis=1)
     best = int(np.argmin(res))
     if res[best] < NEWTON_RESIDUAL_TOL:
-        return tuple(complex(c) for c in zn[best])
+        w = zn[best] * D
+        return tuple(complex(c) for c in w / np.linalg.norm(w))
     return None
 
 
@@ -227,23 +260,19 @@ def basepoint_check(forms: Sequence[QuadraticForm], trials: int = 100, seed: int
     return not bool(np.min(res) < NEWTON_RESIDUAL_TOL)
 
 
-def _poly_arrays(p: PolyDict, scale: float):
-    exps = np.array(list(p.keys()), dtype=int)
-    cf = np.array([float(c) / scale for c in p.values()])
-    return exps, cf
-
-
-def _eval_poly(pts, exps, cf):
-    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ cf
-
-
 def _sphere_falsify(f: TernaryQuartic, scale: float, seed: int, starts: int = 100, iters: int = 150):
     """Projected-gradient minimization of f on the unit sphere.
 
-    Returns (best value at normalized scale, best unit point).
+    The gradient comes from the Hessian table, grad f = H(v) v / 3, and the
+    value from it, f = v . grad f / 4 (Euler's relation); an accepted step
+    keeps the gradient it was evaluated with.  Returns (best value at
+    normalized scale, best unit point).
     """
-    fe, fc = _poly_arrays(dict(f.coeffs), scale)
-    gpolys = [_poly_arrays(g, scale) for g in gradient(f)]
+    table = _hessian_vectors(f, scale)
+
+    def value_and_gradient(pts):
+        grads = _gradients(table, pts)
+        return np.sum(pts * grads, axis=1) / 4.0, grads
 
     pts = np.empty((starts, 3))
     for t in range(starts):
@@ -251,16 +280,14 @@ def _sphere_falsify(f: TernaryQuartic, scale: float, seed: int, starts: int = 10
         v = g.standard_normal(3)
         pts[t] = v / np.linalg.norm(v)
     eta = np.full(starts, 0.1)
-    vals = _eval_poly(pts, fe, fc)
+    vals, grads = value_and_gradient(pts)
     for _ in range(iters):
-        grads = np.stack([_eval_poly(pts, e, c) for e, c in gpolys], axis=1)
         tang = grads - (np.sum(grads * pts, axis=1, keepdims=True)) * pts
         cand = pts - eta[:, None] * tang
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cvals = _eval_poly(cand, fe, fc)
+        cvals, cgrads = value_and_gradient(cand)
         better = cvals < vals
-        pts[better] = cand[better]
-        vals[better] = cvals[better]
+        pts[better], vals[better], grads[better] = cand[better], cvals[better], cgrads[better]
         eta = np.where(better, eta * 1.2, eta * 0.5)
         eta = np.maximum(eta, 1e-12)
     best = int(np.argmin(vals))
@@ -290,43 +317,13 @@ def _eig_ascent(G0n, seed: int, restarts: int = 10, iters: int = 300):
     return best_val, best_lam
 
 
-def _pocs_polish(G0n, lam0, iters: int = 800):
-    """Alternating projections between the affine family and the PSD cone.
-
-    Pushes a near-feasible lam to the PSD intersection; returns the best
-    (min-eigenvalue, lam) encountered.
-    """
-    Bt = KERNEL_BASIS_TENSOR
-    Bf = Bt.reshape(6, 36)
-    gram = Bf @ Bf.T
-    chol = np.linalg.cholesky(gram)
-
-    def project_family(S):
-        rhs = Bf @ (S - G0n).reshape(36)
-        y = np.linalg.solve(chol, rhs)
-        return np.linalg.solve(chol.T, y)
-
-    lam = lam0.copy()
-    best_val, best_lam = -np.inf, lam0.copy()
-    for _ in range(iters):
-        G = G0n + np.einsum("i,iab->ab", lam, Bt)
-        ev, U = np.linalg.eigh(G)
-        if ev[0] > best_val:
-            best_val, best_lam = float(ev[0]), lam.copy()
-        if ev[0] >= PSD_TOL:
-            break
-        Gpsd = (U * np.maximum(ev, 0.0)) @ U.T
-        lam = project_family(Gpsd)
-    return best_val, best_lam
-
-
 def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> PositivityStatus:
     """Decide non-negativity of f by falsification and PSD certification.
 
     The unit-sphere search falsifies (homogeneity makes the sign question
-    compact); eigenvalue ascent plus alternating-projection polish
-    certifies by exhibiting a PSD member of the Gram family.  Decisions
-    use the quartic rescaled to unit max coefficient, making verdicts
+    compact); eigenvalue ascent certifies by exhibiting a PSD member of the
+    Gram family, whose signature is read off its completion of squares.
+    Decisions use the quartic rescaled to unit max coefficient, making verdicts
     invariant under positive scaling; FloatRangeError when floats cannot
     hold it (`TernaryQuartic.float_scale`).
     """
@@ -341,18 +338,13 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
 
     G0n = family.base.to_array(float) / scale
     val, lam = _eig_ascent(G0n, seed)
-    pval, plam = _pocs_polish(G0n, lam)
-    if pval > val:
-        val, lam = pval, plam
     if val >= -PSD_TOL / max(scale, 1.0):
-        ev = np.linalg.eigvalsh(G0n + np.einsum("i,iab->ab", lam, KERNEL_BASIS_TENSOR))
-        npos = int((ev > RANK_EIG_TOL).sum())
-        nneg = int((ev < -RANK_EIG_TOL).sum())
+        signs, _ = complete_squares(G0n + np.einsum("i,iab->ab", lam, KERNEL_BASIS_TENSOR))
         certificate = GramPoint(
             lam=tuple(complex(v * scale) for v in lam),
             is_real=True,
-            signature=(npos, nneg),
-            rank=npos + nneg,
+            signature=(signs.count(1), signs.count(-1)),
+            rank=len(signs),
             residual=float(max(0.0, -val)),
             hits=0,
             first_restart=-1,

@@ -30,6 +30,13 @@ from .forms import (
 #: Default entrywise tolerance for membership in the family.
 NOT_IN_FAMILY_TOL = 1e-9
 
+#: Completion of squares stops once every entry left of G / max|G| is below
+#: this; the rank is the number of squares taken.
+RANK_EIG_TOL = 1e-8
+
+#: A diagonal entry of G / max|G| above this can be a pivot.
+PIVOT_TOL = 1e-10
+
 #: Upper-triangle (row-major) index pairs, the storage and JSON order.
 TRIU_PAIRS: Tuple[Tuple[int, int], ...] = tuple(
     (i, j) for i in range(6) for j in range(i, 6)
@@ -57,20 +64,12 @@ class SymMatrix6:
         self.entries = entries
 
     @classmethod
-    def zero(cls) -> "SymMatrix6":
-        return cls((Fraction(0),) * 21)
-
-    @classmethod
     def from_entries(cls, assignments: dict) -> "SymMatrix6":
         """Build from a sparse {(i, j): value} map, i <= j."""
         data = [Fraction(0)] * 21
         for (i, j), v in assignments.items():
             data[_TRIU_POS[(min(i, j), max(i, j))]] = v
         return cls(data)
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "SymMatrix6":
-        return cls(tuple(a[i, j] for i, j in TRIU_PAIRS))
 
     def __getitem__(self, ij: Tuple[int, int]):
         i, j = ij
@@ -81,12 +80,6 @@ class SymMatrix6:
 
     def __repr__(self) -> str:
         return f"SymMatrix6({list(self.entries)!r})"
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.entries)
-
-    def is_real(self) -> bool:
-        return all(not isinstance(v, complex) or v.imag == 0 for v in self.entries)
 
     def to_array(self, dtype=None) -> np.ndarray:
         if dtype is None:
@@ -167,10 +160,6 @@ class GramFamily:
     source: TernaryQuartic
     base: SymMatrix6
 
-    @property
-    def kernel_basis(self) -> Tuple[SymMatrix6, ...]:
-        return KERNEL_BASIS
-
     def matrix_at(self, lam: Sequence) -> SymMatrix6:
         """G(lam) = G0 + sum lam_i B_i; exact when lam is exact."""
         entries = list(self.base.entries)
@@ -181,9 +170,6 @@ class GramFamily:
                 if b != 0:
                     entries[k] = entries[k] + li * b
         return SymMatrix6(entries)
-
-    def base_array(self) -> np.ndarray:
-        return self.base.to_array(float)
 
 
 def build_family(f: TernaryQuartic) -> GramFamily:
@@ -239,6 +225,44 @@ def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm])
         for k, (i, j) in enumerate(TRIU_PAIRS):
             entries[k] = entries[k] + s * v[i] * v[j]
     return SymMatrix6(entries)
+
+
+def complete_squares(A: np.ndarray):
+    """Lagrange's pivoted completion of squares, A = sum_k s_k w_k w_k^T.
+
+    Runs on A / max|A|.  The pivot is the largest diagonal entry above
+    PIVOT_TOL; when there is none, the step goes along e_u + e_v at the
+    largest off-diagonal entry (the first half of the hyperbolic identity
+    4uv = (u + v)^2 - (u - v)^2; the other half surfaces as a diagonal pivot
+    on the next step).  A real array is eliminated in real arithmetic and
+    each square takes the sign of its pivot, so by Sylvester's law of inertia
+    the signs are the signature; a complex array gets signs +1, the complex
+    squares absorbing them.  Elimination stops once every entry left is below
+    RANK_EIG_TOL, so the rank is the number of squares.  Returns (signs, w).
+    """
+    real = not np.iscomplexobj(A)
+    norm = max(np.max(np.abs(A)), 1e-300)
+    S = A / norm
+    signs, vecs = [], []
+    while len(vecs) < len(S) and np.max(np.abs(S)) >= RANK_EIG_TOL:
+        diag = np.abs(np.diag(S))
+        j = int(np.argmax(diag))
+        d = np.zeros(len(S))
+        if diag[j] > PIVOT_TOL:
+            d[j] = 1.0
+        else:
+            off = np.abs(np.triu(S, 1))
+            u, v = np.unravel_index(int(np.argmax(off)), off.shape)
+            d[u] = d[v] = 1.0
+        Sd = S @ d
+        pivot = d @ Sd
+        sign = -1 if real and pivot < 0 else 1
+        w = Sd / np.sqrt(abs(pivot) if real else complex(pivot))
+        S = S - sign * np.outer(w, w)
+        signs.append(sign)
+        vecs.append(w)
+    root = np.sqrt(norm)
+    return signs, [root * w for w in vecs]
 
 
 def lambda_of_gram(family: GramFamily, G: SymMatrix6, tol: float = NOT_IN_FAMILY_TOL):

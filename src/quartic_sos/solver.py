@@ -28,10 +28,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gram import KERNEL_BASIS_TENSOR, GramFamily
+from .gram import KERNEL_BASIS_TENSOR, GramFamily, complete_squares
 
-#: |eigenvalue| (or singular value) above this counts toward the rank.
-RANK_EIG_TOL = 1e-8
 #: An endpoint is a class when |G(lam) N| < CONVERGENCE_TOL * max(1, |lam|).
 CONVERGENCE_TOL = 1e-12
 #: Endpoints within DEDUP_TOL * max(1, |lam|) of each other are one class;
@@ -297,18 +295,15 @@ def _polish_real(x, chart, lam, res, scl, ok, G0f):
 
 
 def _finalize(index, lam, is_real, residual, G0, scale: float):
-    """GramPoints in canonical order, with lam mapped back by `scale`."""
+    """GramPoints in canonical order, with lam mapped back by `scale`; rank
+    and signature are read off one completion of squares of G(lam)."""
     points = []
     for i, lm, real, r in zip(index, lam, is_real, residual):
         G = G0 + np.einsum("i,iab->ab", lm, KERNEL_BASIS_TENSOR)
-        sv = np.linalg.svd(G, compute_uv=False)
-        cut = RANK_EIG_TOL * max(1.0, float(sv[0]))
-        signature = None
-        if real:
-            ev = np.linalg.eigvalsh(G.real)
-            signature = (int((ev > cut).sum()), int((ev < -cut).sum()))
+        signs, _ = complete_squares(G.real if real else G)
+        signature = (signs.count(1), signs.count(-1)) if real else None
         points.append(GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
-                                signature=signature, rank=int((sv > cut).sum()), residual=float(r),
+                                signature=signature, rank=len(signs), residual=float(r),
                                 hits=1, first_restart=int(i)))
     return sorted(points, key=_sort_key)
 

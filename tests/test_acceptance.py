@@ -21,8 +21,7 @@ from quartic_sos import (
     apply_linear_change,
     build_family,
     eval_quartic,
-    factor_complex,
-    factor_real,
+    factor,
     gradient,
     gram_to_quartic,
     nonnegativity_test,
@@ -178,7 +177,7 @@ def test_criterion_6_property_suite():
             for _ in range(3)
         )
         G = representation_to_gram(signs, forms)
-        back = factor_real(G)
+        back = factor(G)
         G2 = representation_to_gram(back.signs, back.forms)
         a, b = G.to_array(float), G2.to_array(float)
         assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
@@ -190,7 +189,7 @@ def test_criterion_6_property_suite():
             for _ in range(3)
         )
         Gc = representation_to_gram((1, 1, 1), cforms)
-        backc = factor_complex(Gc)
+        backc = factor(Gc)
         G2c = representation_to_gram(backc.signs, backc.forms)
         ac, bc = Gc.to_array(complex), G2c.to_array(complex)
         assert np.max(np.abs(ac - bc)) <= 1e-9 * max(1.0, np.max(np.abs(ac)))

@@ -13,8 +13,7 @@ from quartic_sos.classify import (
     RankMismatchError,
     Representation,
     classify_point,
-    factor_complex,
-    factor_real,
+    factor,
     theorem1_check,
     verify_representation,
 )
@@ -28,7 +27,7 @@ def _reconstruction_error(G: SymMatrix6, rep: Representation) -> float:
 
 def test_factor_real_identity_block():
     G = SymMatrix6.from_entries({(0, 0): 1, (1, 1): 1, (2, 2): 1})
-    rep = factor_real(G)
+    rep = factor(G)
     assert rep.signs == (1, 1, 1)
     vecs = sorted(tuple(float(np.real(complex(c))) for c in form.coeffs) for form in rep.forms)
     units = sorted([(1.0, 0, 0, 0, 0, 0), (0, 1.0, 0, 0, 0, 0), (0, 0, 1.0, 0, 0, 0)])
@@ -39,7 +38,7 @@ def test_factor_real_identity_block():
 
 def test_factor_real_mixed_signs():
     G = SymMatrix6.from_entries({(0, 0): 1, (1, 1): 1, (2, 2): -1})
-    rep = factor_real(G)
+    rep = factor(G)
     assert sorted(rep.signs) == [-1, 1, 1]
     assert rep.is_real and not rep.is_sum_of_squares
     assert _reconstruction_error(G, rep) < 1e-12
@@ -48,7 +47,7 @@ def test_factor_real_mixed_signs():
 def test_factor_real_rejects_higher_rank():
     G = SymMatrix6.from_entries({(i, i): 1 for i in range(4)})
     with pytest.raises(RankMismatchError):
-        factor_real(G)
+        factor(G)
 
 
 def test_factor_real_round_trip_random():
@@ -58,35 +57,40 @@ def test_factor_real_round_trip_random():
                  for _ in range(3)]
         signs = [1 if rng.integers(2) else -1 for _ in range(3)]
         G = representation_to_gram(signs, forms)
-        rep = factor_real(G)
+        rep = factor(G)
         assert _reconstruction_error(G, rep) < 1e-9
         assert rep.residual < 1e-9
+        # the pivot signs are the signature (Sylvester's law of inertia)
+        assert sorted(rep.signs) == sorted(signs)
+    # a PSD input factors as a real sum of three squares
+    rng = np.random.default_rng(np.random.SeedSequence([16, 1]))
+    forms = [QuadraticForm(tuple(float(c) for c in rng.standard_normal(6))) for _ in range(3)]
+    G = representation_to_gram((1, 1, 1), forms)
+    rep = factor(G)
+    assert rep.is_sum_of_squares
+    assert _reconstruction_error(G, rep) < 1e-9
 
 
 def test_factor_complex_hyperbolic_identity():
-    # the form q0 q1 - q2^2 on (q0, q1, q2) = (x^2, y^2, z^2):
-    # completion of squares must reproduce x^2 y^2 - z^4 identically
-    G = SymMatrix6.from_entries({(0, 1): 0.5, (2, 2): -1.0})
-    rep = factor_complex(G)
+    # the form i q0 q1 - q2^2 on (q0, q1, q2) = (x^2, y^2, z^2): its
+    # diagonal vanishes after the first square, so completion of squares
+    # must take the hyperbolic step and reproduce i x^2 y^2 - z^4 identically
+    G = SymMatrix6.from_entries({(0, 1): 0.5j, (2, 2): -1.0})
+    rep = factor(G)
     assert rep.signs == (1, 1, 1)
     assert _reconstruction_error(G, rep) < 1e-12
     total: dict = {}
     for form in rep.forms:
         for e, c in quad_square(form).coeffs.items():
             total[e] = total.get(e, 0) + complex(c)
-    expected = {(2, 2, 0): 1.0, (0, 0, 4): -1.0}
+    expected = {(2, 2, 0): 1j, (0, 0, 4): -1.0}
     for e in set(total) | set(expected):
         assert complex(total.get(e, 0)) == pytest.approx(complex(expected.get(e, 0)), abs=1e-12)
-
-
-def test_factor_complex_agrees_with_factor_real_on_psd_input():
-    rng = np.random.default_rng(np.random.SeedSequence([16, 1]))
-    forms = [QuadraticForm(tuple(float(c) for c in rng.standard_normal(6))) for _ in range(3)]
-    G = representation_to_gram((1, 1, 1), forms)
-    rep_c = factor_complex(G)
-    rep_r = factor_real(G)
-    assert _reconstruction_error(G, rep_c) < 1e-9
-    assert _reconstruction_error(G, rep_r) < 1e-9
+    # the real q0 q1 - q2^2 = ((q0 + q1)/2)^2 - ((q0 - q1)/2)^2 - q2^2 has signature (1, 2)
+    G = SymMatrix6.from_entries({(0, 1): 0.5, (2, 2): -1.0})
+    rep = factor(G)
+    assert rep.is_real and sorted(rep.signs) == [-1, -1, 1]
+    assert _reconstruction_error(G, rep) < 1e-12
 
 
 def test_factor_complex_round_trip_random_complex():
@@ -96,15 +100,15 @@ def test_factor_complex_round_trip_random_complex():
                                      zip(rng.standard_normal(6), rng.standard_normal(6))))
                  for _ in range(3)]
         G = representation_to_gram((1, 1, 1), forms)
-        rep = factor_complex(G)
+        rep = factor(G)
         assert _reconstruction_error(G, rep) < 1e-9
         assert rep.residual < 1e-9
 
 
 def test_factor_complex_rejects_higher_rank():
-    G = SymMatrix6.from_entries({(i, i): 1 for i in range(5)})
+    G = SymMatrix6.from_entries({(i, i): 1j for i in range(5)})
     with pytest.raises(RankMismatchError):
-        factor_complex(G)
+        factor(G)
 
 
 def test_verify_representation_exact_pass():

@@ -11,7 +11,9 @@ from quartic_sos.forms import (
     QuadraticForm,
     TernaryQuartic,
     eval_quartic,
+    gradient,
     parse_quartic,
+    poly_eval,
 )
 from quartic_sos.gram import build_family, gram_to_quartic
 from quartic_sos.curves import (
@@ -61,6 +63,29 @@ def test_singular_curve_carries_witness():
 def test_numeric_oracle_named_examples():
     assert numeric_singularity_oracle(parse_quartic("(x^2+y^2+z^2)^2"))
     assert not numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4"))
+
+
+@pytest.mark.parametrize("text", [
+    "10^12*x^4 + y^4 + z^4",
+    "x^4 + 0.000000000001*y^4 + z^4",
+    "10^40*x^4 + y^4 + z^4",
+    "x^4 + 10^12*y^4 + 10^24*z^4",
+    "(x^2 - y^2)^2 + 10^12*z^4",
+    "x^3*y + z^4",
+    "x^2*y^2 + z^4",
+])
+def test_oracle_agrees_with_exact_test_on_unbalanced_coefficients(text):
+    # the Newton search runs on f(2^a x, 2^b y, z), so coefficients many
+    # orders of magnitude apart neither fake nor hide a singular point
+    f = parse_quartic(text)
+    curve = smoothness_test(f)
+    assert numeric_singularity_oracle(f) == (not curve.smooth)
+    if not curve.smooth:
+        # the witness is mapped back to a unit singular point of f itself
+        w = curve.witness
+        assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+        top = float(f.max_abs_coeff())
+        assert all(abs(complex(poly_eval(g, w))) < 1e-8 * top for g in gradient(f))
 
 
 def test_oracle_agrees_with_exact_test_on_random_quartics():

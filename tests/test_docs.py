@@ -1,0 +1,23 @@
+"""The documented public surface: `__all__` and the README library example."""
+
+import re
+from pathlib import Path
+
+import quartic_sos
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in quartic_sos.__all__ if not hasattr(quartic_sos, name)]
+    assert missing == []
+    assert len(set(quartic_sos.__all__)) == len(quartic_sos.__all__)
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope: dict = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["report"].solution_set.counts == (63, 15, 8)
+    assert scope["verify_representation"](scope["f"], scope["rep"]).passed

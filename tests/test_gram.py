@@ -18,6 +18,7 @@ from quartic_sos.gram import (
     NotInFamilyError,
     SymMatrix6,
     build_family,
+    complete_squares,
     gram_to_poly,
     gram_to_quartic,
     lambda_of_gram,
@@ -177,3 +178,34 @@ def test_sym_matrix_json_round_trip():
 def test_triu_pair_order_is_row_major():
     assert TRIU_PAIRS[:7] == ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1))
     assert len(TRIU_PAIRS) == 21
+
+
+def test_complete_squares_reads_rank_and_signature():
+    # a real symmetric 6x6 matrix of each rank and inertia, conjugated by a
+    # random basis change: the pivot signs are its inertia (Sylvester's law)
+    rng = np.random.default_rng(np.random.SeedSequence([17, 0]))
+    for pos, neg in ((3, 0), (2, 1), (1, 2), (0, 3), (6, 0), (3, 3), (1, 0), (2, 2)):
+        P = rng.standard_normal((6, 6))
+        A = P.T @ np.diag([1.0] * pos + [-1.0] * neg + [0.0] * (6 - pos - neg)) @ P
+        signs, vecs = complete_squares(A)
+        assert (signs.count(1), signs.count(-1)) == (pos, neg)
+        back = sum(s * np.outer(w, w) for s, w in zip(signs, vecs))
+        assert np.max(np.abs(back - A)) < 1e-12 * np.max(np.abs(A))
+
+
+def test_complete_squares_complex_and_degenerate_input():
+    # complex input: squares with signs +1 whose sum is the matrix
+    rng = np.random.default_rng(np.random.SeedSequence([17, 1]))
+    W = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    A = W @ W.T
+    signs, vecs = complete_squares(A)
+    assert signs == [1, 1, 1]
+    assert np.max(np.abs(sum(np.outer(w, w) for w in vecs) - A)) < 1e-12 * np.max(np.abs(A))
+    # zero diagonal: the hyperbolic step along e_u + e_v
+    A = np.zeros((6, 6))
+    A[0, 1] = A[1, 0] = 3.0
+    signs, vecs = complete_squares(A)
+    assert sorted(signs) == [-1, 1]
+    assert np.max(np.abs(sum(s * np.outer(w, w) for s, w in zip(signs, vecs)) - A)) < 1e-14
+    # nothing above the rank tolerance: rank 0
+    assert complete_squares(np.zeros((6, 6))) == ([], [])
