@@ -10,8 +10,9 @@ from quartic_sos import parse_quartic
 f = parse_quartic("x^4 + y^4 + z^4")
 print("input:", f)
 
-# run the full pipeline: exact smoothness test, non-negativity search,
-# rank-3 solve over the Gram family, classification of every class
+# run the full pipeline: exact smoothness test, rank-3 solve over the Gram
+# family, non-negativity read off its PSD classes (the sphere search and
+# eigenvalue ascent run only when there are none), classification of every class
 from quartic_sos import SolveConfig, theorem1_check
 
 report = theorem1_check(f, SolveConfig())

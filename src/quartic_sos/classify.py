@@ -147,15 +147,16 @@ def _canonicalize(signs: Sequence[int], vecs: Sequence[np.ndarray]):
 
 
 def _relative_residual(f_coeffs: dict, signs, forms) -> float:
+    """max |f - sum s_i form_i^2| / max |f| over coefficients, computed in the
+    coefficients' own arithmetic: exact for ints and Fractions."""
     total: dict = {}
     for s, form in zip(signs, forms):
         for e, c in quad_square(form).coeffs.items():
             total[e] = total.get(e, 0) + s * c
     worst = 0.0
     for e in set(f_coeffs) | set(total):
-        diff = complex(f_coeffs.get(e, 0)) - complex(total.get(e, 0))
-        worst = max(worst, abs(diff))
-    return worst / max(abs(complex(c)) for c in f_coeffs.values())
+        worst = max(worst, abs(f_coeffs.get(e, 0) - total.get(e, 0)))
+    return float(worst / max(abs(c) for c in f_coeffs.values()))
 
 
 def factor(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
@@ -193,22 +194,10 @@ def verify_representation(f: TernaryQuartic, rep: Representation) -> VerifyVerdi
     Exact rational arithmetic whenever every coefficient is rational;
     double precision otherwise.
     """
-    rational = f.is_rational() and all(
+    exact = f.is_rational() and all(
         all(isinstance(c, (int, Fraction)) for c in form.coeffs) for form in rep.forms
     )
-    if rational:
-        total: dict = {}
-        for s, form in zip(rep.signs, rep.forms):
-            for e, c in quad_square(form).coeffs.items():
-                total[e] = total.get(e, 0) + s * c
-        diff = 0
-        for e in set(f.coeffs) | set(total):
-            diff = max(diff, abs(Fraction(f.coeffs.get(e, 0)) - Fraction(total.get(e, 0))))
-        residual = float(diff / max(abs(Fraction(c)) for c in f.coeffs.values()))
-        exact = True
-    else:
-        residual = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
-        exact = False
+    residual = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
     free = basepoint_check(rep.forms)
     return VerifyVerdict(
         passed=residual <= REPRESENTATION_TOL,
@@ -240,10 +229,6 @@ class Theorem1Report:
     passed: bool
     timings: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def real_certificates(self) -> Tuple[Representation, ...]:
-        return tuple(r for r in self.representations if r.is_real)
-
     def to_json(self) -> dict:
         return {
             "curve": {
@@ -265,8 +250,11 @@ class Theorem1Report:
 
 
 def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Theorem1Report:
-    """Smoothness, non-negativity, rank-3 solve, classification, counts.
+    """Exact smoothness, rank-3 solve, non-negativity, classification, counts.
 
+    A PSD class of the solve is a sum-of-squares Gram matrix of f, so it
+    certifies f >= 0 itself; only when the solve holds none does
+    `nonnegativity_test` (sphere search, then eigenvalue ascent) decide.
     For a smooth non-negative quartic the expected split is 8 sums of
     squares, 7 mixed-sign real representations, and 48 non-real classes.
     Raises HypothesisFailed (no counts asserted) when a hypothesis fails.
@@ -279,8 +267,15 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
         raise HypothesisFailed("smooth", "curve is singular; counts not asserted")
     family = build_family(f)
     t0 = time.perf_counter()
-    positivity = nonnegativity_test(f, family, seed=config.master_seed)
-    timings["nonnegativity"] = time.perf_counter() - t0
+    solution_set = solve_all(family, config)
+    timings["solve"] = time.perf_counter() - t0
+    psd = next((p for p in solution_set.points if p.is_psd), None)
+    if psd is not None:
+        positivity = PositivityStatus(nonnegative=True, certificate=psd)
+    else:
+        t0 = time.perf_counter()
+        positivity = nonnegativity_test(f, family, seed=config.master_seed)
+        timings["nonnegativity"] = time.perf_counter() - t0
     if positivity.nonnegative is False:
         raise HypothesisFailed(
             "nonnegative",
@@ -289,9 +284,6 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     if positivity.nonnegative is None:
         raise HypothesisFailed("nonnegative", "indeterminate at tolerance")
 
-    t0 = time.perf_counter()
-    solution_set = solve_all(family, config)
-    timings["solve"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     # Smoothness makes every representation basepoint-free: a common zero v
     # of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)

@@ -250,7 +250,8 @@ def test_criterion_6_property_suite():
 
 
 def test_criterion_7_linear_change_covariance():
-    """Counts stay 63/15/8 under random invertible changes of variables."""
+    """Counts stay 63/15/8 and the full check passes under random invertible
+    changes of variables."""
     rng = np.random.default_rng(np.random.SeedSequence([700]))
     checked = 0
     while checked < 3:
@@ -263,6 +264,7 @@ def test_criterion_7_linear_change_covariance():
         if det == 0:
             continue
         g = apply_linear_change(FERMAT, M)
-        ss = solve_all(build_family(g), SolveConfig())
-        assert ss.counts == EXPECTED, f"change of variables #{checked}"
+        report = theorem1_check(g, SolveConfig())
+        assert report.solution_set.counts == EXPECTED, f"change of variables #{checked}"
+        assert report.passed, f"change of variables #{checked}"
         checked += 1

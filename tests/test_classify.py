@@ -1,5 +1,6 @@
 """Unit tests for factorization of rank-3 Gram matrices and verification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from quartic_sos.classify import (
     theorem1_check,
     verify_representation,
 )
-from quartic_sos.solver import GramPoint, SolveConfig
+from quartic_sos.solver import GramPoint, SolveConfig, solve_all
 
 
 def _reconstruction_error(G: SymMatrix6, rep: Representation) -> float:
@@ -186,6 +187,35 @@ def test_theorem1_check_rejects_indefinite_input():
     with pytest.raises(HypothesisFailed) as err:
         theorem1_check(parse_quartic("x^4+y^4-z^4"))
     assert err.value.hypothesis == "nonnegative"
+    assert err.value.detail.startswith("counterexample")
+
+
+def test_theorem1_check_certifies_nonnegativity_by_a_psd_class(monkeypatch):
+    # a PSD rank-3 class is a sum of three squares of f, so no search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("nonnegativity search ran beside a PSD class")
+
+    monkeypatch.setattr(quartic_sos.classify, "nonnegativity_test", no_search)
+    report = theorem1_check(parse_quartic("x^4+y^4+z^4"))
+    assert report.passed
+    certificate = report.positivity.certificate
+    assert certificate.is_psd and certificate in report.solution_set.points
+    assert "nonnegativity" not in report.timings
+
+
+def test_theorem1_check_falls_back_to_the_ascent_without_a_psd_class(monkeypatch):
+    def solve_without_psd(family, config):
+        ss = solve_all(family, config)
+        points = tuple(p for p in ss.points if not p.is_psd)
+        return replace(ss, points=points, counts=(len(points), sum(p.is_real for p in points), 0))
+
+    monkeypatch.setattr(quartic_sos.classify, "solve_all", solve_without_psd)
+    report = theorem1_check(parse_quartic("x^4+y^4+z^4"))
+    assert report.positivity.nonnegative is True
+    assert report.positivity.ascent_max is not None
+    assert report.positivity.certificate not in report.solution_set.points
+    assert "nonnegativity" in report.timings
+    assert report.sos_total == 0 and not report.passed
 
 
 def test_theorem1_check_derives_basepoint_freeness(monkeypatch):

@@ -16,6 +16,7 @@ from quartic_sos.cli import (
     EXIT_VERIFY,
     main,
 )
+from quartic_sos.forms import apply_linear_change, parse_quartic
 
 FERMAT = "x^4 + y^4 + z^4"
 SINGULAR = "(x^2 + y^2 + z^2)^2"
@@ -279,6 +280,16 @@ def test_coefficient_beyond_float_range_is_rejected(command, form, capsys):
     assert "Traceback" not in captured.err
     assert "nonnegative:" not in captured.out
     assert "certified:" not in captured.out
+
+
+def test_decompose_certifies_ill_conditioned_change_of_variables(capsys):
+    # Fermat under ((-1,-1,1),(2,1,-3),(-3,-3,1)): the eigenvalue ascent
+    # alone leaves nonnegativity undecided here, the solve's PSD classes do not
+    g = apply_linear_change(parse_quartic(FERMAT), ((-1, -1, 1), (2, 1, -3), (-3, -3, 1)))
+    assert main(["decompose", str(g), "--seed", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "sums of three squares: 8 (expected 8) [ok]" in out
+    assert "certified: pass" in out
 
 
 def test_decompose_prints_path_counters_on_stderr(capsys):

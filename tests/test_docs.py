@@ -1,11 +1,17 @@
-"""The documented public surface: `__all__` and the README library example."""
+"""The documented public surface: `__all__`, the README library example, the demos."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import quartic_sos
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +27,11 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), scope)
     assert scope["report"].solution_set.counts == (63, 15, 8)
     assert scope["verify_representation"](scope["f"], scope["rep"]).passed
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
