@@ -84,22 +84,34 @@ class Representation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
-        """Read a certificate; ValueError on a number that is not finite."""
-        def coeff(re, im):
-            re, im = _finite(re), _finite(im)
+        """Read a certificate: three signs, each 1 or -1, and three forms of
+        six [re, im] pairs.  ValueError on any other shape or on a number
+        that is not finite."""
+        def coeff(pair):
+            re, im = map(_finite, _list_of(pair, 2, "[re, im] pairs"))
             return complex(re, im) if im != 0 else re
 
+        signs = tuple(map(_finite, _list_of(data["signs"], 3, "three signs")))
+        if not set(signs) <= {1, -1}:
+            raise ValueError(f"certificate signs must be 1 or -1, got {list(signs)}")
         forms = tuple(
-            QuadraticForm(tuple(coeff(re, im) for re, im in coeffs))
-            for coeffs in data["forms"]
+            QuadraticForm(tuple(map(coeff, _list_of(coeffs, 6, "six [re, im] pairs per form"))))
+            for coeffs in _list_of(data["forms"], 3, "three forms")
         )
         return cls(
-            signs=tuple(int(_finite(s)) for s in data["signs"]),
+            signs=tuple(int(s) for s in signs),
             forms=forms,
             class_lambda=tuple(complex(_finite(re), _finite(im)) for re, im in data["class_lambda"]),
             residual=_finite(data["residual"]),
             basepoint_free=data.get("basepoint_free"),
         )
+
+
+def _list_of(items, n: int, what: str) -> list:
+    """items if it is a JSON list of n entries, else ValueError naming `what`."""
+    if not isinstance(items, list) or len(items) != n:
+        raise ValueError(f"certificate needs {what}, got {items!r}")
+    return items
 
 
 def _finite(value) -> float:

@@ -134,7 +134,7 @@ def _coeff_from_json(value):
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"coefficient {value!r} is not a finite number")
-        return Fraction(value).limit_denominator(10**12) if value != int(value) else Fraction(int(value))
+        return Fraction(repr(value))  # the decimal the text parser would build
     raise ValueError(f"unsupported coefficient {value!r}")
 
 
@@ -381,6 +381,7 @@ def _extract_representations(data) -> List[Representation]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         f = _load_quartic(args.form, args.json_in)
+        f.float_scale()  # FloatRangeError before any certificate is read
     except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail_input(str(exc))
     try:

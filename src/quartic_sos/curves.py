@@ -1,10 +1,11 @@
 """Hypothesis checks for the representation theorem: smoothness and
 non-negativity of the quartic, plus basepoint-freeness of representations.
 
-Smoothness is decided exactly (Macaulay resultant of the gradient, see
-`resultant`), with a probabilistic Newton search for a singular point as
-an independent cross-check; the search runs after an exact power-of-2
-rescaling of x and y that brings the coefficients to one magnitude.
+Smoothness is decided exactly by one integer rank (the degree-7 multiples
+of the gradient span all septics, see `resultant`), with a probabilistic
+Newton search for a singular point as an independent cross-check; the
+search runs after an exact power-of-2 rescaling of x and y that brings the
+coefficients to one magnitude.
 Non-negativity is decided by a pair of one-sided searches: minimizing f on
 the unit sphere falsifies, and maximizing the minimum eigenvalue of the
 Gram family certifies (a PSD family member is a sum-of-squares witness,
@@ -25,12 +26,7 @@ import numpy as np
 
 from .forms import PolyDict, QuadraticForm, TernaryQuartic, gradient, poly_diff
 from .gram import KERNEL_BASIS_TENSOR, GramFamily, complete_squares
-from .resultant import (
-    RESULTANT_ORDERINGS,
-    DegenerateResultantError,
-    gradient_resultant_is_nonzero,
-    gradient_resultant_is_nonzero_gcp,
-)
+from .resultant import gradient_resultant_is_nonzero
 from .solver import GramPoint
 
 #: PSD / eigenvalue tolerance shared across the positivity decisions.
@@ -47,7 +43,7 @@ class CurveStatus:
     smooth: bool
     discriminant_sign: str  # "zero" or "nonzero"
     witness: Optional[Tuple[complex, complex, complex]] = None
-    method: str = "macaulay"
+    method: str = "macaulay"  # the one exact test; bench/spans.py reads it
 
 
 @dataclass(frozen=True)
@@ -62,29 +58,18 @@ class PositivityStatus:
 
 
 def smoothness_test(f: TernaryQuartic) -> CurveStatus:
-    """Exact smoothness decision via the Macaulay resultant of the gradient.
+    """Exact smoothness decision: the degree-7 multiples of the gradient
+    span all 36 septics exactly when the curve is smooth (`resultant`).
 
-    Orderings that hit the doubly-degenerate quotient are skipped; if all
-    four degenerate, the characteristic-polynomial perturbation decides
-    (still exact), so no numeric fallback is ever needed for the verdict.
+    A singular curve also gets a numeric witness point when the Newton
+    search finds one; the verdict never depends on it.
     """
     if not f.is_rational():
         raise ValueError("smoothness_test requires exact rational coefficients")
-    nonzero = None
-    method = "macaulay-gcp"
-    for idx, perm in enumerate(RESULTANT_ORDERINGS):
-        try:
-            nonzero = gradient_resultant_is_nonzero(f, perm)
-            method = "macaulay" if idx == 0 else f"macaulay-ordering-{idx}"
-            break
-        except DegenerateResultantError:
-            continue
-    if nonzero is None:
-        nonzero = gradient_resultant_is_nonzero_gcp(f)
-    if nonzero:
-        return CurveStatus(smooth=True, discriminant_sign="nonzero", method=method)
+    if gradient_resultant_is_nonzero(f):
+        return CurveStatus(smooth=True, discriminant_sign="nonzero")
     witness = _singular_witness(f, trials=200, seed=0)
-    return CurveStatus(smooth=False, discriminant_sign="zero", witness=witness, method=method)
+    return CurveStatus(smooth=False, discriminant_sign="zero", witness=witness)
 
 
 def numeric_singularity_oracle(f: TernaryQuartic, trials: int = 200, seed: int = 0) -> bool:

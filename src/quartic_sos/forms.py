@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Exponents = Tuple[int, int, int]
 PolyDict = Dict[Exponents, object]
@@ -38,13 +38,14 @@ def _grlex_key(e: Exponents):
     return (-sum(e), tuple(-v for v in e))
 
 
+def monomials_of_degree(d: int) -> List[Exponents]:
+    """Exponent triples of degree d, descending lexicographic order (which
+    within one degree is the graded-lex print order)."""
+    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+
+
 #: The 15 degree-4 exponent triples in canonical (graded-lex) print order.
-DEGREE4_MONOMIALS: Tuple[Exponents, ...] = tuple(
-    sorted(
-        ((a, b, 4 - a - b) for a in range(5) for b in range(5 - a)),
-        key=_grlex_key,
-    )
-)
+DEGREE4_MONOMIALS: Tuple[Exponents, ...] = tuple(monomials_of_degree(4))
 
 
 class FormError(ValueError):

@@ -1,234 +1,83 @@
-"""Exact integer linear algebra and the Macaulay resultant of three cubics.
+"""Exact smoothness of the curve f = 0: one integer rank.
 
-Smoothness of the curve f = 0 is a zero/nonzero question about the
-resultant of the gradient cubics, so everything here runs in exact
-rational/integer arithmetic: floating determinants cannot certify zero.
+The curve is singular exactly where f_x, f_y, f_z vanish together (by
+Euler's relation 4f = x*f_x + y*f_y + z*f_z such a point lies on it).
+Write the 45 products m*g, g a gradient cubic and m a degree-4 monomial,
+as rows over the 36 degree-7 monomials.  The curve is smooth exactly when
+this matrix has rank 36 (Macaulay 1916; Cox, Little & O'Shea, *Using
+Algebraic Geometry*, ch. 3):
 
-For three ternary cubics the Macaulay construction works in the critical
-degree 3+3+3-2 = 7.  The 36 degree-7 monomials index both rows and
-columns: a monomial divisible by x^3 contributes the row (m/x^3)*g1,
-else if divisible by y^3 the row (m/y^3)*g2, else (m/z^3)*g3.  With M the
-36x36 coefficient matrix and M' its 9x9 submatrix on the "non-reduced"
-monomials (those divisible by at least two of x^3, y^3, z^3),
+* a common zero of the cubics is a zero of every row combination, while
+  x^7, y^7, z^7 have none, so the rows cannot span all septics;
+* three cubics with no common zero form a regular sequence; the quotient
+  has Hilbert series (1+t+t^2)^3, of degree 6, so the ideal holds every
+  septic.
 
-    det(M) = Res(g1, g2, g3) * det(M').
-
-Hence det(M) != 0 certifies a nonzero resultant, det(M) = 0 with
-det(M') != 0 certifies a zero resultant, and the doubly-degenerate case
-is retried under permuted variable roles.
+A floating-point rank cannot certify a rank drop, so the rank is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import List, Sequence
 
-from .forms import PolyDict, TernaryQuartic, gradient
-
-
-class DegenerateResultantError(ArithmeticError):
-    """Both the Macaulay determinant and its minor vanish; quotient undefined."""
+from .forms import DEGREE4_MONOMIALS, PolyDict, TernaryQuartic, gradient, monomials_of_degree
 
 
-def monomials_of_degree(d: int) -> List[Tuple[int, int, int]]:
-    """Exponent triples of degree d, descending lexicographic order."""
-    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
-
-
-def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
-    n = len(rows)
-    m = [list(map(int, r)) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
+def _primitive(row: Sequence) -> List[int]:
+    """A row of ints and Fractions, scaled by a positive rational to primitive integers."""
+    den = math.lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (den // v.denominator) for v in row]
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with exact rational entries, by Gaussian elimination."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
+    """Rank of a matrix of ints and Fractions, by fraction-free elimination.
+
+    Rows are cleared to primitive integers, which keeps the rank.  Bareiss
+    elimination keeps every entry an integer minor, so each division by
+    the previous pivot is exact.  The pivot is the nonzero entry of
+    smallest absolute value in its column; only the columns from the
+    pivot's on are updated.
+    """
+    m = [r for r in map(_primitive, rows) if any(r)]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        live = [i for i in range(rank, len(m)) if m[i][col]]
+        if not live:
             continue
+        piv = min(live, key=lambda i: abs(m[i][col]))
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        top = m[rank][col:]
+        p = top[0]
+        for row in m[rank + 1:]:
+            a = row[col]
+            if a:
+                row[col:] = [(v * p - a * w) // prev for v, w in zip(row[col:], top)]
+            elif p != prev:
+                row[col:] = [v * p // prev for v in row[col:]]
+        prev = p
         rank += 1
-        col += 1
     return rank
 
 
-_DEG7 = monomials_of_degree(7)
-_COL = {m: i for i, m in enumerate(_DEG7)}
-#: Monomials divisible by at least two of x^3, y^3, z^3.
-_NON_REDUCED = [i for i, (a, b, c) in enumerate(_DEG7)
-                if (a >= 3) + (b >= 3) + (c >= 3) >= 2]
+_COL = {m: i for i, m in enumerate(monomials_of_degree(7))}
 
 
-def macaulay_matrix(cubics: Sequence[PolyDict]) -> List[List[Fraction]]:
-    """The 36x36 Macaulay matrix of three ternary cubics, exact."""
-    if len(cubics) != 3:
-        raise ValueError("expected three cubics")
+def macaulay_matrix(cubics: Sequence[PolyDict]) -> List[List]:
+    """The 45x36 coefficients of the products m*g over the degree-7 monomials,
+    g one of the three cubics and m one of the 15 degree-4 monomials."""
     rows = []
-    for a, b, c in _DEG7:
-        if a >= 3:
-            k, shift = 0, (a - 3, b, c)
-        elif b >= 3:
-            k, shift = 1, (a, b - 3, c)
-        else:
-            k, shift = 2, (a, b, c - 3)
-        row = [Fraction(0)] * 36
-        for e, coeff in cubics[k].items():
-            tgt = (e[0] + shift[0], e[1] + shift[1], e[2] + shift[2])
-            row[_COL[tgt]] += Fraction(coeff)
-        rows.append(row)
+    for g in cubics:
+        for a, b, c in DEGREE4_MONOMIALS:
+            row = [0] * len(_COL)
+            for (p, q, r), coeff in g.items():
+                row[_COL[(a + p, b + q, c + r)]] = coeff
+            rows.append(row)
     return rows
 
 
-def _clear_rows(rows: List[List[Fraction]]) -> List[List[int]]:
-    cleared = []
-    for row in rows:
-        den = 1
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
-        cleared.append([int(v * den) for v in row])
-    return cleared
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def integer_rescale(f: TernaryQuartic) -> TernaryQuartic:
-    """Scale a rational quartic by the lcm of denominators: integer coeffs.
-
-    The resultant of the gradient is homogeneous in the coefficients, so
-    positive scaling preserves its zero/nonzero status.
-    """
-    den = 1
-    for c in f.coeffs.values():
-        d = Fraction(c).denominator
-        den = den * d // _gcd(den, d)
-    return f.scaled(den) if den != 1 else f
-
-
-def macaulay_determinants(cubics: Sequence[PolyDict]) -> Tuple[int, int]:
-    """(det M, det M') for the Macaulay matrix, with rows scaled to integers.
-
-    Row scaling by nonzero rationals preserves the zero/nonzero status of
-    both determinants, which is all the smoothness decision consumes.
-    """
-    rows = _clear_rows(macaulay_matrix(cubics))
-    d_full = det_bareiss(rows)
-    sub = [[rows[i][j] for j in _NON_REDUCED] for i in _NON_REDUCED]
-    d_minor = det_bareiss(sub)
-    return d_full, d_minor
-
-
-#: Variable-role permutations tried in order: identity, then three fallbacks.
-RESULTANT_ORDERINGS: Tuple[Tuple[int, int, int], ...] = (
-    (0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1),
-)
-
-
-def permute_variables(f: TernaryQuartic, perm: Tuple[int, int, int]) -> TernaryQuartic:
-    """Relabel variables; common-zero existence questions are invariant."""
-    return TernaryQuartic({(e[perm[0]], e[perm[1]], e[perm[2]]): c
-                           for e, c in f.coeffs.items()})
-
-
-def gradient_resultant_is_nonzero(f: TernaryQuartic, perm: Tuple[int, int, int] = (0, 1, 2)) -> bool:
-    """Exact decision: Res(f_x, f_y, f_z) != 0 under one variable ordering.
-
-    Raises DegenerateResultantError when this ordering cannot decide.
-    """
-    fp = permute_variables(f, perm)
-    d_full, d_minor = macaulay_determinants(list(gradient(fp)))
-    if d_full != 0:
-        return True
-    if d_minor != 0:
-        return False
-    raise DegenerateResultantError(
-        "Macaulay numerator and denominator both vanish under ordering %r" % (perm,)
-    )
-
-
-def charpoly_int(A: Sequence[Sequence[int]]) -> List[int]:
-    """Coefficients of det(tI - A) for an integer matrix, highest power first.
-
-    Faddeev-LeVerrier recurrence; every division by k is exact over the
-    integers because the characteristic polynomial has integer coefficients.
-    """
-    n = len(A)
-    A = [list(map(int, row)) for row in A]
-    N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = [1]
-    for k in range(1, n + 1):
-        AN = [[sum(A[i][l] * N[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        ak = -sum(AN[i][i] for i in range(n)) // k
-        for i in range(n):
-            AN[i][i] += ak
-        N = AN
-        coeffs.append(ak)
-    return coeffs
-
-
-def _trailing_order(coeffs: List[int]) -> int:
-    """Multiplicity of the root t = 0: p(t) = sum coeffs[i] t^(n-i)."""
-    n = len(coeffs) - 1
-    last_nonzero = max(i for i, c in enumerate(coeffs) if c != 0)
-    return n - last_nonzero
-
-
-def gradient_resultant_is_nonzero_gcp(f: TernaryQuartic) -> bool:
-    """Exact decision by characteristic-polynomial perturbation; never degenerate.
-
-    Perturbing the gradient cubics to (f_x + t x^3, f_y + t y^3, f_z + t z^3)
-    adds t to every Macaulay diagonal entry, so det M(t) = det(M + tI) and
-    det M'(t) = det(M' + tI) are characteristic polynomials and
-
-        det M(t) = Res(t) * det M'(t)
-
-    as polynomials in t with Res(0) the resultant of the unperturbed system.
-    Hence Res != 0 exactly when the t = 0 root multiplicities of det M(t)
-    and det M'(t) coincide.  The quartic is rescaled to integer
-    coefficients first so that M itself is the integer Macaulay matrix of
-    the scaled gradient (no per-row scaling, which would break M + tI).
-    """
-    fz = integer_rescale(f)
-    rows = [[int(v) for v in row] for row in macaulay_matrix(list(gradient(fz)))]
-    neg_full = [[-v for v in row] for row in rows]
-    neg_minor = [[-rows[i][j] for j in _NON_REDUCED] for i in _NON_REDUCED]
-    ord_full = _trailing_order(charpoly_int(neg_full))
-    ord_minor = _trailing_order(charpoly_int(neg_minor))
-    return ord_full == ord_minor
+def gradient_resultant_is_nonzero(f: TernaryQuartic) -> bool:
+    """Exact decision: Res(f_x, f_y, f_z) != 0, i.e. the curve f = 0 is smooth."""
+    return exact_rank(macaulay_matrix(gradient(f))) == len(_COL)

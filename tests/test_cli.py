@@ -107,6 +107,30 @@ def test_non_finite_json_number_exits_2(argv, cert, tmp_path, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("fields", [
+    {"signs": [1]},
+    {"signs": [4, 0, 0], "forms": [[[0.5 if j == i else 0, 0] for j in range(6)] for i in range(3)]},
+    {"signs": [1, 1, 1, 1]},
+    {"signs": [1, 1, 0.5]},
+    {"signs": "111"},
+    {"forms": UNIT_FORMS[:2]},
+    {"forms": UNIT_FORMS + UNIT_FORMS[:1]},
+    {"forms": [UNIT_FORMS[0][:5]] + UNIT_FORMS[1:]},
+    {"forms": [[[1, 0, 0]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]},
+    {"forms": [[[1]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]},
+], ids=["one-sign", "sign-4-and-0", "four-signs", "sign-half", "signs-string", "two-forms",
+        "four-forms", "five-pairs", "triple-not-pair", "single-not-pair"])
+def test_verify_malformed_certificate_exits_2(fields, tmp_path, capsys):
+    # the first two re-expand to x^4 if zip drops the extra forms, or if
+    # 4 * (0.5*x^2)^2 counts with the sign 4
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_fermat_cert(**fields)), encoding="utf-8")
+    assert main(["verify", "x^4", "--cert", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read certificates")
+
+
 def test_verify_unreadable_certificate_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify", FERMAT, "--cert", str(missing)]) == EXIT_INPUT
@@ -166,6 +190,17 @@ def test_json_in_inline_matches_file(tmp_path, capsys):
 
     assert out_inline == out_file
     assert "nonnegative: no" in out_inline
+
+
+def test_json_in_float_matches_its_decimal_text(capsys):
+    # a JSON float is the decimal its repr shows; 1e-13 rounded to 0 would
+    # leave the singular curve x^4 + y^4
+    assert main(["check", "--json-in", '{"4,0,0": 1, "0,4,0": 1, "0,0,4": 1e-13}']) == EXIT_OK
+    out_json = capsys.readouterr().out
+    assert main(["check", "x^4+y^4+0.0000000000001*z^4"]) == EXIT_OK
+    out_text = capsys.readouterr().out
+    assert out_json == out_text
+    assert "smooth: yes" in out_json
 
 
 def test_decompose_singular_fails_hypothesis_and_uses_env_seed(
@@ -266,14 +301,19 @@ def test_corpus_count_zero_is_deterministic(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("command", ["check", "decompose", "verify"])
 @pytest.mark.parametrize("form", ["10^400*x^4 + y^4 + z^4", "10^400*x^4 + y^4 - z^4",
                                   "0.{}1*(x^4 + y^4 + z^4)".format("0" * 399)])
-def test_coefficient_beyond_float_range_is_rejected(command, form, capsys):
+def test_coefficient_beyond_float_range_is_rejected(command, form, tmp_path, capsys):
     # divided by 10^400, y^4 and z^4 would round to 0 and leave x^4, whose
     # verdicts would be reported for the indefinite quartic too; a tiny
     # largest coefficient would round the scale itself to 0
-    rc = main([command, form])
+    argv = [command, form]
+    if command == "verify":
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(_fermat_cert()), encoding="utf-8")
+        argv += ["--cert", str(path)]
+    rc = main(argv)
     captured = capsys.readouterr()
     assert rc == EXIT_INPUT
     assert "float range" in captured.err
