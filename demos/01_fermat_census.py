@@ -41,7 +41,7 @@ rep = sos[0]
 print("\none certificate, f = p1^2 + p2^2 + p3^2 with")
 for k, form in enumerate(rep.forms, start=1):
     print(f"  p{k} =", tidy(form))
-verdict = verify_representation(f, rep)
+[verdict] = verify_representation(f, [rep])
 print("re-expansion residual:", verdict.residual)
 print("verified:", verdict.passed)
 

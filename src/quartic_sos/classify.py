@@ -85,8 +85,8 @@ class Representation:
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
         """Read a certificate: three signs, each 1 or -1, and three forms of
-        six [re, im] pairs.  ValueError on any other shape or on a number
-        that is not finite."""
+        six [re, im] pairs, not all zero.  ValueError on any other shape or
+        on a number that is not finite."""
         def coeff(pair):
             re, im = map(_finite, _list_of(pair, 2, "[re, im] pairs"))
             return complex(re, im) if im != 0 else re
@@ -98,6 +98,8 @@ class Representation:
             QuadraticForm(tuple(map(coeff, _list_of(coeffs, 6, "six [re, im] pairs per form"))))
             for coeffs in _list_of(data["forms"], 3, "three forms")
         )
+        if all(form.is_zero() for form in forms):
+            raise ValueError("certificate forms are all zero")
         return cls(
             signs=tuple(int(s) for s in signs),
             forms=forms,
@@ -200,23 +202,28 @@ class VerifyVerdict:
     exact: bool
 
 
-def verify_representation(f: TernaryQuartic, rep: Representation) -> VerifyVerdict:
-    """Re-expand sum sign_i form_i^2 and compare to f coefficientwise.
+def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> List[VerifyVerdict]:
+    """Re-expand each sum sign_i form_i^2 and compare to f coefficientwise;
+    one verdict per representation, in order.
 
     Exact rational arithmetic whenever every coefficient is rational;
-    double precision otherwise.
+    double precision otherwise.  The basepoint searches of all the
+    representations run as one batch (`basepoint_check`).
     """
-    exact = f.is_rational() and all(
-        all(isinstance(c, (int, Fraction)) for c in form.coeffs) for form in rep.forms
-    )
-    residual = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
-    free = basepoint_check(rep.forms)
-    return VerifyVerdict(
-        passed=residual <= REPRESENTATION_TOL,
-        residual=residual,
-        basepoint_free=free,
-        exact=exact,
-    )
+    frees = basepoint_check([rep.forms for rep in reps])
+    verdicts = []
+    for rep, free in zip(reps, frees):
+        exact = f.is_rational() and all(
+            all(isinstance(c, (int, Fraction)) for c in form.coeffs) for form in rep.forms
+        )
+        residual = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
+        verdicts.append(VerifyVerdict(
+            passed=residual <= REPRESENTATION_TOL,
+            residual=residual,
+            basepoint_free=free,
+            exact=exact,
+        ))
+    return verdicts
 
 
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:

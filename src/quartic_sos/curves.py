@@ -11,8 +11,16 @@ the unit sphere falsifies, and maximizing the minimum eigenvalue of the
 Gram family certifies (a PSD family member is a sum-of-squares witness,
 which for ternary quartics is equivalent to non-negativity); the
 certificate's signature is read off its completion of squares
-(`gram.complete_squares`).  Both Newton searches and the sphere search
-evaluate f and its derivatives through one table of the Hessian entries.
+(`gram.complete_squares`).  The singular-point search and the sphere
+search evaluate f and its derivatives through one table of the Hessian
+entries.
+
+Basepoint-freeness of representations is checked by a Newton search for a
+common zero of the three conics, batched over many triples: every triple is
+tracked from the same seeded starts in the same chart, each conic v . Q v
+gives its value and Jacobian 2 Q v from one product Q v, and all the
+arithmetic is per point, so a triple's verdict does not depend on the batch.
+The singular-point search runs through the same Newton routine.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,91 +102,102 @@ def _hessian_vectors(f: TernaryQuartic, scale: float) -> np.ndarray:
     return H.reshape(9, 6).T
 
 
-def _hessians(table: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) Hessians H(v) per row of pts."""
-    return (_eval_monomials(pts) @ table).reshape(-1, 3, 3)
-
-
-def _gradients(table: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(n, 3) gradients per row of pts; by Euler's relation grad f = H(v) v / 3."""
-    return (_hessians(table, pts) @ pts[:, :, None])[:, :, 0] / 3.0
+def _gradients_and_hessians(table: np.ndarray, pts: np.ndarray):
+    """Gradients and Hessians H(v) per point of pts, of shapes pts.shape and
+    pts.shape[:-1] + (3, 3); by Euler's relation grad f = H(v) v / 3."""
+    H = (_eval_monomials(pts) @ table).reshape(pts.shape[:-1] + (3, 3))
+    return (H @ pts[..., None])[..., 0] / 3.0, H
 
 
 def _eval_monomials(pts: np.ndarray) -> np.ndarray:
-    """Monomial vector m(v) = (x^2, y^2, z^2, yz, xz, xy) per row."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.stack([x * x, y * y, z * z, y * z, x * z, x * y], axis=1)
-
-
-def _eval_dmonomials(pts: np.ndarray) -> np.ndarray:
-    """(n, 6, 3) Jacobian of the monomial vector."""
-    n = pts.shape[0]
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    o = np.zeros_like(x)
-    D = np.empty((n, 6, 3), dtype=pts.dtype)
-    D[:, 0] = np.stack([2 * x, o, o], axis=1)
-    D[:, 1] = np.stack([o, 2 * y, o], axis=1)
-    D[:, 2] = np.stack([o, o, 2 * z], axis=1)
-    D[:, 3] = np.stack([o, z, y], axis=1)
-    D[:, 4] = np.stack([z, o, x], axis=1)
-    D[:, 5] = np.stack([y, x, o], axis=1)
-    return D
+    """Monomial vector m(v) = (x^2, y^2, z^2, yz, xz, xy) per point."""
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    return np.stack([x * x, y * y, z * z, y * z, x * z, x * y], axis=-1)
 
 
 def _damped_step(J, F):
-    """Batched damped normal-equation step d = -(J^H J + mu I)^-1 J^H F.
+    """Damped normal-equation step d = -(J^H J + mu I)^-1 J^H F over any
+    leading axes, J of shape (..., m, 3) and F of shape (..., m).
 
     mu is a tiny multiple of trace(J^H J): it keeps the solve regular at a
-    rank-deficient Jacobian without slowing quadratic convergence.
+    rank-deficient Jacobian without slowing quadratic convergence.  The 3x3
+    Hermitian system is solved in closed form by its LDL^H factorization,
+    elementwise, so each point's step is the same whatever it is batched with.
     """
-    JH = np.conj(np.transpose(J, (0, 2, 1)))
-    A = JH @ J
-    mu = 1e-12 * np.trace(A, axis1=1, axis2=2).real[:, None, None] + 1e-14
-    A = A + mu * np.eye(J.shape[2], dtype=A.dtype)[None]
-    return np.linalg.solve(A, -(JH @ F[:, :, None]))[:, :, 0]
+    A = b = 0.0
+    for r in range(J.shape[-2]):
+        row = np.conj(J[..., r, :])
+        A = A + row[..., :, None] * J[..., r, None, :]
+        b = b - row * F[..., r, None]
+    d0, d1, d2 = A[..., 0, 0].real, A[..., 1, 1].real, A[..., 2, 2].real
+    mu = 1e-12 * (d0 + d1 + d2) + 1e-14
+    d0 = d0 + mu
+    l10 = A[..., 1, 0] / d0
+    l20 = A[..., 2, 0] / d0
+    d1 = d1 + mu - (l10.real ** 2 + l10.imag ** 2) * d0
+    l21 = (A[..., 2, 1] - l20 * np.conj(l10) * d0) / d1
+    d2 = d2 + mu - (l20.real ** 2 + l20.imag ** 2) * d0 - (l21.real ** 2 + l21.imag ** 2) * d1
+    y1 = b[..., 1] - l10 * b[..., 0]
+    y2 = b[..., 2] - l20 * b[..., 0] - l21 * y1
+    x2 = y2 / d2
+    x1 = y1 / d1 - np.conj(l21) * x2
+    x0 = b[..., 0] / d0 - np.conj(l10) * x1 - np.conj(l20) * x2
+    return np.stack([x0, x1, x2], axis=-1)
 
 
-def _seeded_common_zeros(eqs, eqs_jac, stream: int, trials: int, seed: int, iters: int = 60):
-    """Unit-normalized Newton limits for three homogeneous equations in v.
+def _seeded_common_zeros(system, copies: int, stream: int, trials: int, seed: int,
+                         iters: int = 60):
+    """Unit-normalized Newton limits of `copies` systems of three homogeneous
+    equations in v, each tracked from the same seeded starts.
 
-    Damped Gauss-Newton with backtracking on {eqs(v) = 0, a . v = 1}, a a
-    seeded random complex chart, from `trials` seeded complex starts;
-    `eqs` and `eqs_jac` map (n, 3) points to (n, 3) values and (n, 3, 3)
-    Jacobians.  Limits that collapsed to the origin are dropped.
+    Damped Gauss-Newton with backtracking on {E(v) = 0, a . v = 1}, a a
+    seeded random complex chart, from `trials` seeded complex starts.
+    `system` maps points of shape (copies, trials, 3) to the values
+    (copies, trials, 3) and Jacobians (copies, trials, 3, 3) of each copy's
+    equations.  Every point takes the first step length that
+    lowers its residual norm, or keeps still: the backtracking runs by masks
+    over the whole batch, and all arithmetic is per point, so a copy's limits
+    do not depend on the others.  Returns the limits, shape
+    (copies, trials, 3), and a mask of those that did not collapse to the
+    origin.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
     chart = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    z = np.empty((trials, 3), dtype=complex)
+    starts = np.empty((trials, 3), dtype=complex)
     for t in range(trials):
         g = np.random.default_rng(np.random.SeedSequence([seed, stream, t]))
-        z[t] = (g.standard_normal(3) + 1j * g.standard_normal(3)) / np.sqrt(2)
+        starts[t] = (g.standard_normal(3) + 1j * g.standard_normal(3)) / np.sqrt(2)
 
-    def fval(z):
-        F = np.empty((z.shape[0], 4), dtype=complex)
-        F[:, :3] = eqs(z)
-        F[:, 3] = z @ chart - 1.0
-        return F
+    def residual(z):
+        """Values F of the four equations at z and their norms."""
+        E, JE = system(z)
+        F = np.empty(z.shape[:-1] + (4,), dtype=complex)
+        F[..., :3] = E
+        F[..., 3] = z[..., 0] * chart[0] + z[..., 1] * chart[1] + z[..., 2] * chart[2] - 1.0
+        return F, JE, np.linalg.norm(F, axis=-1)
 
+    z = np.broadcast_to(starts, (copies, trials, 3)).copy()
+    F, JE, nrm = residual(z)
+    J = np.empty(z.shape[:-1] + (4, 3), dtype=complex)
+    J[..., 3, :] = chart
     for _ in range(iters):
-        F = fval(z)
-        J = np.empty((z.shape[0], 4, 3), dtype=complex)
-        J[:, :3, :] = eqs_jac(z)
-        J[:, 3, :] = chart
-        nrm = np.linalg.norm(F, axis=1)
+        J[..., :3, :] = JE
         delta = _damped_step(J, F)
-        undecided = np.ones(z.shape[0], dtype=bool)
+        undecided = np.ones(nrm.shape, dtype=bool)
         for alpha in (1.0, 0.5, 0.25, 0.125):
-            idx = np.flatnonzero(undecided)
-            if idx.size == 0:
+            cand = z + alpha * delta
+            Fc, JEc, nc = residual(cand)
+            take = undecided & (nc < nrm)  # nrm is unchanged where undecided
+            for new, old in ((cand, z), (Fc, F), (JEc, JE), (nc, nrm)):
+                np.copyto(old, new, where=take.reshape(take.shape + (1,) * (old.ndim - take.ndim)))
+            undecided &= ~take
+            if not undecided.any():
                 break
-            cand = z[idx] + alpha * delta[idx]
-            better = np.linalg.norm(fval(cand), axis=1) < nrm[idx]
-            sel = idx[better]
-            z[sel] = cand[better]
-            undecided[sel] = False
-    norms = np.linalg.norm(z, axis=1)
+        if undecided.all():
+            break  # no point moved, so none ever will
+    norms = np.linalg.norm(z, axis=-1)
     good = norms > 1e-8
-    return z[good] / norms[good, None]
+    return z / np.where(good, norms, 1.0)[..., None], good
 
 
 def _balancing_exponents(f: TernaryQuartic) -> Tuple[int, int]:
@@ -201,48 +220,72 @@ def _singular_witness(f: TernaryQuartic, trials: int, seed: int):
     `_balancing_exponents`: the substitution is exact and keeps smoothness,
     and it keeps the absolute residual test meaningful when the coefficients
     of f span many orders of magnitude.  A witness v of g maps back to Dv.
+    The Jacobian of the gradient is the Hessian.
     """
     f.float_scale()  # a verdict on a rounded f would not be one on f
     a, b = _balancing_exponents(f)
     D = np.array([2.0 ** a, 2.0 ** b, 1.0])
     g = TernaryQuartic({e: c * Fraction(2) ** (a * e[0] + b * e[1]) for e, c in f.coeffs.items()})
     table = _hessian_vectors(g, g.float_scale())
-    zn = _seeded_common_zeros(lambda pts: _gradients(table, pts), lambda pts: _hessians(table, pts),
-                              102, trials, seed)
-    if zn.shape[0] == 0:
-        return None
-    res = np.max(np.abs(_gradients(table, zn)), axis=1)
+    zn, good = _seeded_common_zeros(lambda pts: _gradients_and_hessians(table, pts),
+                                    1, 102, trials, seed)
+    grads = _gradients_and_hessians(table, zn)[0]
+    res = np.where(good, np.max(np.abs(grads), axis=-1), np.inf)[0]
     best = int(np.argmin(res))
     if res[best] < NEWTON_RESIDUAL_TOL:
-        w = zn[best] * D
+        w = zn[0, best] * D
         return tuple(complex(c) for c in w / np.linalg.norm(w))
     return None
 
 
-def basepoint_check(forms: Sequence[QuadraticForm], trials: int = 100, seed: int = 0) -> bool:
-    """True iff the three conics have no common projective zero (basepoint-free).
+#: Triples per batched basepoint search; keeps its memory bounded whatever the
+#: number of triples.
+BASEPOINT_BLOCK = 64
 
-    One-sided Newton search; a found common zero is certified by its
-    residual at a unit-normalized point.
+#: Index into a conic's coefficients (x^2, y^2, z^2, yz, xz, xy) and weight of
+#: each entry of its symmetric matrix Q, so that the conic is v . Q v.
+_CONIC_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+_CONIC_WEIGHT = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+
+
+def basepoint_check(triples: Sequence[Sequence[QuadraticForm]], trials: int = 100,
+                    seed: int = 0) -> List[bool]:
+    """For each triple of conics, in order: True iff they have no common
+    projective zero (basepoint-free).
+
+    One-sided Newton search, run for up to BASEPOINT_BLOCK triples at once
+    from the same seeded starts; a found common zero is certified by its
+    residual at a unit-normalized point.  A triple's verdict does not depend
+    on the other triples.  ValueError when a triple's forms are all zero.
     """
-    C = np.array([[complex(c) for c in form.coeffs] for form in forms])
-    if not np.any(np.abs(C) > 0):
+    if any(len(triple) != 3 for triple in triples):
+        raise ValueError("basepoint_check takes triples of conics")
+    C = np.array([[form.coeffs for form in triple] for triple in triples],
+                 dtype=complex).reshape(-1, 3, 6)
+    row_scale = np.max(np.abs(C), axis=-1)
+    if np.any(np.all(row_scale == 0, axis=-1)):
         raise ValueError("forms must not all be zero")
-    row_scale = np.max(np.abs(C), axis=1)
     row_scale[row_scale == 0] = 1.0
-    Cn = C / row_scale[:, None]
+    Q = (C / row_scale[..., None])[..., _CONIC_INDEX] * _CONIC_WEIGHT
+    free: List[bool] = []
+    for lo in range(0, len(Q), BASEPOINT_BLOCK):
+        free.extend(_basepoint_free(Q[lo:lo + BASEPOINT_BLOCK], trials, seed))
+    return free
 
-    def conics(z):
-        return _eval_monomials(z) @ Cn.T
 
-    def conics_jac(z):
-        return np.einsum("km,nmj->nkj", Cn, _eval_dmonomials(z))
+def _basepoint_free(Q: np.ndarray, trials: int, seed: int) -> List[bool]:
+    """basepoint_check on the conics' matrices Q, shape (copies, 3, 3, 3)."""
+    rows = np.swapaxes(Q.reshape(-1, 9, 3), 1, 2)  # v @ rows[c] lists Q_k v of copy c
 
-    zn = _seeded_common_zeros(conics, conics_jac, 103, trials, seed)
-    if zn.shape[0] == 0:
-        return True
-    res = np.max(np.abs(conics(zn)), axis=1)
-    return not bool(np.min(res) < NEWTON_RESIDUAL_TOL)
+    def conic_system(pts):
+        # one product Q_k v gives conic k's value v . Q_k v and its gradient 2 Q_k v
+        Qv = (pts @ rows).reshape(pts.shape[:-1] + (3, 3))
+        v = pts[..., None, :]
+        return Qv[..., 0] * v[..., 0] + Qv[..., 1] * v[..., 1] + Qv[..., 2] * v[..., 2], 2.0 * Qv
+
+    zn, good = _seeded_common_zeros(conic_system, Q.shape[0], 103, trials, seed)
+    res = np.max(np.abs(conic_system(zn)[0]), axis=-1)
+    return (~np.any(good & (res < NEWTON_RESIDUAL_TOL), axis=-1)).tolist()
 
 
 def _sphere_falsify(f: TernaryQuartic, scale: float, seed: int, starts: int = 100, iters: int = 150):
@@ -256,7 +299,7 @@ def _sphere_falsify(f: TernaryQuartic, scale: float, seed: int, starts: int = 10
     table = _hessian_vectors(f, scale)
 
     def value_and_gradient(pts):
-        grads = _gradients(table, pts)
+        grads = _gradients_and_hessians(table, pts)[0]
         return np.sum(pts * grads, axis=1) / 4.0, grads
 
     pts = np.empty((starts, 3))

@@ -85,17 +85,22 @@ def test_criterion_2_certificate_split(fermat_run):
     nonreal = [r for r in report.representations if not r.is_real]
     assert (len(sos), len(mixed), len(nonreal)) == (8, 7, 48)
 
+    verdicts = dict(zip(map(id, report.representations),
+                        verify_representation(FERMAT, report.representations)))
+    assert len(verdicts) == 63
     for rep in sos:
         assert rep.signs == (1, 1, 1)
         assert all(
             complex(c).imag == 0 for form in rep.forms for c in form.coeffs
         )
-        verdict = verify_representation(FERMAT, rep)
+        verdict = verdicts[id(rep)]
         assert verdict.passed
         assert verdict.residual <= 1e-8
     for rep in mixed:
         assert set(rep.signs) == {-1, 1}
-        assert verify_representation(FERMAT, rep).residual <= 1e-8
+        assert verdicts[id(rep)].residual <= 1e-8
+    # Fermat is smooth, so the batched search finds no base point in any class
+    assert all(v.basepoint_free for v in verdicts.values())
 
     cr = report.count_report
     assert cr["nonreal_total"] == 48

@@ -120,7 +120,7 @@ def test_verify_representation_exact_pass():
         class_lambda=(0,) * 6,
         residual=0.0,
     )
-    verdict = verify_representation(f, rep)
+    [verdict] = verify_representation(f, [rep])
     assert verdict.passed and verdict.exact
     assert verdict.residual == 0
     assert verdict.basepoint_free
@@ -134,7 +134,7 @@ def test_verify_representation_wrong_forms_fail():
         class_lambda=(0,) * 6,
         residual=0.0,
     )
-    assert not verify_representation(f, rep).passed
+    assert not verify_representation(f, [rep])[0].passed
 
 
 def test_verify_representation_float_path():
@@ -146,7 +146,7 @@ def test_verify_representation_float_path():
         class_lambda=(0,) * 6,
         residual=0.0,
     )
-    verdict = verify_representation(f, rep)
+    [verdict] = verify_representation(f, [rep])
     assert verdict.passed and not verdict.exact
 
 
@@ -174,7 +174,7 @@ def test_classify_point_on_trivial_fermat_class():
                       residual=0.0, hits=1, first_restart=0)
     rep = classify_point(family, point)
     assert rep.is_sum_of_squares
-    assert verify_representation(f, rep).passed
+    assert verify_representation(f, [rep])[0].passed
 
 
 def test_theorem1_check_rejects_singular_input():

@@ -6,8 +6,10 @@ captured stdout/stderr, so the console-script wiring stays a thin shim.
 
 import json
 
+import numpy as np
 import pytest
 
+import quartic_sos.curves
 from quartic_sos.cli import (
     EXIT_COUNTS,
     EXIT_HYPOTHESIS,
@@ -118,8 +120,9 @@ def test_non_finite_json_number_exits_2(argv, cert, tmp_path, capsys):
     {"forms": [UNIT_FORMS[0][:5]] + UNIT_FORMS[1:]},
     {"forms": [[[1, 0, 0]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]},
     {"forms": [[[1]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]},
+    {"forms": [[[0, 0]] * 6] * 3},
 ], ids=["one-sign", "sign-4-and-0", "four-signs", "sign-half", "signs-string", "two-forms",
-        "four-forms", "five-pairs", "triple-not-pair", "single-not-pair"])
+        "four-forms", "five-pairs", "triple-not-pair", "single-not-pair", "all-zero-forms"])
 def test_verify_malformed_certificate_exits_2(fields, tmp_path, capsys):
     # the first two re-expand to x^4 if zip drops the extra forms, or if
     # 4 * (0.5*x^2)^2 counts with the sign 4
@@ -168,6 +171,22 @@ def test_check_singular_quartic(capsys):
     assert "smooth: no (exact" in out
     assert "singular point near:" in out
     assert out.rstrip().endswith("eligible for certified counts: no")
+
+
+@pytest.mark.parametrize("seed, searches", [("0", 1), ("1", 2)])
+def test_check_singular_quartic_searches_once_per_seed(seed, searches, monkeypatch, capsys):
+    # at seed 0 the oracle's search is the one smoothness_test ran for its witness
+    calls = []
+    original = quartic_sos.curves._singular_witness
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quartic_sos.curves, "_singular_witness", counted)
+    assert main(["check", SINGULAR, "--seed", seed]) == EXIT_OK
+    assert len(calls) == searches
+    assert "numeric singularity search: found [agrees]" in capsys.readouterr().out
 
 
 def test_check_indefinite_quartic(capsys):
@@ -282,6 +301,32 @@ def test_verify_single_handwritten_certificate(tmp_path, capsys):
     assert "[1] pass  residual 0" in out
     assert "basepoint-free" in out
     assert "verified 1/1 representation(s)" in out
+
+
+def test_verify_runs_one_basepoint_search_per_certificate_file(tmp_path, monkeypatch, capsys):
+    # 21 rotations (p1, p2, p3) = R (x^2, y^2, z^2) with R orthogonal keep
+    # the sum of squares equal to the Fermat quartic
+    rng = np.random.default_rng(3)
+    certs = []
+    for _ in range(21):
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        forms = [[[float(R[i, j]), 0.0] for j in range(3)] + [[0.0, 0.0]] * 3 for i in range(3)]
+        certs.append(_fermat_cert(forms=forms))
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(certs), encoding="utf-8")
+    calls = []
+    original = quartic_sos.curves._seeded_common_zeros
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quartic_sos.curves, "_seeded_common_zeros", counted)
+    assert main(["verify", FERMAT, "--cert", str(path)]) == EXIT_OK
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert out.count("pass") == 21 and out.count(", basepoint-free") == 21
+    assert "verified 21/21 representation(s)" in out
 
 
 def test_corpus_count_zero_is_deterministic(capsys):

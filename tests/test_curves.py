@@ -18,6 +18,7 @@ from quartic_sos.forms import (
 from quartic_sos.gram import build_family, gram_to_quartic
 from quartic_sos.curves import (
     PSD_TOL,
+    _damped_step,
     basepoint_check,
     nonnegativity_test,
     numeric_singularity_oracle,
@@ -155,8 +156,44 @@ def test_numeric_stages_reject_coefficients_beyond_float_range():
     assert parse_quartic("10^300*x^4 + y^4 - z^4").float_scale() == 1e300
 
 
+def test_damped_step_matches_a_dense_solve():
+    # the closed-form LDL^H solve against numpy's LU solve of the same damped
+    # normal equations, over two leading axes and on a rank-deficient J
+    rng = np.random.default_rng(11)
+    J = rng.standard_normal((2, 5, 4, 3)) + 1j * rng.standard_normal((2, 5, 4, 3))
+    J[1, 0, :, 2] = J[1, 0, :, 0]
+    F = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
+    JH = np.conj(np.swapaxes(J, -1, -2))
+    A = JH @ J
+    mu = 1e-12 * np.trace(A, axis1=-2, axis2=-1).real + 1e-14
+    A = A + mu[..., None, None] * np.eye(3)
+    want = np.linalg.solve(A, -(JH @ F[..., None]))[..., 0]
+    got = _damped_step(J, F)
+    assert got.shape == want.shape
+    well_posed = np.ones((2, 5), dtype=bool)
+    well_posed[1, 0] = False
+    assert np.allclose(got[well_posed], want[well_posed], rtol=1e-10, atol=0)
+    # at the rank-deficient J both are a least-squares step of the same size
+    assert np.allclose(J[1, 0] @ got[1, 0], J[1, 0] @ want[1, 0], rtol=1e-6)
+
+
 def test_basepoint_check_named_examples():
     free = (QuadraticForm.parse("x^2"), QuadraticForm.parse("y^2"), QuadraticForm.parse("z^2"))
-    assert basepoint_check(free)
+    assert basepoint_check([free]) == [True]
     shared = (QuadraticForm.parse("x^2"), QuadraticForm.parse("x*y"), QuadraticForm.parse("x*z"))
-    assert not basepoint_check(shared)
+    assert basepoint_check([shared]) == [False]
+    # multiples of one conic share its zeros; three random conics share none
+    sphere = QuadraticForm.parse("x^2 + y^2 + z^2")
+    multiples = tuple(QuadraticForm(tuple(k * c for c in sphere.coeffs)) for k in (1, -2, 3))
+    rng = np.random.default_rng(7)
+    random_free = tuple(QuadraticForm(tuple(rng.standard_normal(6))) for _ in range(3))
+    batch = [free, shared, multiples, random_free]
+    alone = [basepoint_check([triple])[0] for triple in batch]
+    assert alone == [True, False, False, True]
+    # one batched search gives each triple the verdict it gets alone, in order
+    assert basepoint_check(batch) == alone
+    assert basepoint_check(batch[::-1]) == alone[::-1]
+    # past one block of triples as well
+    assert basepoint_check(batch * 17) == alone * 17
+    with pytest.raises(ValueError):
+        basepoint_check([(QuadraticForm((0,) * 6),) * 3])

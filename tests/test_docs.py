@@ -26,7 +26,7 @@ def test_readme_library_example_runs():
     scope: dict = {}
     exec(compile(code, "README.md", "exec"), scope)
     assert scope["report"].solution_set.counts == (63, 15, 8)
-    assert scope["verify_representation"](scope["f"], scope["rep"]).passed
+    assert all(v.passed for v in scope["verdicts"])
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
