@@ -122,26 +122,36 @@ def _damped_step(J, F):
     mu is a tiny multiple of trace(J^H J): it keeps the solve regular at a
     rank-deficient Jacobian without slowing quadratic convergence.  The 3x3
     Hermitian system is solved in closed form by its LDL^H factorization,
-    elementwise, so each point's step is the same whatever it is batched with.
+    elementwise, from the lower triangle of J^H J formed entry by entry: each
+    point's step is the same whatever it is batched with, and every
+    temporary holds one number per point.
     """
-    A = b = 0.0
-    for r in range(J.shape[-2]):
-        row = np.conj(J[..., r, :])
-        A = A + row[..., :, None] * J[..., r, None, :]
-        b = b - row * F[..., r, None]
-    d0, d1, d2 = A[..., 0, 0].real, A[..., 1, 1].real, A[..., 2, 2].real
+    def gram(i, j):  # (J^H J)_ij
+        acc = 0.0
+        for r in range(J.shape[-2]):
+            acc = acc + np.conj(J[..., r, i]) * J[..., r, j]
+        return acc
+
+    def rhs(i):  # -(J^H F)_i
+        acc = 0.0
+        for r in range(J.shape[-2]):
+            acc = acc - np.conj(J[..., r, i]) * F[..., r]
+        return acc
+
+    b0, b1, b2 = rhs(0), rhs(1), rhs(2)
+    d0, d1, d2 = gram(0, 0).real, gram(1, 1).real, gram(2, 2).real
     mu = 1e-12 * (d0 + d1 + d2) + 1e-14
     d0 = d0 + mu
-    l10 = A[..., 1, 0] / d0
-    l20 = A[..., 2, 0] / d0
+    l10 = gram(1, 0) / d0
+    l20 = gram(2, 0) / d0
     d1 = d1 + mu - (l10.real ** 2 + l10.imag ** 2) * d0
-    l21 = (A[..., 2, 1] - l20 * np.conj(l10) * d0) / d1
+    l21 = (gram(2, 1) - l20 * np.conj(l10) * d0) / d1
     d2 = d2 + mu - (l20.real ** 2 + l20.imag ** 2) * d0 - (l21.real ** 2 + l21.imag ** 2) * d1
-    y1 = b[..., 1] - l10 * b[..., 0]
-    y2 = b[..., 2] - l20 * b[..., 0] - l21 * y1
+    y1 = b1 - l10 * b0
+    y2 = b2 - l20 * b0 - l21 * y1
     x2 = y2 / d2
     x1 = y1 / d1 - np.conj(l21) * x2
-    x0 = b[..., 0] / d0 - np.conj(l10) * x1 - np.conj(l20) * x2
+    x0 = b0 / d0 - np.conj(l10) * x1 - np.conj(l20) * x2
     return np.stack([x0, x1, x2], axis=-1)
 
 
@@ -152,12 +162,15 @@ def _seeded_common_zeros(system, copies: int, stream: int, trials: int, seed: in
 
     Damped Gauss-Newton with backtracking on {E(v) = 0, a . v = 1}, a a
     seeded random complex chart, from `trials` seeded complex starts.
-    `system` maps points of shape (copies, trials, 3) to the values
-    (copies, trials, 3) and Jacobians (copies, trials, 3, 3) of each copy's
-    equations.  Every point takes the first step length that
-    lowers its residual norm, or keeps still: the backtracking runs by masks
-    over the whole batch, and all arithmetic is per point, so a copy's limits
-    do not depend on the others.  Returns the limits, shape
+    `system(pts, E, JE)` writes the values E, shape (copies, trials, 3),
+    and Jacobians JE, shape (copies, trials, 3, 3), of each copy's equations
+    at points pts of shape (copies, trials, 3).  Every point takes the first
+    step length that lowers its residual norm, or keeps still: the
+    backtracking runs by masks over the whole batch, and all arithmetic is
+    per point, so a copy's limits do not depend on the others.  Every call
+    runs all `iters` iterations and tries all four step lengths in each, on
+    buffers allocated once, so its cost depends on the batch's shape alone,
+    not on how fast its points converge.  Returns the limits, shape
     (copies, trials, 3), and a mask of those that did not collapse to the
     origin.
     """
@@ -168,33 +181,34 @@ def _seeded_common_zeros(system, copies: int, stream: int, trials: int, seed: in
         g = np.random.default_rng(np.random.SeedSequence([seed, stream, t]))
         starts[t] = (g.standard_normal(3) + 1j * g.standard_normal(3)) / np.sqrt(2)
 
-    def residual(z):
-        """Values F of the four equations at z and their norms."""
-        E, JE = system(z)
-        F = np.empty(z.shape[:-1] + (4,), dtype=complex)
-        F[..., :3] = E
+    def residual(z, F, J, nrm):
+        """Values F of the four equations at z, their Jacobian J and norms nrm."""
+        system(z, F[..., :3], J[..., :3, :])
         F[..., 3] = z[..., 0] * chart[0] + z[..., 1] * chart[1] + z[..., 2] * chart[2] - 1.0
-        return F, JE, np.linalg.norm(F, axis=-1)
+        nrm[...] = np.linalg.norm(F, axis=-1)
 
+    # the state at z and at the candidate points, each held in one buffer
     z = np.broadcast_to(starts, (copies, trials, 3)).copy()
-    F, JE, nrm = residual(z)
-    J = np.empty(z.shape[:-1] + (4, 3), dtype=complex)
-    J[..., 3, :] = chart
+    cand = np.empty_like(z)
+    F, Fc = (np.empty((copies, trials, 4), dtype=complex) for _ in range(2))
+    J, Jc = (np.empty((copies, trials, 4, 3), dtype=complex) for _ in range(2))
+    J[..., 3, :] = Jc[..., 3, :] = chart
+    nrm, nc = np.empty((copies, trials)), np.empty((copies, trials))
+    residual(z, F, J, nrm)
+    undecided = np.empty((copies, trials), dtype=bool)
+    take = np.empty_like(undecided)
     for _ in range(iters):
-        J[..., :3, :] = JE
         delta = _damped_step(J, F)
-        undecided = np.ones(nrm.shape, dtype=bool)
+        undecided[...] = True
         for alpha in (1.0, 0.5, 0.25, 0.125):
-            cand = z + alpha * delta
-            Fc, JEc, nc = residual(cand)
-            take = undecided & (nc < nrm)  # nrm is unchanged where undecided
-            for new, old in ((cand, z), (Fc, F), (JEc, JE), (nc, nrm)):
+            np.multiply(alpha, delta, out=cand)
+            np.add(z, cand, out=cand)
+            residual(cand, Fc, Jc, nc)
+            np.less(nc, nrm, out=take)
+            take &= undecided  # nrm is unchanged where undecided
+            for new, old in ((cand, z), (Fc, F), (Jc, J), (nc, nrm)):
                 np.copyto(old, new, where=take.reshape(take.shape + (1,) * (old.ndim - take.ndim)))
             undecided &= ~take
-            if not undecided.any():
-                break
-        if undecided.all():
-            break  # no point moved, so none ever will
     norms = np.linalg.norm(z, axis=-1)
     good = norms > 1e-8
     return z / np.where(good, norms, 1.0)[..., None], good
@@ -227,8 +241,11 @@ def _singular_witness(f: TernaryQuartic, trials: int, seed: int):
     D = np.array([2.0 ** a, 2.0 ** b, 1.0])
     g = TernaryQuartic({e: c * Fraction(2) ** (a * e[0] + b * e[1]) for e, c in f.coeffs.items()})
     table = _hessian_vectors(g, g.float_scale())
-    zn, good = _seeded_common_zeros(lambda pts: _gradients_and_hessians(table, pts),
-                                    1, 102, trials, seed)
+
+    def gradient_system(pts, E, JE):
+        E[...], JE[...] = _gradients_and_hessians(table, pts)
+
+    zn, good = _seeded_common_zeros(gradient_system, 1, 102, trials, seed)
     grads = _gradients_and_hessians(table, zn)[0]
     res = np.where(good, np.max(np.abs(grads), axis=-1), np.inf)[0]
     best = int(np.argmin(res))
@@ -276,15 +293,22 @@ def basepoint_check(triples: Sequence[Sequence[QuadraticForm]], trials: int = 10
 def _basepoint_free(Q: np.ndarray, trials: int, seed: int) -> List[bool]:
     """basepoint_check on the conics' matrices Q, shape (copies, 3, 3, 3)."""
     rows = np.swapaxes(Q.reshape(-1, 9, 3), 1, 2)  # v @ rows[c] lists Q_k v of copy c
+    Qv = np.empty((Q.shape[0], trials, 9), dtype=complex)
 
-    def conic_system(pts):
+    def conic_system(pts, E, JE):
         # one product Q_k v gives conic k's value v . Q_k v and its gradient 2 Q_k v
-        Qv = (pts @ rows).reshape(pts.shape[:-1] + (3, 3))
+        np.matmul(pts, rows, out=Qv)
+        Qk = Qv.reshape(pts.shape[:-1] + (3, 3))
         v = pts[..., None, :]
-        return Qv[..., 0] * v[..., 0] + Qv[..., 1] * v[..., 1] + Qv[..., 2] * v[..., 2], 2.0 * Qv
+        np.multiply(Qk[..., 0], v[..., 0], out=E)
+        E += Qk[..., 1] * v[..., 1]
+        E += Qk[..., 2] * v[..., 2]
+        np.multiply(2.0, Qk, out=JE)
 
     zn, good = _seeded_common_zeros(conic_system, Q.shape[0], 103, trials, seed)
-    res = np.max(np.abs(conic_system(zn)[0]), axis=-1)
+    E, JE = np.empty(zn.shape, dtype=complex), np.empty(zn.shape + (3,), dtype=complex)
+    conic_system(zn, E, JE)
+    res = np.max(np.abs(E), axis=-1)
     return (~np.any(good & (res < NEWTON_RESIDUAL_TOL), axis=-1)).tolist()
 
 

@@ -197,3 +197,33 @@ def test_basepoint_check_named_examples():
     assert basepoint_check(batch * 17) == alone * 17
     with pytest.raises(ValueError):
         basepoint_check([(QuadraticForm((0,) * 6),) * 3])
+
+
+def test_newton_search_cost_does_not_depend_on_the_input(monkeypatch):
+    # every search runs all 60 iterations and tries all four step lengths in
+    # each, on triples whose starts converge at once and on those that stall
+    import quartic_sos.curves as curves
+
+    evaluations = []
+    original = curves._seeded_common_zeros
+
+    def counted(system, *args, **kwargs):
+        evaluations.append(0)
+
+        def counted_system(*a):
+            evaluations[-1] += 1
+            return system(*a)
+
+        return original(counted_system, *args, **kwargs)
+
+    monkeypatch.setattr(curves, "_seeded_common_zeros", counted)
+    free = (QuadraticForm.parse("x^2"), QuadraticForm.parse("y^2"), QuadraticForm.parse("z^2"))
+    shared = (QuadraticForm.parse("x^2"), QuadraticForm.parse("x*y"), QuadraticForm.parse("x*z"))
+    sphere = QuadraticForm.parse("x^2 + y^2 + z^2")
+    multiples = tuple(QuadraticForm(tuple(k * c for c in sphere.coeffs)) for k in (1, -2, 3))
+    for triple in (free, shared, multiples):
+        basepoint_check([triple])
+    for quartic in ("x^4 + y^4 + z^4", "(x^2 + y^2 + z^2)^2"):
+        numeric_singularity_oracle(parse_quartic(quartic))
+    # one evaluation at the starts, then four per iteration
+    assert evaluations == [1 + 60 * 4] * 5
