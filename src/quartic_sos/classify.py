@@ -207,7 +207,7 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
     one verdict per representation, in order.
 
     Exact rational arithmetic whenever every coefficient is rational;
-    double precision otherwise.  The basepoint searches of all the
+    double precision otherwise.  The basepoint tests of all the
     representations run as one batch (`basepoint_check`).
     """
     frees = basepoint_check([rep.forms for rep in reps])
@@ -307,7 +307,7 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     # Smoothness makes every representation basepoint-free: a common zero v
     # of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)
     # = 0, so v would be a singular point, and smoothness was decided exactly
-    # above.  The numeric basepoint search stays in `verify`, where f may be
+    # above.  The numeric basepoint test stays in `verify`, where f may be
     # singular.
     reps = [replace(classify_point(family, point), basepoint_free=True)
             for point in solution_set.points]

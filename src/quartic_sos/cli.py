@@ -202,11 +202,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if curve.witness is not None:
         w = ", ".join(_fmt_num(c) for c in curve.witness)
         out.write(f"singular point near: ({w})\n")
-    if not smooth and seed == 0:
-        # smoothness_test already ran the seed-0 search for its witness
-        found_evidence = curve.witness is not None
-    else:
-        found_evidence = numeric_singularity_oracle(f, seed=seed)
+    found_evidence = numeric_singularity_oracle(f)
     out.write(
         f"numeric singularity search: "
         f"{'found' if found_evidence else 'none found'} "

@@ -1,19 +1,22 @@
-"""Exact smoothness of the curve f = 0: one integer rank.
+"""Macaulay matrices: common zeros of forms by linear algebra.
 
-The curve is singular exactly where f_x, f_y, f_z vanish together (by
-Euler's relation 4f = x*f_x + y*f_y + z*f_z such a point lies on it).
-Write the 45 products m*g, g a gradient cubic and m a degree-4 monomial,
-as rows over the 36 degree-7 monomials.  The curve is smooth exactly when
-this matrix has rank 36 (Macaulay 1916; Cox, Little & O'Shea, *Using
-Algebraic Geometry*, ch. 3):
+`macaulay_matrix(polys, d)` writes the products m*p, p one of the forms and
+m a monomial of degree d - deg(p), as rows over the degree-d monomials.  A
+common zero v of the forms is a zero of every row combination, so the
+vector e_d(v) = (v^a), |a| = d, lies in the matrix's null space (Macaulay
+1916; Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 3).  Every
+Macaulay matrix of the package comes from this one builder:
 
-* a common zero of the cubics is a zero of every row combination, while
-  x^7, y^7, z^7 have none, so the rows cannot span all septics;
-* three cubics with no common zero form a regular sequence; the quotient
-  has Hilbert series (1+t+t^2)^3, of degree 6, so the ideal holds every
-  septic.
-
-A floating-point rank cannot certify a rank drop, so the rank is exact.
+* smoothness of the curve f = 0 (here): it is singular exactly where
+  f_x, f_y, f_z vanish together (by Euler's relation 4f = x*f_x + y*f_y +
+  z*f_z such a point lies on it).  Three cubics with no common zero form a
+  regular sequence; the quotient has Hilbert series (1+t+t^2)^3, of degree
+  6, so the ideal holds every septic.  Hence the 45x36 matrix of the
+  gradient at degree 7 has rank 36 exactly when the curve is smooth, and
+  `gradient_resultant_is_nonzero` decides it by an exact integer rank: a
+  floating-point rank cannot certify a rank drop.
+* basepoint-freeness of three conics at degree 4, and the float cross-check
+  and witness point of a singular curve (`curves`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from .forms import DEGREE4_MONOMIALS, PolyDict, TernaryQuartic, gradient, monomials_of_degree
+from .forms import PolyDict, TernaryQuartic, gradient, monomials_of_degree
 
 
 def _primitive(row: Sequence) -> List[int]:
@@ -62,22 +65,24 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-_COL = {m: i for i, m in enumerate(monomials_of_degree(7))}
-
-
-def macaulay_matrix(cubics: Sequence[PolyDict]) -> List[List]:
-    """The 45x36 coefficients of the products m*g over the degree-7 monomials,
-    g one of the three cubics and m one of the 15 degree-4 monomials."""
+def macaulay_matrix(polys: Sequence[PolyDict], degree: int) -> List[List]:
+    """Coefficients of the products m*p over the monomials of `degree`, p one
+    of the forms and m one of the monomials of degree `degree - deg(p)`, in
+    the order of `polys` and of `monomials_of_degree`; a zero form adds no
+    rows."""
+    col = {m: i for i, m in enumerate(monomials_of_degree(degree))}
     rows = []
-    for g in cubics:
-        for a, b, c in DEGREE4_MONOMIALS:
-            row = [0] * len(_COL)
-            for (p, q, r), coeff in g.items():
-                row[_COL[(a + p, b + q, c + r)]] = coeff
+    for p in polys:
+        if not p:
+            continue
+        for a, b, c in monomials_of_degree(degree - sum(next(iter(p)))):
+            row = [0] * len(col)
+            for (i, j, k), coeff in p.items():
+                row[col[(a + i, b + j, c + k)]] = coeff
             rows.append(row)
     return rows
 
 
 def gradient_resultant_is_nonzero(f: TernaryQuartic) -> bool:
     """Exact decision: Res(f_x, f_y, f_z) != 0, i.e. the curve f = 0 is smooth."""
-    return exact_rank(macaulay_matrix(gradient(f))) == len(_COL)
+    return exact_rank(macaulay_matrix(gradient(f), 7)) == 36

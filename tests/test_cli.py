@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-import quartic_sos.curves
+import quartic_sos.classify
 from quartic_sos.cli import (
     EXIT_COUNTS,
     EXIT_HYPOTHESIS,
@@ -173,20 +173,30 @@ def test_check_singular_quartic(capsys):
     assert out.rstrip().endswith("eligible for certified counts: no")
 
 
-@pytest.mark.parametrize("seed, searches", [("0", 1), ("1", 2)])
-def test_check_singular_quartic_searches_once_per_seed(seed, searches, monkeypatch, capsys):
-    # at seed 0 the oracle's search is the one smoothness_test ran for its witness
-    calls = []
-    original = quartic_sos.curves._singular_witness
+def _printed_point(out: str) -> np.ndarray:
+    line = next(l for l in out.splitlines() if l.startswith("singular point near: "))
+    entries = line[len("singular point near: ("):-1].split(", ")
+    return np.array([complex(e.strip("()").replace("i", "j")) for e in entries])
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(quartic_sos.curves, "_singular_witness", counted)
-    assert main(["check", SINGULAR, "--seed", seed]) == EXIT_OK
-    assert len(calls) == searches
-    assert "numeric singularity search: found [agrees]" in capsys.readouterr().out
+@pytest.mark.parametrize("text", ["x^2*y^2 + z^4", "x^3*y + z^4"])
+def test_check_prints_the_singular_point(text, capsys):
+    # (0:1:0) is singular on both curves, a non-Morse point on the second
+    assert main(["check", text]) == EXIT_OK
+    w = _printed_point(capsys.readouterr().out)
+    w = w / np.linalg.norm(w)
+    assert abs(w[0]) < 1e-8 and abs(w[2]) < 1e-8
+
+
+def test_check_singular_lines_do_not_depend_on_the_seed(capsys):
+    lines = []
+    for seed in ("0", "1"):
+        assert main(["check", SINGULAR, "--seed", seed]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        lines.append([l for l in out if l.startswith(("smooth:", "singular point near:",
+                                                      "numeric singularity search:"))])
+    assert len(lines[0]) == 3 and lines[0] == lines[1]
+    assert lines[0][2] == "numeric singularity search: found [agrees]"
 
 
 def test_check_indefinite_quartic(capsys):
@@ -315,15 +325,15 @@ def test_verify_runs_one_basepoint_search_per_certificate_file(tmp_path, monkeyp
     path = tmp_path / "certs.json"
     path.write_text(json.dumps(certs), encoding="utf-8")
     calls = []
-    original = quartic_sos.curves._seeded_common_zeros
+    original = quartic_sos.classify.basepoint_check
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(triples):
+        calls.append(len(triples))
+        return original(triples)
 
-    monkeypatch.setattr(quartic_sos.curves, "_seeded_common_zeros", counted)
+    monkeypatch.setattr(quartic_sos.classify, "basepoint_check", counted)
     assert main(["verify", FERMAT, "--cert", str(path)]) == EXIT_OK
-    assert len(calls) == 1
+    assert calls == [21]
     out = capsys.readouterr().out
     assert out.count("pass") == 21 and out.count(", basepoint-free") == 21
     assert "verified 21/21 representation(s)" in out

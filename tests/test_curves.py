@@ -18,7 +18,6 @@ from quartic_sos.forms import (
 from quartic_sos.gram import build_family, gram_to_quartic
 from quartic_sos.curves import (
     PSD_TOL,
-    _damped_step,
     basepoint_check,
     nonnegativity_test,
     numeric_singularity_oracle,
@@ -76,7 +75,7 @@ def test_numeric_oracle_named_examples():
     "x^2*y^2 + z^4",
 ])
 def test_oracle_agrees_with_exact_test_on_unbalanced_coefficients(text):
-    # the Newton search runs on f(2^a x, 2^b y, z), so coefficients many
+    # the float tests run on f(2^a x, 2^b y, z), so coefficients many
     # orders of magnitude apart neither fake nor hide a singular point
     f = parse_quartic(text)
     curve = smoothness_test(f)
@@ -156,27 +155,6 @@ def test_numeric_stages_reject_coefficients_beyond_float_range():
     assert parse_quartic("10^300*x^4 + y^4 - z^4").float_scale() == 1e300
 
 
-def test_damped_step_matches_a_dense_solve():
-    # the closed-form LDL^H solve against numpy's LU solve of the same damped
-    # normal equations, over two leading axes and on a rank-deficient J
-    rng = np.random.default_rng(11)
-    J = rng.standard_normal((2, 5, 4, 3)) + 1j * rng.standard_normal((2, 5, 4, 3))
-    J[1, 0, :, 2] = J[1, 0, :, 0]
-    F = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
-    JH = np.conj(np.swapaxes(J, -1, -2))
-    A = JH @ J
-    mu = 1e-12 * np.trace(A, axis1=-2, axis2=-1).real + 1e-14
-    A = A + mu[..., None, None] * np.eye(3)
-    want = np.linalg.solve(A, -(JH @ F[..., None]))[..., 0]
-    got = _damped_step(J, F)
-    assert got.shape == want.shape
-    well_posed = np.ones((2, 5), dtype=bool)
-    well_posed[1, 0] = False
-    assert np.allclose(got[well_posed], want[well_posed], rtol=1e-10, atol=0)
-    # at the rank-deficient J both are a least-squares step of the same size
-    assert np.allclose(J[1, 0] @ got[1, 0], J[1, 0] @ want[1, 0], rtol=1e-6)
-
-
 def test_basepoint_check_named_examples():
     free = (QuadraticForm.parse("x^2"), QuadraticForm.parse("y^2"), QuadraticForm.parse("z^2"))
     assert basepoint_check([free]) == [True]
@@ -190,40 +168,57 @@ def test_basepoint_check_named_examples():
     batch = [free, shared, multiples, random_free]
     alone = [basepoint_check([triple])[0] for triple in batch]
     assert alone == [True, False, False, True]
-    # one batched search gives each triple the verdict it gets alone, in order
+    # one batched test gives each triple the verdict it gets alone, in order
     assert basepoint_check(batch) == alone
     assert basepoint_check(batch[::-1]) == alone[::-1]
-    # past one block of triples as well
+    # in a long batch as well
     assert basepoint_check(batch * 17) == alone * 17
     with pytest.raises(ValueError):
         basepoint_check([(QuadraticForm((0,) * 6),) * 3])
 
 
-def test_newton_search_cost_does_not_depend_on_the_input(monkeypatch):
-    # every search runs all 60 iterations and tries all four step lengths in
-    # each, on triples whose starts converge at once and on those that stall
-    import quartic_sos.curves as curves
+def _monomials(p: np.ndarray) -> np.ndarray:
+    x, y, z = p
+    return np.array([x * x, y * y, z * z, y * z, x * z, x * y])
 
-    evaluations = []
-    original = curves._seeded_common_zeros
 
-    def counted(system, *args, **kwargs):
-        evaluations.append(0)
+def _conics(rng, complex_: bool, shape) -> np.ndarray:
+    draw = rng.standard_normal(shape)
+    return draw + 1j * rng.standard_normal(shape) if complex_ else draw
 
-        def counted_system(*a):
-            evaluations[-1] += 1
-            return system(*a)
 
-        return original(counted_system, *args, **kwargs)
+def _triple(rows: np.ndarray):
+    return tuple(QuadraticForm(tuple(complex(c) if np.iscomplexobj(rows) else float(c)
+                                     for c in row)) for row in rows)
 
-    monkeypatch.setattr(curves, "_seeded_common_zeros", counted)
-    free = (QuadraticForm.parse("x^2"), QuadraticForm.parse("y^2"), QuadraticForm.parse("z^2"))
-    shared = (QuadraticForm.parse("x^2"), QuadraticForm.parse("x*y"), QuadraticForm.parse("x*z"))
-    sphere = QuadraticForm.parse("x^2 + y^2 + z^2")
-    multiples = tuple(QuadraticForm(tuple(k * c for c in sphere.coeffs)) for k in (1, -2, 3))
-    for triple in (free, shared, multiples):
-        basepoint_check([triple])
-    for quartic in ("x^4 + y^4 + z^4", "(x^2 + y^2 + z^2)^2"):
-        numeric_singularity_oracle(parse_quartic(quartic))
-    # one evaluation at the starts, then four per iteration
-    assert evaluations == [1 + 60 * 4] * 5
+
+def _through(rng, p: np.ndarray, complex_: bool) -> np.ndarray:
+    """Three random conics, each projected to vanish at p."""
+    Q = _conics(rng, complex_, (3, 6))
+    m = _monomials(p)
+    return Q - np.outer(Q @ m, m.conj()) / (m.conj() @ m)
+
+
+def test_conics_through_one_real_point_are_never_free():
+    # 200 triples through one random real point each, mixed with 200 free
+    # random triples: one batch, and every verdict follows the construction
+    rng = np.random.default_rng(np.random.SeedSequence([15, 0]))
+    shared = [_triple(_through(rng, rng.standard_normal(3), False)) for _ in range(200)]
+    free = [_triple(_conics(rng, False, (3, 6))) for _ in range(200)]
+    order = rng.permutation(400)
+    batch = [(shared + free)[i] for i in order]
+    assert basepoint_check(batch) == [bool(i >= 200) for i in order]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_basepoint_decision_at_a_planted_common_zero(complex_):
+    # a common zero planted at a random point, then every coefficient moved
+    # by eps: shared at eps = 0, free at eps = 1e-6
+    rng = np.random.default_rng(np.random.SeedSequence([15, 1, int(complex_)]))
+    planted, moved = [], []
+    for _ in range(50):
+        Q = _through(rng, _conics(rng, complex_, 3), complex_)
+        planted.append(_triple(Q))
+        moved.append(_triple(Q + 1e-6 * _conics(rng, complex_, (3, 6))))
+    assert basepoint_check(planted) == [False] * 50
+    assert basepoint_check(moved) == [True] * 50

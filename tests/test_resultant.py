@@ -89,7 +89,7 @@ def test_monomials_of_degree_seven_count():
 
 def test_macaulay_matrix_shape():
     cubics = list(gradient(parse_quartic("x^4+y^4+z^4")))
-    M = macaulay_matrix(cubics)
+    M = macaulay_matrix(cubics, 7)
     assert len(M) == 45 and all(len(r) == 36 for r in M)
 
 
@@ -97,7 +97,7 @@ def test_macaulay_matrix_fermat_full_rank():
     # the rows 4*x^3*m, 4*y^3*m, 4*z^3*m reach every septic but those in
     # x^a y^b z^c with a, b, c <= 2, and there are none of degree 7
     cubics = list(gradient(parse_quartic("x^4+y^4+z^4")))
-    assert exact_rank(macaulay_matrix(cubics)) == 36
+    assert exact_rank(macaulay_matrix(cubics, 7)) == 36
 
 
 def test_gradient_resultant_named_examples():
