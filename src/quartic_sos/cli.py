@@ -202,7 +202,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if curve.witness is not None:
         w = ", ".join(_fmt_num(c) for c in curve.witness)
         out.write(f"singular point near: ({w})\n")
-    found_evidence = numeric_singularity_oracle(f)
+    if smooth:
+        found_evidence = numeric_singularity_oracle(f)
+    else:
+        # smoothness_test already ran the same deterministic search for its witness
+        found_evidence = curve.witness is not None
     out.write(
         f"numeric singularity search: "
         f"{'found' if found_evidence else 'none found'} "

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import quartic_sos.classify
+import quartic_sos.curves
 from quartic_sos.cli import (
     EXIT_COUNTS,
     EXIT_HYPOTHESIS,
@@ -186,6 +187,23 @@ def test_check_prints_the_singular_point(text, capsys):
     w = _printed_point(capsys.readouterr().out)
     w = w / np.linalg.norm(w)
     assert abs(w[0]) < 1e-8 and abs(w[2]) < 1e-8
+
+
+@pytest.mark.parametrize("seed, runs", [("0", 1), ("1", 2)])
+def test_check_singular_quartic_searches_once_per_seed(seed, runs, monkeypatch, capsys):
+    # the oracle's answer is smoothness_test's witness search, not a second one
+    calls = []
+    original = quartic_sos.curves._singular_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quartic_sos.curves, "_singular_point", counted)
+    for _ in range(runs):
+        assert main(["check", SINGULAR, "--seed", seed]) == EXIT_OK
+        assert "numeric singularity search: found [agrees]" in capsys.readouterr().out
+    assert len(calls) == runs
 
 
 def test_check_singular_lines_do_not_depend_on_the_seed(capsys):
