@@ -19,7 +19,11 @@ the unit sphere falsifies, and maximizing the minimum eigenvalue of the
 Gram family certifies (a PSD family member is a sum-of-squares witness,
 which for ternary quartics is equivalent to non-negativity); the
 certificate's signature is read off its completion of squares
-(`gram.complete_squares`).  The sphere search evaluates f and its
+(`gram.complete_squares`).  For rational f the ascent stops at the first
+iterate whose Gram matrix, read as exact rationals, an LDL^T in Fractions
+proves positive definite (`ldl_positive_definite`): that is a proof of
+f >= 0.  Only when no iterate is proved does the ascent run to its end
+and decide at tolerance.  The sphere search evaluates f and its
 derivatives through one table of the Hessian entries.
 """
 
@@ -42,7 +46,7 @@ from .forms import (
     poly_diff,
     poly_eval,
 )
-from .gram import KERNEL_BASIS_TENSOR, GramFamily, complete_squares
+from .gram import KERNEL_BASIS_TENSOR, GramFamily, SymMatrix6, complete_squares
 from .resultant import gradient_resultant_is_nonzero, macaulay_matrix
 from .solver import GramPoint
 
@@ -110,7 +114,8 @@ class PositivityStatus:
     certificate: Optional[GramPoint] = None
     counterexample: Optional[Tuple[float, float, float]] = None
     counterexample_value: Optional[float] = None
-    ascent_max: Optional[float] = None
+    ascent_max: Optional[float] = None  # minimum eigenvalue of the certificate (f / max |c|)
+    exact: bool = False  # True when an exact LDL^T proved the certificate positive definite
 
 
 def smoothness_test(f: TernaryQuartic) -> CurveStatus:
@@ -319,8 +324,35 @@ def _sphere_falsify(f: TernaryQuartic, scale: float, seed: int, starts: int = 10
     return float(vals[best]), pts[best]
 
 
-def _eig_ascent(G0n, seed: int, restarts: int = 10, iters: int = 300):
-    """Supergradient ascent on lam -> min-eigenvalue of G(lam); returns best."""
+def ldl_positive_definite(G: SymMatrix6) -> bool:
+    """True iff the exact symmetric G is positive definite.
+
+    LDL^T without pivoting in Fractions: the k-th pivot is the ratio of the
+    k-th and (k-1)-th leading principal minors, so all six are > 0 exactly
+    when G > 0 (Sylvester's criterion).  Elimination stops at the first
+    pivot that is not.
+    """
+    A = [[Fraction(G[i, j]) for j in range(6)] for i in range(6)]
+    for k in range(6):
+        d = A[k][k]
+        if d <= 0:
+            return False
+        for i in range(k + 1, 6):
+            l = A[i][k] / d
+            if l:
+                for j in range(k + 1, i + 1):
+                    A[i][j] -= l * A[j][k]
+    return True
+
+
+def _eig_ascent(G0n, seed: int, proves=None, restarts: int = 10, iters: int = 300):
+    """Supergradient ascent on lam -> min-eigenvalue of G(lam).
+
+    Returns (value, lam, proved).  Each new best iterate with a positive
+    value is offered to `proves`; the ascent stops at the first one it
+    accepts (proved True).  Otherwise all restarts run and the best iterate
+    is returned with proved False.
+    """
     Bt = KERNEL_BASIS_TENSOR
     best_val, best_lam = -np.inf, np.zeros(6)
     for j in range(restarts):
@@ -333,13 +365,15 @@ def _eig_ascent(G0n, seed: int, restarts: int = 10, iters: int = 300):
             ev, U = np.linalg.eigh(G0n + np.einsum("i,iab->ab", lam, Bt))
             if ev[0] > best_val:
                 best_val, best_lam = float(ev[0]), lam.copy()
+                if best_val > 0 and proves is not None and proves(best_lam):
+                    return best_val, best_lam, True
             u = U[:, 0]
             supergrad = np.einsum("iab,a,b->i", Bt, u, u)
             norm = np.linalg.norm(supergrad)
             if norm < 1e-14:
                 break
             lam = lam + (0.3 / np.sqrt(k + 1.0)) * supergrad / norm
-    return best_val, best_lam
+    return best_val, best_lam, False
 
 
 def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> PositivityStatus:
@@ -351,6 +385,15 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
     Decisions use the quartic rescaled to unit max coefficient, making verdicts
     invariant under positive scaling; FloatRangeError when floats cannot
     hold it (`TernaryQuartic.float_scale`).
+
+    For rational f the ascent stops at its first iterate whose Gram matrix
+    is proved positive definite: lam scaled back to f, a dyadic float, is
+    read as an exact rational lam_q, and `ldl_positive_definite` checks
+    G(lam_q) in Fractions.  That proves f = m^T G(lam_q) m >= 0, and the
+    status says exact=True; its certificate is lam_q.  Every such iterate
+    has a positive value, so the tolerance verdict of the full ascent
+    would also have been yes.  When no iterate is proved, or f is not
+    rational, the verdict is the full ascent's at tolerance.
     """
     scale = f.float_scale()
     min_val, min_pt = _sphere_falsify(f, scale, seed)
@@ -361,9 +404,12 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
             counterexample_value=min_val * scale,
         )
 
+    def proves(lam):
+        return ldl_positive_definite(family.matrix_at([Fraction(v * scale) for v in lam]))
+
     G0n = family.base.to_array(float) / scale
-    val, lam = _eig_ascent(G0n, seed)
-    if val >= -PSD_TOL / max(scale, 1.0):
+    val, lam, exact = _eig_ascent(G0n, seed, proves if f.is_rational() else None)
+    if exact or val >= -PSD_TOL / max(scale, 1.0):
         signs, _ = complete_squares(G0n + np.einsum("i,iab->ab", lam, KERNEL_BASIS_TENSOR))
         certificate = GramPoint(
             lam=tuple(complex(v * scale) for v in lam),
@@ -374,5 +420,5 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
             hits=0,
             first_restart=-1,
         )
-        return PositivityStatus(nonnegative=True, certificate=certificate, ascent_max=val)
+        return PositivityStatus(nonnegative=True, certificate=certificate, ascent_max=val, exact=exact)
     return PositivityStatus(nonnegative=None, ascent_max=val)

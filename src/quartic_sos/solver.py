@@ -296,11 +296,15 @@ def _polish_real(x, chart, lam, res, scl, ok, G0f):
 
 def _finalize(index, lam, is_real, residual, G0, scale: float):
     """GramPoints in canonical order, with lam mapped back by `scale`; rank
-    and signature are read off one completion of squares of G(lam)."""
+    and signature are read off one completion of squares of G(lam).  An
+    endpoint whose completion does not have rank 3 is no class: its path
+    counts as failed."""
     points = []
     for i, lm, real, r in zip(index, lam, is_real, residual):
         G = G0 + np.einsum("i,iab->ab", lm, KERNEL_BASIS_TENSOR)
         signs, _ = complete_squares(G.real if real else G)
+        if len(signs) != 3:
+            continue
         signature = (signs.count(1), signs.count(-1)) if real else None
         points.append(GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
                                 signature=signature, rank=len(signs), residual=float(r),

@@ -410,3 +410,14 @@ def test_decompose_prints_path_counters_on_stderr(capsys):
     captured = capsys.readouterr()
     assert "paths: 63 tracked, 0 retracked, 0 failed\n" in captured.err
     assert "paths:" not in captured.out
+
+
+@pytest.mark.parametrize("k", [9, 12])
+def test_decompose_of_unbalanced_fermat_fails_counts_without_a_traceback(k, capsys):
+    # after division by 10^k some endpoints complete to rank 2; those paths
+    # count as failed, so the count certification fails instead of factor raising
+    assert main(["decompose", f"10^{k}*x^4 + y^4 + z^4"]) == EXIT_COUNTS
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "classes: 63 (expected 63)" not in captured.out
+    assert "certified: FAIL" in captured.out

@@ -10,15 +10,19 @@ from quartic_sos.forms import (
     FloatRangeError,
     QuadraticForm,
     TernaryQuartic,
+    apply_linear_change,
     eval_quartic,
     gradient,
     parse_quartic,
     poly_eval,
 )
-from quartic_sos.gram import build_family, gram_to_quartic
+import quartic_sos.curves
+from quartic_sos.cli import random_corpus_quartic
+from quartic_sos.gram import SymMatrix6, build_family, gram_to_quartic
 from quartic_sos.curves import (
     PSD_TOL,
     basepoint_check,
+    ldl_positive_definite,
     nonnegativity_test,
     numeric_singularity_oracle,
     smoothness_test,
@@ -129,6 +133,63 @@ def test_nonnegativity_of_singular_but_nonnegative_quartic():
     f = parse_quartic("x^2*y^2 + y^2*z^2 + z^2*x^2")
     status = nonnegativity_test(f, build_family(f))
     assert status.nonnegative is True
+
+
+def _sym(rows) -> SymMatrix6:
+    return SymMatrix6([Fraction(rows[i][j]) for i in range(6) for j in range(i, 6)])
+
+
+def test_exact_ldl_decides_positive_definiteness():
+    # I/10 + 9/10 J: off-diagonal row sums 4.5 against a diagonal of 1
+    assert ldl_positive_definite(_sym([[1 if i == j else Fraction(9, 10) for j in range(6)] for i in range(6)]))
+    # PSD of rank 5, C C^T with row 3 of C the sum of rows 1 and 2: pivot 3 is 0
+    C = np.array([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [2, 1, 0, 0, 0],
+                  [0, 3, 1, 0, 0], [1, 0, 2, 1, 0], [0, 1, 0, 1, 1]])
+    assert not ldl_positive_definite(_sym((C @ C.T).tolist()))
+    # indefinite, with its first five pivots positive: the 6x6 minor is -1/2
+    hinge = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+    hinge[5][5], hinge[0][5], hinge[5][0] = 0, 1, 1
+    assert not ldl_positive_definite(_sym(hinge))
+    assert not ldl_positive_definite(_sym([[-(i == j) for j in range(6)] for i in range(6)]))
+
+
+def test_fermat_nonnegativity_is_proved_exactly(monkeypatch):
+    f = parse_quartic("x^4+y^4+z^4")
+    family = build_family(f)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(quartic_sos.curves.np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+    status = nonnegativity_test(f, family)
+    assert status.nonnegative is True and status.exact
+    # the full ascent makes 10 restarts x 300 steps = 3000 calls
+    assert len(calls) <= 10
+    lam = [Fraction(z.real) for z in status.certificate.lam]
+    assert all(z.imag == 0 for z in status.certificate.lam)
+    assert ldl_positive_definite(family.matrix_at(lam))
+    assert status.certificate.signature == (6, 0)
+
+
+_CRITERION_7 = [
+    ((-2, -2, 1), (-2, -1, 3), (-1, 0, 0)),
+    ((3, 2, -3), (3, -2, -1), (-2, 2, 0)),
+    ((3, 1, 3), (3, 3, -1), (-2, 0, 2)),
+]
+
+
+def test_early_exit_keeps_every_verdict(monkeypatch):
+    fermat = parse_quartic("x^4+y^4+z^4")
+    quartics = [random_corpus_quartic(0, i) for i in range(5)]
+    quartics += [apply_linear_change(fermat, M) for M in _CRITERION_7]
+    quartics += [parse_quartic("x^4+y^4-z^4"), parse_quartic("x^2*y^2+y^2*z^2+z^2*x^2")]
+    early = [nonnegativity_test(f, build_family(f)) for f in quartics]
+    monkeypatch.setattr(quartic_sos.curves, "ldl_positive_definite", lambda G: False)
+    full = [nonnegativity_test(f, build_family(f)) for f in quartics]
+    assert [s.nonnegative for s in early] == [s.nonnegative for s in full]
+    assert not any(s.exact for s in full)
+    for s in early:
+        assert s.exact == (s.nonnegative is True and s.ascent_max > 0)
+    # criterion 7's matrix #1 stays undecided, the monomial squares are yes at tolerance
+    assert [s.nonnegative for s in early[5:]] == [True, None, True, False, True]
 
 
 def test_positivity_verdicts_are_scale_invariant():
