@@ -146,7 +146,7 @@ def test_exact_ldl_decides_positive_definiteness():
     C = np.array([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [2, 1, 0, 0, 0],
                   [0, 3, 1, 0, 0], [1, 0, 2, 1, 0], [0, 1, 0, 1, 1]])
     assert not ldl_positive_definite(_sym((C @ C.T).tolist()))
-    # indefinite, with its first five pivots positive: the 6x6 minor is -1/2
+    # indefinite, with its first five pivots positive: the sixth is -1/2
     hinge = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
     hinge[5][5], hinge[0][5], hinge[5][0] = 0, 1, 1
     assert not ldl_positive_definite(_sym(hinge))
