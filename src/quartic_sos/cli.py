@@ -106,11 +106,11 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
             f"{label}: {cr['actual'][key]} "
             f"(expected {cr['expected'][key]}) [{status}]\n"
         )
-    pairing = "ok" if cr["conjugate_pairing_ok"] else "MISMATCH"
-    out.write(
-        f"non-real classes: {cr['nonreal_total']} in "
-        f"{cr['conjugate_pairs']} conjugate pairs [{pairing}]\n"
-    )
+    if cr["conjugate_pairing_ok"]:
+        pairing = f" in {cr['conjugate_pairs']} conjugate pairs [ok]"
+    else:
+        pairing = ", conjugate pairing failed [MISMATCH]"
+    out.write(f"non-real classes: {cr['nonreal_total']}{pairing}\n")
     out.write(
         "split: {} sums of squares, {} mixed-sign real, {} non-real\n".format(
             report.sos_total, report.mixed_real_total, report.nonreal_total
@@ -241,7 +241,8 @@ def _run_pipeline(f: TernaryQuartic, config: SolveConfig):
     for stage, secs in report.timings.items():
         sys.stderr.write(f"timing {stage}: {secs:.3f}s\n")
     ss = report.solution_set
-    sys.stderr.write(f"paths: {ss.tracked} tracked, {ss.retracked} retracked, {ss.failed} failed\n")
+    sys.stderr.write(f"paths: {ss.tracked} tracked, {ss.retracked} retracked, {ss.failed} failed; "
+                     f"steps: {ss.steps} accepted (at most {ss.max_steps} per path), {ss.rejects} rejected\n")
     return report
 
 

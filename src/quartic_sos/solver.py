@@ -12,12 +12,17 @@ point of the Jacobian of f = 0, so a coefficient-parameter homotopy (Morgan
 & Sommese 1989) carries the exact classes of the Fermat quartic to those of
 f along G0 = (1 - s) G0_Fermat + s G0_f, s = t / (t + gamma (1 - t)); the
 seeded unit complex gamma keeps the paths off singular quartics for t < 1.
-Each path, in its own kernel chart, is tracked by an RK4 predictor and a
-Newton corrector; one that fails or lands on another's endpoint is tracked
-again with smaller steps (unless all 63 did: f is then singular), and if it
-fails again the count certification fails.  Near-real endpoints are real
-when a real-arithmetic re-polish reconverges to them.  f is divided by its
-largest coefficient (`TernaryQuartic.float_scale`).
+Each path, in its own kernel chart, is tracked by a Taylor predictor in s
+and a Newton corrector.  The system is bilinear in (h, mu) and K and affine
+in s, so the path's Taylor coefficients come from one inverse of its
+Jacobian per step (Telen, Van Barel & Verschelde 2020; Timme 2021), and
+they set the step length too: a path whose homotopy does not move (Fermat
+itself, or any multiple of it) goes to t = 1 in one step.  A path that
+fails or lands on another's endpoint is tracked again with smaller steps
+(unless all 63 did: f is then singular), and if it fails again the count
+certification fails.  Near-real endpoints are real when a real-arithmetic
+re-polish reconverges to them.  f is divided by its largest coefficient
+(`TernaryQuartic.float_scale`).
 """
 
 from __future__ import annotations
@@ -93,7 +98,9 @@ class GramPoint:
 @dataclass(frozen=True)
 class SolutionSet:
     """All rank-3 classes found, their counts and the (deterministic, not
-    serialized) counts of paths tracked, retracked and failed."""
+    serialized) counts of paths tracked, retracked and failed, of accepted
+    tracker steps (in total and on the longest path, retracks included)
+    and of rejected ones."""
 
     points: Tuple[GramPoint, ...]
     counts: Tuple[int, int, int]
@@ -102,6 +109,9 @@ class SolutionSet:
     tracked: int = 0
     retracked: int = 0
     failed: int = 0
+    steps: int = 0
+    max_steps: int = 0
+    rejects: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -120,14 +130,20 @@ def residual_system(family: GramFamily, lam: Sequence[complex], K) -> np.ndarray
     return (G @ N).reshape(18)
 
 
-def _kernel(K, chart):
-    """Batched N(K): the identity on the chart's ID rows, K on its K rows."""
+def _kernel(K, chart, eye=np.eye(3)):
+    """Batched N(K): `eye` on the chart's ID rows, K on its K rows."""
     n = K.shape[0]
     N = np.zeros((n, 6, 3), dtype=K.dtype)
     rows = np.arange(n)[:, None]
-    N[rows, _ID_ROWS[chart]] = np.eye(3)
+    N[rows, _ID_ROWS[chart]] = eye
     N[rows, _K_ROWS[chart]] = K.reshape(n, 3, 3)
     return N
+
+
+def _mats(base):
+    """Per path the matrices G is linear in: base (the h column) and B_1..B_6."""
+    n = base.shape[0]
+    return np.concatenate([base[:, None], np.broadcast_to(KERNEL_BASIS_TENSOR, (n, 6, 6, 6))], axis=1)
 
 
 def _system(x, base, a, chart):
@@ -135,7 +151,7 @@ def _system(x, base, a, chart):
     patch a.  The h and mu_i columns are vec(G0 N) and vec(B_i N); the K[i, j]
     column is G[:, KR[i]] in kernel column j."""
     n = x.shape[0]
-    mats = np.concatenate([base[:, None], np.broadcast_to(KERNEL_BASIS_TENSOR, (n, 6, 6, 6))], axis=1)
+    mats = _mats(base)
     N = _kernel(x[:, 7:], chart)
     G = np.einsum("nj,njab->nab", x[:, :7], mats)
     GK = np.take_along_axis(G, _K_ROWS[chart][:, None, :], axis=2)
@@ -149,13 +165,14 @@ def _system(x, base, a, chart):
 
 
 def _solve(J, rhs):
-    """Batched J^-1 rhs; a slice with a singular J gets NaN (a failed step)."""
+    """Batched J^-1 rhs for rhs (n, 16, m); a slice with a singular J gets NaN
+    (a failed step)."""
     try:
-        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(J, rhs)
     except np.linalg.LinAlgError:
         bad = ~(np.abs(np.linalg.det(J)) > 0)
-        out = np.linalg.solve(np.where(bad[:, None, None], np.eye(J.shape[1]), J), rhs[:, :, None])
-        return np.where(bad[:, None], np.nan, out[:, :, 0])
+        out = np.linalg.solve(np.where(bad[:, None, None], np.eye(J.shape[1]), J), rhs)
+        return np.where(bad[:, None, None], np.nan, out)
 
 
 def _correct(x, base, a, chart):
@@ -167,7 +184,7 @@ def _correct(x, base, a, chart):
     ok, prev = np.ones(x.shape[0], dtype=bool), None
     for _ in range(3):
         H, J = _system(x, base, a, chart)
-        d = _solve(J, -H)
+        d = _solve(J, -H[:, :, None])[:, :, 0]
         step = np.max(np.abs(d), axis=1)
         ok &= step < 1e-3 * size if prev is None else (step <= prev / 10) | (step < 1e-8 * size)
         x, prev = x + d, step
@@ -182,48 +199,77 @@ def _best_chart(N):
     return chart, (Q_k @ np.linalg.inv(Q_id)).reshape(-1, 9)
 
 
-def _base(t, G0f, gamma):
-    """G0(s(t)) = (1 - s) G0_Fermat + s G0_f per path, and its t-derivative."""
-    d = t + gamma * (1.0 - t)
-    s = (t / d)[:, None, None]
-    return (1.0 - s) * _G0_FERMAT + s * G0f, (gamma / d ** 2)[:, None, None] * (G0f - _G0_FERMAT)
+def _s(t, gamma):
+    """The homotopy parameter s(t) = t / (t + gamma (1 - t)) per path."""
+    return t / (t + gamma * (1.0 - t))
 
 
-def _track(x, chart, G0f, gamma, a, dt_max):
-    """Track paths from t = 0 to exactly t = 1; returns (x, chart, ok).  The step
-    doubles (to at most dt_max) after 3 accepted steps and halves on a reject;
-    a path fails when its step falls below 1e-12 or its Jacobian is singular."""
-    def velocity(x, t, c):  # dx/dt = -J^-1 dH/dt; only the base moves with t
-        base, dbase = _base(t, G0f, gamma)
-        Ht = (x[:, 0, None, None] * (dbase @ _kernel(x[:, 7:], c))).reshape(-1, 18)
-        Ht = np.pad(np.take_along_axis(Ht, _EQUATIONS[c], axis=1), ((0, 0), (0, 1)))
-        return _solve(_system(x, base, a, c)[1], -Ht)
+def _base(s, G0f):
+    """G0(s) = (1 - s) G0_Fermat + s G0_f per path."""
+    s = s[:, None, None]
+    return (1.0 - s) * _G0_FERMAT + s * G0f
 
+
+def _taylor(x, base, D, a, chart, order=4):
+    """Coefficients x_1..x_order (order, n, 16) of the path x(s0 + sigma) =
+    sum_k x_k sigma^k through x = x_0, where G0(s0) = base moves as base +
+    sigma D.  G is h G0 + sum mu_j B_j and N(K) is affine in K, so the
+    order-k part of E[G N] is J x_k + r_k, with J the Jacobian at x_0 and
+    r_k = E[h_{k-1} D N_0 + sum_{0<i<k} G_i N_{k-i}] known from lower
+    orders: G_i = h_i base + sum mu_{j,i} B_j + h_{i-1} D, and N_i (i > 0)
+    is K_i on the K rows, 0 on the ID rows.  One inverse of J serves every
+    order, and as the patch row of r_k is 0 only its first 15 columns."""
+    n = x.shape[0]
+    J_inv = _solve(_system(x, base, a, chart)[1], np.broadcast_to(np.eye(16), (n, 16, 16)))[:, :, :15]
+    mats, eq = _mats(base), _EQUATIONS[chart]
+    xs, G, N = [x], [None], [_kernel(x[:, 7:], chart)]
+    for k in range(1, order + 1):
+        hD = xs[k - 1][:, 0, None, None] * D
+        GN = hD @ N[0] + sum(G[i] @ N[k - i] for i in range(1, k))
+        r = np.take_along_axis(GN.reshape(n, 18), eq, axis=1)
+        xs.append(-(J_inv @ r[:, :, None])[:, :, 0])
+        G.append(np.einsum("nj,njab->nab", xs[k][:, :7], mats) + hD)
+        N.append(_kernel(xs[k][:, 7:], chart, 0.0))
+    return np.stack(xs[1:])
+
+
+def _track(x, chart, G0f, gamma, a, trust_max):
+    """Track paths from t = 0 to exactly t = 1; returns (x, chart, ok) and the
+    accepted and rejected steps per path.  Each step predicts with the order-4
+    expansion in s (`_taylor`) over |sigma| = 0.9 trust min((1e-3 / |x_4|)^(1/4),
+    |x_3| / |x_4|), norms relative to max(1, |x|), and corrects; a path whose
+    homotopy does not move (x_k = 0) goes to t = 1 in one step.  trust starts
+    at trust_max, halves on a reject and doubles, up to trust_max, on an
+    accept; a path fails when its t-step falls below 1e-12 or its Jacobian
+    is singular."""
+    D = G0f - _G0_FERMAT
     x, chart, n = x.copy(), chart.copy(), x.shape[0]
-    t, dt, wins, active = np.zeros(n), np.full(n, dt_max / 4), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    t, trust, active = np.zeros(n), np.full(n, trust_max), np.ones(n, dtype=bool)
+    steps, rejects = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     for _ in range(20000):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         t0, c, x0 = t[idx], chart[idx], x[idx]
-        t1 = np.where(t0 + dt[idx] >= 1.0, 1.0, t0 + dt[idx])
-        h = (t1 - t0)[:, None]
-        k1 = velocity(x0, t0, c)
-        k2 = velocity(x0 + h / 2 * k1, t0 + h[:, 0] / 2, c)
-        k3 = velocity(x0 + h / 2 * k2, t0 + h[:, 0] / 2, c)
-        k4 = velocity(x0 + h * k3, t1, c)
-        xc, ok = _correct(x0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), _base(t1, G0f, gamma)[0], a, c)
+        s0 = _s(t0, gamma)
+        xk = _taylor(x0, _base(s0, G0f), D, a, c)
+        norm = np.max(np.abs(xk), axis=2) / np.maximum(1.0, np.max(np.abs(x0), axis=1))
+        radius = 0.9 * trust[idx] * np.fmin((1e-3 / norm[3]) ** 0.25, norm[2] / norm[3])
+        # |ds/dt| = 1 / |t + gamma (1 - t)|^2 turns the length in s into one in t
+        t1 = np.minimum(1.0, t0 + radius * np.abs(t0 + gamma * (1.0 - t0)) ** 2)
+        s1 = _s(t1, gamma)
+        sigma = (s1 - s0)[:, None]
+        xc, ok = _correct(x0 + sum(xk[k] * sigma ** (k + 1) for k in range(len(xk))), _base(s1, G0f), a, c)
         acc, rej = idx[ok], idx[~ok]
-        x[acc], t[acc], wins[acc] = xc[ok], t1[ok], wins[acc] + 1
-        grow = acc[wins[acc] == 3]
-        dt[grow], wins[grow] = np.minimum(2 * dt[grow], dt_max), 0
-        dt[rej], wins[rej] = dt[rej] / 2, 0
+        x[acc], t[acc], steps[acc], rejects[rej] = xc[ok], t1[ok], steps[acc] + 1, rejects[rej] + 1
+        trust[acc], trust[rej] = np.minimum(2 * trust[acc], trust_max), trust[rej] / 2
         big = acc[np.max(np.abs(x[acc, 7:]), axis=1) > 4.0]
         if big.size:
             chart[big], x[big, 7:] = _best_chart(_kernel(x[big, 7:], chart[big]))
         active[acc[t[acc] == 1.0]] = False
-        active[rej[(dt[rej] < 1e-12) | ~np.all(np.isfinite(k1[~ok]), axis=1)]] = False
-    return x, chart, t == 1.0
+        stuck = ~((t1 - t0 >= 1e-12) | (t1 == 1.0)) | ~np.all(np.isfinite(xk[0]), axis=1)
+        active[idx[stuck]] = False
+    return x, chart, t == 1.0, steps, rejects
 
 
 def _endpoints(x, chart, G0f):
@@ -260,10 +306,14 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
     n = len(x0)
     x, chart, ok = x0.copy(), chart0.copy(), np.zeros(n, dtype=bool)
     lam, res, scl = np.zeros((n, 6), dtype=complex), np.zeros(n), np.ones(n)
+    steps, rejects = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     todo, retracked = np.arange(n), 0
     with np.errstate(all="ignore"):  # a failing path may go singular or overflow
         for attempt in range(3):
-            x[todo], chart[todo], ok[todo] = _track(x0[todo], chart0[todo], G0f, gamma, a, 0.1 / 4 ** attempt)
+            x[todo], chart[todo], ok[todo], accepted, rejected = _track(
+                x0[todo], chart0[todo], G0f, gamma, a, 0.5 ** attempt)
+            steps[todo] += accepted
+            rejects[todo] += rejected
             lam[todo], res[todo], scl[todo] = _endpoints(x[todo], chart[todo], G0f)
             ok &= np.isfinite(scl) & (res < CONVERGENCE_TOL * scl)
             todo = np.flatnonzero(~ok | np.any(_near(lam, scl, ok), axis=1))
@@ -276,7 +326,8 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
     points = _finalize(idx, lam[idx], is_real[idx], res[idx], G0f, scale)
     counts = (len(points), sum(p.is_real for p in points), sum(p.is_psd for p in points))
     return SolutionSet(points=tuple(points), counts=counts, config=config, scale=scale,
-                       tracked=n, retracked=retracked, failed=n - len(points))
+                       tracked=n, retracked=retracked, failed=n - len(points),
+                       steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()))
 
 
 def _polish_real(x, chart, lam, res, scl, ok, G0f):

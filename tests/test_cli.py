@@ -4,6 +4,7 @@ Every test drives `main(argv)` in-process and inspects exit codes plus
 captured stdout/stderr, so the console-script wiring stays a thin shim.
 """
 
+import io
 import json
 
 import numpy as np
@@ -11,15 +12,19 @@ import pytest
 
 import quartic_sos.classify
 import quartic_sos.curves
+from quartic_sos.classify import Theorem1Report
 from quartic_sos.cli import (
     EXIT_COUNTS,
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
+    _print_counts,
     main,
+    random_corpus_quartic,
 )
 from quartic_sos.forms import apply_linear_change, parse_quartic
+from quartic_sos.solver import GramPoint, SolutionSet, SolveConfig, certify_count
 
 FERMAT = "x^4 + y^4 + z^4"
 SINGULAR = "(x^2 + y^2 + z^2)^2"
@@ -408,8 +413,40 @@ def test_decompose_certifies_ill_conditioned_change_of_variables(capsys):
 def test_decompose_prints_path_counters_on_stderr(capsys):
     assert main(["decompose", FERMAT]) == EXIT_OK
     captured = capsys.readouterr()
-    assert "paths: 63 tracked, 0 retracked, 0 failed\n" in captured.err
-    assert "paths:" not in captured.out
+    assert ("paths: 63 tracked, 0 retracked, 0 failed; "
+            "steps: 63 accepted (at most 1 per path), 0 rejected\n") in captured.err
+    assert "paths:" not in captured.out and "steps:" not in captured.out
+
+
+def test_count_report_says_when_conjugate_pairing_fails():
+    # three non-real classes, one of them without its conjugate
+    points = tuple(GramPoint(lam=(z,) + (0j,) * 5, is_real=False, signature=None, rank=3,
+                             residual=0.0, hits=1, first_restart=i)
+                   for i, z in enumerate((1 + 1j, 1 - 1j, 2 + 1j)))
+    ss = SolutionSet(points=points, counts=(3, 0, 0), config=SolveConfig())
+    count_report = certify_count(ss)
+    assert not count_report["conjugate_pairing_ok"]
+    report = Theorem1Report(curve=None, positivity=None, solution_set=ss, representations=(),
+                            count_report=count_report, sos_total=0, mixed_real_total=0,
+                            nonreal_total=3, passed=False)
+    out = io.StringIO()
+    _print_counts(report, out)
+    lines = out.getvalue().splitlines()
+    assert "non-real classes: 3, conjugate pairing failed [MISMATCH]" in lines
+    assert "None" not in out.getvalue()
+
+
+def test_decompose_bytes_are_a_function_of_the_seed(tmp_path, capsys):
+    # the tracker's step lengths come from each path's own coefficients, so
+    # a real homotopy (random-0, not Fermat) must give the same bytes twice
+    form = str(random_corpus_quartic(0, 0))
+    runs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        assert main(["decompose", form, "--seed", "1", "--all", "--json", str(path)]) == EXIT_OK
+        stdout = capsys.readouterr().out.replace(str(path), "REPORT")
+        runs.append((stdout, path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("k", [9, 12])

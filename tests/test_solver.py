@@ -277,11 +277,11 @@ def test_retrack_recovers_a_failed_and_a_jumped_path(fermat_family, monkeypatch)
     track, sizes = solver._track, []
 
     def faulty(x, chart, *args):
-        x, chart, ok = track(x, chart, *args)
+        x, chart, ok, *counters = track(x, chart, *args)
         if not sizes:
             x[7], chart[7], ok[5] = x[6], chart[6], False
         sizes.append(len(ok))
-        return x, chart, ok
+        return (x, chart, ok, *counters)
 
     monkeypatch.setattr(solver, "_track", faulty)
     ss = solve_all(fermat_family, SolveConfig())
@@ -290,12 +290,61 @@ def test_retrack_recovers_a_failed_and_a_jumped_path(fermat_family, monkeypatch)
     assert certify_count(ss)["all_pass"]
 
 
-def test_retrack_rescues_an_unconverged_path():
-    # at seed 2 path 31 of this quartic reaches t = 1 with a residual above
-    # CONVERGENCE_TOL; tracked again with smaller steps it lands on its class
+def test_retrack_rescues_an_unconverged_path(monkeypatch):
+    # on the first attempt path 31 of this quartic reaches t = 1 with a
+    # residual above CONVERGENCE_TOL; tracked again it lands on its class
+    track, calls = solver._track, []
+
+    def unconverged(x, chart, *args):
+        x, chart, ok, *counters = track(x, chart, *args)
+        if not calls:
+            assert ok[31]
+            x[31, 7:] += 1e-6
+        calls.append(len(ok))
+        return (x, chart, ok, *counters)
+
+    monkeypatch.setattr(solver, "_track", unconverged)
     ss = solve_all(build_family(random_corpus_quartic(0, 4)), SolveConfig(master_seed=2))
+    assert calls == [63, 1]
     assert (ss.counts, ss.retracked, ss.failed) == ((63, 15, 8), 1, 0)
     assert certify_count(ss)["all_pass"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("text", ["x^4+y^4+z^4", "2*x^4+2*y^4+2*z^4"])
+def test_fermat_paths_take_one_step(text, seed):
+    # divided by its largest coefficient f is Fermat's quartic, so the
+    # homotopy does not move, every Taylor coefficient vanishes and each
+    # path goes to t = 1 in one step
+    ss = solve_all(build_family(parse_quartic(text)), SolveConfig(master_seed=seed))
+    assert ss.counts == (63, 15, 8)
+    assert (ss.steps, ss.max_steps, ss.rejects, ss.retracked, ss.failed) == (63, 1, 0, 0, 0)
+
+
+def test_taylor_coefficients_have_the_right_orders():
+    # x(sigma) - sum_{j <= k} x_j sigma^j = O(sigma^(k+1)): halving sigma
+    # divides the truncation error by about 2^(k+1), here at the Fermat
+    # start points of random-0 with the exact path point from Newton's method
+    family = build_family(random_corpus_quartic(0, 0))
+    G0f = family.base.to_array(float) / family.source.float_scale()
+    rng = np.random.default_rng(np.random.SeedSequence([23]))
+    a = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / np.sqrt(2)
+    x0, chart = solver._start(a)
+    xk = solver._taylor(x0, solver._base(np.zeros(63), G0f), G0f - solver._G0_FERMAT, a, chart)
+    assert xk.shape == (4, 63, 16)
+
+    def truncation_errors(sigma):
+        x = x0 + sum(xk[j] * sigma ** (j + 1) for j in range(4))
+        base = solver._base(np.full(63, sigma), G0f)
+        for _ in range(8):
+            H, J = solver._system(x, base, a, chart)
+            x = x + np.linalg.solve(J, -H[:, :, None])[:, :, 0]
+        return np.array([np.max(np.abs(x - x0 - sum(xk[j] * sigma ** (j + 1) for j in range(k))))
+                         for k in range(1, 5)])
+
+    sigma = 0.002 * np.exp(0.7j)
+    ratios = truncation_errors(sigma) / truncation_errors(sigma / 2)
+    assert np.all(np.abs(ratios / 2.0 ** np.arange(2, 6) - 1) < 0.1), ratios
 
 
 def test_corrector_norm_keeps_paths_on_their_class():
