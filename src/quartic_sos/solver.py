@@ -210,8 +210,8 @@ def _base(s, G0f):
     return (1.0 - s) * _G0_FERMAT + s * G0f
 
 
-def _taylor(x, base, D, a, chart, order=4):
-    """Coefficients x_1..x_order (order, n, 16) of the path x(s0 + sigma) =
+def _taylor(x, base, D, a, chart):
+    """Coefficients x_1..x_4 (4, n, 16) of the path x(s0 + sigma) =
     sum_k x_k sigma^k through x = x_0, where G0(s0) = base moves as base +
     sigma D.  G is h G0 + sum mu_j B_j and N(K) is affine in K, so the
     order-k part of E[G N] is J x_k + r_k, with J the Jacobian at x_0 and
@@ -223,7 +223,7 @@ def _taylor(x, base, D, a, chart, order=4):
     J_inv = _solve(_system(x, base, a, chart)[1], np.broadcast_to(np.eye(16), (n, 16, 16)))[:, :, :15]
     mats, eq = _mats(base), _EQUATIONS[chart]
     xs, G, N = [x], [None], [_kernel(x[:, 7:], chart)]
-    for k in range(1, order + 1):
+    for k in range(1, 5):
         hD = xs[k - 1][:, 0, None, None] * D
         GN = hD @ N[0] + sum(G[i] @ N[k - i] for i in range(1, k))
         r = np.take_along_axis(GN.reshape(n, 18), eq, axis=1)
@@ -259,7 +259,7 @@ def _track(x, chart, G0f, gamma, a, trust_max):
         t1 = np.minimum(1.0, t0 + radius * np.abs(t0 + gamma * (1.0 - t0)) ** 2)
         s1 = _s(t1, gamma)
         sigma = (s1 - s0)[:, None]
-        xc, ok = _correct(x0 + sum(xk[k] * sigma ** (k + 1) for k in range(len(xk))), _base(s1, G0f), a, c)
+        xc, ok = _correct(x0 + sum(c_k * sigma ** k for k, c_k in enumerate(xk, 1)), _base(s1, G0f), a, c)
         acc, rej = idx[ok], idx[~ok]
         x[acc], t[acc], steps[acc], rejects[rej] = xc[ok], t1[ok], steps[acc] + 1, rejects[rej] + 1
         trust[acc], trust[rej] = np.minimum(2 * trust[acc], trust_max), trust[rej] / 2
