@@ -14,16 +14,19 @@ Common zeros are linear algebra on Macaulay matrices, all built by
 * Three conics are basepoint-free exactly when their degree-4 matrix has
   full rank; one batched SVD decides every triple (`basepoint_check`).
 
-Non-negativity is decided by a pair of one-sided searches: minimizing f on
-the unit sphere falsifies, and maximizing the minimum eigenvalue of the
-Gram family certifies (a PSD family member is a sum-of-squares witness,
-which for ternary quartics is equivalent to non-negativity); the
+Non-negativity is decided by a pair of one-sided searches: maximizing the
+minimum eigenvalue of the Gram family certifies (a PSD family member is a
+sum-of-squares witness, which for ternary quartics is equivalent to
+non-negativity), and minimizing f on the unit sphere falsifies; the
 certificate's signature is read off its completion of squares
 (`gram.complete_squares`).  For rational f the ascent stops at the first
 iterate whose Gram matrix, read as exact rationals, an LDL^T in Fractions
 proves positive definite (`ldl_positive_definite`): that is a proof of
-f >= 0.  Only when no iterate is proved does the ascent run to its end
-and decide at tolerance.  The sphere search evaluates f and its
+f >= 0.  The proof is tried before the falsifying search, and a proof
+ends the test; the search runs after an ascent that proved nothing, and
+ahead of the ascent when one of its start points already shows a value
+below -PSD_TOL.  Only when no iterate is proved does the ascent run to
+its end and decide at tolerance.  The sphere search evaluates f and its
 derivatives through one table of the Hessian entries.
 """
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,6 +56,9 @@ from .solver import GramPoint
 
 #: PSD / eigenvalue tolerance shared across the positivity decisions.
 PSD_TOL = 1e-8
+
+#: Start points of the seeded search for a negative value of f on the sphere.
+SPHERE_STARTS = 100
 
 #: A triple of conics, each scaled to max |coefficient| 1, is free when its
 #: 18x15 matrix has sigma_min > BASEPOINT_TOL * sigma_max.  Rounding the
@@ -290,32 +297,40 @@ def basepoint_check(triples: Sequence[Sequence[QuadraticForm]]) -> List[bool]:
     return (s[:, -1] > BASEPOINT_TOL * s[:, 0]).tolist()
 
 
-def _sphere_falsify(f: TernaryQuartic, scale: float, seed: int, starts: int = 100, iters: int = 150):
-    """Projected-gradient minimization of f on the unit sphere.
-
-    The gradient comes from the Hessian table, grad f = H(v) v / 3, and the
-    value from it, f = v . grad f / 4 (Euler's relation); an accepted step
-    keeps the gradient it was evaluated with.  Returns (best value at
-    normalized scale, best unit point).
-    """
-    table = _hessian_vectors(f, scale)
-
-    def value_and_gradient(pts):
-        grads = _gradients_and_hessians(table, pts)[0]
-        return np.sum(pts * grads, axis=1) / 4.0, grads
-
-    pts = np.empty((starts, 3))
-    for t in range(starts):
-        g = np.random.default_rng(np.random.SeedSequence([seed, 101, t]))
-        v = g.standard_normal(3)
+@lru_cache(maxsize=16)
+def _sphere_starts(seed: int) -> np.ndarray:
+    """The sphere search's SPHERE_STARTS unit start points, the t-th drawn
+    from the stream [seed, 101, t]; drawn once per seed, returned read-only."""
+    pts = np.empty((SPHERE_STARTS, 3))
+    for t in range(SPHERE_STARTS):
+        v = np.random.default_rng(np.random.SeedSequence([seed, 101, t])).standard_normal(3)
         pts[t] = v / np.linalg.norm(v)
-    eta = np.full(starts, 0.1)
-    vals, grads = value_and_gradient(pts)
+    pts.flags.writeable = False
+    return pts
+
+
+def _values_and_gradients(table: np.ndarray, pts: np.ndarray):
+    """f and its gradient per row of pts, both at the scale of the Hessian
+    table: grad f = H(v) v / 3 and f = v . grad f / 4 (Euler's relation)."""
+    grads = _gradients_and_hessians(table, pts)[0]
+    return np.sum(pts * grads, axis=1) / 4.0, grads
+
+
+def _sphere_falsify(table: np.ndarray, seed: int, iters: int = 150):
+    """Projected-gradient minimization on the unit sphere of the quartic
+    whose Hessian table is given, from `_sphere_starts(seed)`.
+
+    An accepted step keeps the gradient it was evaluated with.  Returns
+    (best value at the table's scale, best unit point).
+    """
+    pts = _sphere_starts(seed).copy()
+    eta = np.full(SPHERE_STARTS, 0.1)
+    vals, grads = _values_and_gradients(table, pts)
     for _ in range(iters):
         tang = grads - (np.sum(grads * pts, axis=1, keepdims=True)) * pts
         cand = pts - eta[:, None] * tang
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cvals, cgrads = value_and_gradient(cand)
+        cvals, cgrads = _values_and_gradients(table, cand)
         better = cvals < vals
         pts[better], vals[better], grads[better] = cand[better], cvals[better], cgrads[better]
         eta = np.where(better, eta * 1.2, eta * 0.5)
@@ -377,38 +392,57 @@ def _eig_ascent(G0n, seed: int, proves=None, restarts: int = 10, iters: int = 30
 
 
 def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> PositivityStatus:
-    """Decide non-negativity of f by falsification and PSD certification.
+    """Decide non-negativity of f by PSD certification and falsification.
 
-    The unit-sphere search falsifies (homogeneity makes the sign question
-    compact); eigenvalue ascent certifies by exhibiting a PSD member of the
-    Gram family, whose signature is read off its completion of squares.
-    Decisions use the quartic rescaled to unit max coefficient, making verdicts
-    invariant under positive scaling; FloatRangeError when floats cannot
-    hold it (`TernaryQuartic.float_scale`).
+    Eigenvalue ascent certifies by exhibiting a PSD member of the Gram
+    family, whose signature is read off its completion of squares; the
+    unit-sphere search falsifies (homogeneity makes the sign question
+    compact).  Decisions use the quartic rescaled to unit max coefficient,
+    making verdicts invariant under positive scaling; FloatRangeError when
+    floats cannot hold it (`TernaryQuartic.float_scale`).
 
     For rational f the ascent stops at its first iterate whose Gram matrix
     is proved positive definite: lam scaled back to f, a dyadic float, is
     read as an exact rational lam_q, and `ldl_positive_definite` checks
-    G(lam_q) in Fractions.  That proves f = m^T G(lam_q) m >= 0, and the
-    status says exact=True; its certificate is lam_q.  Every such iterate
-    has a positive value, so the tolerance verdict of the full ascent
-    would also have been yes.  When no iterate is proved, or f is not
-    rational, the verdict is the full ascent's at tolerance.
+    G(lam_q) in Fractions.  That proves f = m^T G(lam_q) m > 0 away from
+    0, and the status says exact=True; its certificate is lam_q.  Every
+    such iterate has a positive value, so the tolerance verdict of the full
+    ascent would also have been yes.
+
+    The proof is tried before the falsifying search: for rational f whose
+    values at the search's start points are all at least -PSD_TOL, the
+    ascent runs first, and a proved iterate ends the test with the search
+    never run.  A proof leaves f positive on the sphere, where the search
+    could not have found a value below -PSD_TOL, and the ascent and the
+    search draw from separate random streams, so the status is the one
+    the search-first order gives.  Otherwise the search runs, its
+    counterexample decides "no", and when it finds none the verdict is
+    the ascent's: proved, or at tolerance when no iterate is proved or f
+    is not rational.  A start point below -PSD_TOL already means "no", so
+    there the search runs first and the ascent never runs.
     """
     scale = f.float_scale()
-    min_val, min_pt = _sphere_falsify(f, scale, seed)
-    if min_val < -PSD_TOL:
-        return PositivityStatus(
-            nonnegative=False,
-            counterexample=tuple(float(v) for v in min_pt),
-            counterexample_value=min_val * scale,
-        )
-
-    def proves(lam):
-        return ldl_positive_definite(family.matrix_at([Fraction(v * scale) for v in lam]))
-
+    table = _hessian_vectors(f, scale)
     G0n = family.base.to_array(float) / scale
-    val, lam, exact = _eig_ascent(G0n, seed, proves if f.is_rational() else None)
+
+    proves = ascent = None
+    if f.is_rational():
+        def proves(lam):
+            return ldl_positive_definite(family.matrix_at([Fraction(v * scale) for v in lam]))
+
+        if np.min(_values_and_gradients(table, _sphere_starts(seed))[0]) >= -PSD_TOL:
+            ascent = _eig_ascent(G0n, seed, proves)
+    if ascent is None or not ascent[2]:
+        min_val, min_pt = _sphere_falsify(table, seed)
+        if min_val < -PSD_TOL:
+            return PositivityStatus(
+                nonnegative=False,
+                counterexample=tuple(float(v) for v in min_pt),
+                counterexample_value=min_val * scale,
+            )
+        if ascent is None:
+            ascent = _eig_ascent(G0n, seed, proves)
+    val, lam, exact = ascent
     if exact or val >= -PSD_TOL / max(scale, 1.0):
         signs, _ = complete_squares(G0n + np.einsum("i,iab->ab", lam, KERNEL_BASIS_TENSOR))
         certificate = GramPoint(

@@ -14,7 +14,10 @@ Macaulay matrix of the package comes from this one builder:
   6, so the ideal holds every septic.  Hence the 45x36 matrix of the
   gradient at degree 7 has rank 36 exactly when the curve is smooth, and
   `gradient_resultant_is_nonzero` decides it by an exact integer rank: a
-  floating-point rank cannot certify a rank drop.
+  floating-point rank cannot certify a rank drop.  Rank 36 modulo the
+  prime RANK_PRIME is a proof of rank 36 over Q, and it costs one int64
+  elimination; fraction-free Bareiss runs only when the rank mod p falls
+  short, and so decides every rank drop.
 * basepoint-freeness of three conics at degree 4, and the float cross-check
   and witness point of a singular curve (`curves`).
 """
@@ -24,7 +27,13 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 from .forms import PolyDict, TernaryQuartic, gradient, monomials_of_degree
+
+#: The prime of `rank_mod_p`: below 2^31, so that a product of two residues
+#: and a difference of two such products fit in int64.
+RANK_PRIME = 2**31 - 1
 
 
 def _primitive(row: Sequence) -> List[int]:
@@ -65,6 +74,39 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(RANK_PRIME) of a matrix of ints, by elimination in int64.
+
+    Each minor of the reduced matrix is the residue of the integer minor,
+    so the rank mod p never exceeds the rank r over Q; it falls short only
+    when p divides every r x r minor.
+    """
+    A = np.array([[v % RANK_PRIME for v in row] for row in rows], dtype=np.int64, ndmin=2)
+    rank = 0
+    for col in range(A.shape[1]):
+        if rank == len(A):
+            break
+        live = np.flatnonzero(A[rank:, col])
+        if not live.size:
+            continue
+        if live[0]:
+            A[[rank, rank + live[0]]] = A[[rank + live[0], rank]]
+        top, below = A[rank, col:], A[rank + 1:, col:]
+        below[...] = (below * top[0] - below[:, :1] * top) % RANK_PRIME
+        rank += 1
+    return rank
+
+
+def full_column_rank(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff a nonempty matrix of ints has rank equal to its number of columns.
+
+    Full rank mod RANK_PRIME proves it (`rank_mod_p`); only when the rank
+    mod p falls short does Bareiss (`exact_rank`) decide.
+    """
+    n = len(rows[0])
+    return rank_mod_p(rows) == n or exact_rank(rows) == n
+
+
 def macaulay_matrix(polys: Sequence[PolyDict], degree: int) -> List[List]:
     """Coefficients of the products m*p over the monomials of `degree`, p one
     of the forms and m one of the monomials of degree `degree - deg(p)`, in
@@ -84,5 +126,13 @@ def macaulay_matrix(polys: Sequence[PolyDict], degree: int) -> List[List]:
 
 
 def gradient_resultant_is_nonzero(f: TernaryQuartic) -> bool:
-    """Exact decision: Res(f_x, f_y, f_z) != 0, i.e. the curve f = 0 is smooth."""
-    return exact_rank(macaulay_matrix(gradient(f), 7)) == 36
+    """Exact decision: Res(f_x, f_y, f_z) != 0, i.e. the curve f = 0 is smooth.
+
+    The gradient's cubics are cleared to primitive integers, so the rows of
+    their degree-7 matrix are the primitive integer rows of `exact_rank`.
+    Rank 36 mod RANK_PRIME proves the curve smooth; Bareiss runs only on a
+    rank drop mod p, which a singular curve always shows, and decides it
+    (`full_column_rank`).
+    """
+    cubics = [dict(zip(g, _primitive(list(g.values())))) for g in gradient(f)]
+    return full_column_rank(macaulay_matrix(cubics, 7))

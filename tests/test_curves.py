@@ -176,11 +176,15 @@ _CRITERION_7 = [
 ]
 
 
-def test_early_exit_keeps_every_verdict(monkeypatch):
+def _ascent_quartics():
     fermat = parse_quartic("x^4+y^4+z^4")
     quartics = [random_corpus_quartic(0, i) for i in range(5)]
     quartics += [apply_linear_change(fermat, M) for M in _CRITERION_7]
-    quartics += [parse_quartic("x^4+y^4-z^4"), parse_quartic("x^2*y^2+y^2*z^2+z^2*x^2")]
+    return quartics + [parse_quartic("x^4+y^4-z^4"), parse_quartic("x^2*y^2+y^2*z^2+z^2*x^2")]
+
+
+def test_early_exit_keeps_every_verdict(monkeypatch):
+    quartics = _ascent_quartics()
     early = [nonnegativity_test(f, build_family(f)) for f in quartics]
     monkeypatch.setattr(quartic_sos.curves, "ldl_positive_definite", lambda G: False)
     full = [nonnegativity_test(f, build_family(f)) for f in quartics]
@@ -190,6 +194,58 @@ def test_early_exit_keeps_every_verdict(monkeypatch):
         assert s.exact == (s.nonnegative is True and s.ascent_max > 0)
     # criterion 7's matrix #1 stays undecided, the monomial squares are yes at tolerance
     assert [s.nonnegative for s in early[5:]] == [True, None, True, False, True]
+
+
+#: (nonnegative, exact, ascent_max, certificate lam, counterexample,
+#: counterexample_value) of each of `_ascent_quartics()` at seed 0, recorded
+#: when the sphere search still ran before the ascent on every input.
+_SEARCH_FIRST_STATUS = [
+    (True, True, 0.000205582729312932, (-16.75754195480086, 3.665256707136748, -13.049489260786755, 7.062226731440177, -6.871620936086148, 6.956987801004301), None, None),
+    (True, True, 0.002276179387398295, (0.6762908673192783, 17.03491080956584, 9.154952886750705, -22.61174992463701, -10.01188354915184, -23.59818405488927), None, None),
+    (True, True, 7.480004389033711e-05, (-12.796481146084615, 1.87938404517, -2.9646320751597535, 18.276839916730893, 9.876011232419513, -7.799321175140344), None, None),
+    (True, True, 6.374679984078811e-05, (9.760801523055884, -41.258200016476046, -2.015192660063173, 19.866554597147775, 6.061625554689146, 11.697615534486532), None, None),
+    (True, True, 0.0032670934124429236, (-29.543229233952037, -11.468241815095489, -5.844674708595461, 42.40528083442672, 28.900809744242498, -34.48715358017832), None, None),
+    (True, True, 8.186859284348213e-05, (16.14242005929137, 30.017249951627385, 1.10183965076315, 77.42861971507507, 66.28694295714692, -103.38021795898028), None, None),
+    (None, False, -5.099909407823259e-05, None, None, None),
+    (True, True, 0.0002019452469219809, (52.03184162480869, 50.99930059999148, -23.26973678869694, 22.48342019985402, 37.256517923296535, -195.70231257715793), None, None),
+    (False, False, None, None, (5.047938346720103e-09, 5.083580193187271e-09, -1.0), -1.0),
+    (True, False, 0.0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0), None, None),
+]
+
+
+def test_proof_first_keeps_every_status_field():
+    for f, want in zip(_ascent_quartics(), _SEARCH_FIRST_STATUS, strict=True):
+        s = nonnegativity_test(f, build_family(f))
+        lam = None if s.certificate is None else tuple(z.real for z in s.certificate.lam)
+        assert s.certificate is None or all(z.imag == 0 for z in s.certificate.lam)
+        got = (s.nonnegative, s.exact, s.ascent_max, lam, s.counterexample, s.counterexample_value)
+        assert got[:2] == want[:2]
+        # the floats come from eigh and the search, whose last bits may
+        # differ between LAPACK builds; the tolerance is far below any
+        # change of stage or iterate
+        for a, b in zip(got[2:], want[2:]):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a == pytest.approx(b, rel=1e-9, abs=1e-15)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(quartic_sos.curves, name)
+    monkeypatch.setattr(quartic_sos.curves, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_the_proof_runs_before_the_search(monkeypatch):
+    searches = _count_calls(monkeypatch, "_sphere_falsify")
+    ascents = _count_calls(monkeypatch, "_eig_ascent")
+    proved = [parse_quartic("x^4+y^4+z^4")] + [random_corpus_quartic(0, i) for i in range(5)]
+    assert all(nonnegativity_test(f, build_family(f)).exact for f in proved)
+    assert len(searches) == 0 and len(ascents) == len(proved)
+    # a start point of the search is already negative: no ascent runs
+    f = parse_quartic("x^4+y^4-z^4")
+    assert nonnegativity_test(f, build_family(f)).nonnegative is False
+    assert len(searches) == 1 and len(ascents) == len(proved)
 
 
 def test_positivity_verdicts_are_scale_invariant():

@@ -15,7 +15,16 @@ from quartic_sos.forms import (
     monomials_of_degree,
     parse_quartic,
 )
-from quartic_sos.resultant import exact_rank, gradient_resultant_is_nonzero, macaulay_matrix
+import quartic_sos.resultant
+from quartic_sos.resultant import (
+    RANK_PRIME,
+    _primitive,
+    exact_rank,
+    full_column_rank,
+    gradient_resultant_is_nonzero,
+    macaulay_matrix,
+    rank_mod_p,
+)
 
 
 def _det_reference(rows):
@@ -78,6 +87,29 @@ def test_exact_rank_rectangular_fractions_with_zero_rows(shape, rank):
     padded = rows[:2] + [[Fraction(0)] * ncols] + rows[2:] + [[0] * ncols]
     assert exact_rank(padded) == rank
     assert exact_rank([list(col) for col in zip(*padded)]) == rank
+    # the rank mod p is at most the rank over Q, and here equal to it
+    cleared = [_primitive(row) for row in padded]
+    assert rank_mod_p(cleared) == rank
+    assert rank_mod_p([list(col) for col in zip(*cleared)]) == rank
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quartic_sos.resultant, "exact_rank",
+                        lambda rows: calls.append(1) or exact_rank(rows))
+    return calls
+
+
+def test_rank_mod_p_shortfall_falls_back_to_bareiss(monkeypatch):
+    # diag(1, ..., 1, p): the only maximal minor is p, so the rank mod p is 5
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    rows[5][5] = RANK_PRIME
+    assert rank_mod_p(rows) == 5
+    calls = _count_bareiss(monkeypatch)
+    assert full_column_rank(rows) and len(calls) == 1
+    # residues of entries far beyond int64
+    big = [[2**70, 3], [5 * 2**80, 7]]
+    assert rank_mod_p(big) == exact_rank(big) == 2
 
 
 def test_monomials_of_degree_seven_count():
@@ -114,10 +146,18 @@ def test_klein_quartic_is_smooth():
 
 
 @pytest.mark.parametrize("text", ["(x^2+y^2+z^2)^2", "x^2*y^2+z^4", "x^4"])
-def test_singular_controls(text):
+def test_singular_controls(text, monkeypatch):
+    # a rank drop mod p is never taken as a verdict: Bareiss decides it
+    calls = _count_bareiss(monkeypatch)
     status = smoothness_test(parse_quartic(text))
-    assert not status.smooth
+    assert not status.smooth and len(calls) == 1
     assert status.discriminant_sign == "zero" and status.method == "macaulay"
+
+
+@pytest.mark.parametrize("text", ["x^4+y^4+z^4", "x^4+y^4-z^4", "x^3*y + y^3*z + z^3*x"])
+def test_smooth_named_quartics_are_proved_mod_p(text, monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    assert gradient_resultant_is_nonzero(parse_quartic(text)) and not calls
 
 
 def _planted_singular(rng) -> TernaryQuartic:
