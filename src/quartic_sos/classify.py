@@ -273,11 +273,12 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
 
     A PSD class of the solve is a sum-of-squares Gram matrix of f, so it
     certifies f >= 0 itself; only when the solve holds none does
-    `nonnegativity_test` decide: the sphere search, then the eigenvalue
-    ascent, which stops at the first Gram matrix an exact LDL^T proves
-    positive definite.  An endpoint of the solve whose completion of
-    squares does not have rank 3 counts as a failed path, so it fails the
-    count certification instead of reaching `factor`.
+    `nonnegativity_test` decide, which tries the exact proof (an
+    eigenvalue ascent that stops at the first Gram matrix an exact LDL^T
+    proves positive definite) before the falsifying sphere search.  An
+    endpoint of the solve whose completion of squares does not have rank 3
+    counts as a failed path, so it fails the count certification instead
+    of reaching `factor`.
     For a smooth non-negative quartic the expected split is 8 sums of
     squares, 7 mixed-sign real representations, and 48 non-real classes.
     Raises HypothesisFailed (no counts asserted) when a hypothesis fails.

@@ -142,7 +142,8 @@ def smoothness_test(f: TernaryQuartic) -> CurveStatus:
 def numeric_singularity_oracle(f: TernaryQuartic) -> bool:
     """Float cross-check of `smoothness_test`: True iff a singular point
     was found (`_singular_point`).  It shares the Macaulay builder with the
-    exact test but not Bareiss; FloatRangeError when floats cannot hold f.
+    exact test but not its integer rank; FloatRangeError when floats cannot
+    hold f.
     """
     return _singular_point(f) is not None
 

@@ -246,6 +246,11 @@ def test_the_proof_runs_before_the_search(monkeypatch):
     f = parse_quartic("x^4+y^4-z^4")
     assert nonnegativity_test(f, build_family(f)).nonnegative is False
     assert len(searches) == 1 and len(ascents) == len(proved)
+    # float coefficients admit no exact proof: the search runs, then the full ascent
+    f = TernaryQuartic({(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0})
+    status = nonnegativity_test(f, build_family(f))
+    assert status.nonnegative is True and not status.exact
+    assert len(searches) == 2 and len(ascents) == len(proved) + 1
 
 
 def test_positivity_verdicts_are_scale_invariant():
