@@ -58,6 +58,7 @@ from .classify import (
     Theorem1Report,
     VerifyVerdict,
     classify_point,
+    classify_points,
     factor,
     theorem1_check,
     verify_representation,
@@ -107,6 +108,7 @@ __all__ = [
     "factor",
     "verify_representation",
     "classify_point",
+    "classify_points",
     "theorem1_check",
     "random_corpus_quartic",
     "main",

@@ -3,9 +3,10 @@
 A rank-3 Gram matrix G factors as e1 v1 v1^T + e2 v2 v2^T + e3 v3 v3^T,
 which reads as f = e1 p^2 + e2 q^2 + e3 r^2 with p, q, r quadratic forms.
 One pivoted completion of squares (`gram.complete_squares`) does it for
-every class: a real G is eliminated in real arithmetic and the signs of its
-pivots are its signature (Sylvester's law of inertia); a complex G gets
-three complex squares with signs +1.
+all the classes as one batch: a real G is eliminated in real arithmetic and
+the signs of its pivots are its signature (Sylvester's law of inertia); a
+complex G gets three complex squares with signs +1.  The residuals of the
+batch are array expansions that round as the dict code of `verify` does.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import QuadraticForm, TernaryQuartic, quad_square
-from .gram import GramFamily, SymMatrix6, build_family, complete_squares, gram_to_poly
+from .forms import DEGREE4_MONOMIALS, MONOMIAL_ORDER, QuadraticForm, TernaryQuartic, quad_square
+from .gram import (
+    KERNEL_BASIS_TENSOR,
+    TRIU_PAIRS,
+    GramFamily,
+    SymMatrix6,
+    build_family,
+    complete_squares,
+)
 from .curves import (
     CurveStatus,
     PositivityStatus,
@@ -162,7 +170,9 @@ def _canonicalize(signs: Sequence[int], vecs: Sequence[np.ndarray]):
 
 def _relative_residual(f_coeffs: dict, signs, forms) -> float:
     """max |f - sum s_i form_i^2| / max |f| over coefficients, computed in the
-    coefficients' own arithmetic: exact for ints and Fractions."""
+    coefficients' own arithmetic: exact for ints and Fractions.  `verify`
+    keeps it for that exactness; there a certificate with a zero form still
+    raises ZeroFormError from `quad_square`."""
     total: dict = {}
     for s, form in zip(signs, forms):
         for e, c in quad_square(form).coeffs.items():
@@ -173,23 +183,81 @@ def _relative_residual(f_coeffs: dict, signs, forms) -> float:
     return float(worst / max(abs(c) for c in f_coeffs.values()))
 
 
-def factor(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
-    """Factor a rank-3 Gram matrix by one completion of squares (`complete_squares`).
+def _term_rounds(terms):
+    """Group (e, a, b) terms, listed in summation order, into rounds of index
+    arrays: round p holds the p-th term of every degree-4 monomial e that has
+    one, so adding round after round sums each monomial's terms in the
+    listed order."""
+    rounds, seen = [], {}
+    for e, a, b in terms:
+        p = seen[e] = seen.get(e, -1) + 1
+        if p == len(rounds):
+            rounds.append([])
+        rounds[p].append((DEGREE4_MONOMIALS.index(e), a, b))
+    return [tuple(np.array(col) for col in zip(*r)) for r in rounds]
+
+
+def _monomial(a: int, b: int):
+    return tuple(u + v for u, v in zip(MONOMIAL_ORDER[a], MONOMIAL_ORDER[b]))
+
+
+#: m^T G m: the upper-triangle entries (i, j) in `gram.gram_to_poly`'s order.
+_GRAM_TERMS = _term_rounds([(_monomial(i, j), i, j) for i, j in TRIU_PAIRS])
+#: p^2: the coefficient pairs (a, b) in the order of `forms.poly_mul`'s double loop.
+_SQUARE_TERMS = _term_rounds([(_monomial(a, b), a, b) for a in range(6) for b in range(6)])
+
+
+def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """`_relative_residual(gram_to_poly(G), signs, forms)` of a stack, G
+    (n, 6, 6) and the forms F (n, 3, 6), complex, bit for bit when G is a
+    family's G(lam) (each monomial has one slot in G0, and lam enters as
+    exact multiples).  The expansions add their terms in the dict code's
+    order, and complex products and moduli are written out in float64
+    (ar br - ai bi, ar bi + ai br and hypot) as Python's scalar complex
+    arithmetic rounds them; numpy's vectorised complex multiply and abs
+    round differently."""
+    f = np.zeros((2, len(G), len(DEGREE4_MONOMIALS)))
+    for e, i, j in _GRAM_TERMS:
+        w = np.where(i == j, 1.0, 2.0)
+        f[0][:, e] += w * G.real[:, i, j]
+        f[1][:, e] += w * G.imag[:, i, j]
+    q = np.zeros((2,) + F.shape[:2] + (len(DEGREE4_MONOMIALS),))
+    for e, a, b in _SQUARE_TERMS:
+        ar, ai, br, bi = F.real[..., a], F.imag[..., a], F.real[..., b], F.imag[..., b]
+        q[0][..., e] += ar * br - ai * bi
+        q[1][..., e] += ar * bi + ai * br
+    total = np.zeros_like(f)
+    for k in range(F.shape[1]):
+        total += signs[:, k, None] * q[:, :, k]
+    worst = np.max(np.hypot(*(f - total)), axis=1)
+    return worst / np.max(np.hypot(*f), axis=1)
+
+
+def _factor_batch(G: np.ndarray, class_lambdas) -> List[Representation]:
+    """Representations of a stack G (n, 6, 6) of rank-3 Gram matrices, complex
+    dtype, one completion of squares (`complete_squares`) for the stack.
 
     A matrix whose entries are all real is eliminated in real arithmetic, and
     the signs are its signature; any other gets three complex squares with
-    signs +1.  RankMismatchError unless the rank is 3.
-    """
-    A = G.to_array(complex)
-    if not np.any(A.imag):
-        A = A.real
-    signs, vecs = complete_squares(A)
-    if len(signs) != 3:
-        raise RankMismatchError(f"completion of squares has rank {len(signs)}, not 3")
-    signs, forms = _canonicalize(signs, vecs)
-    residual = _relative_residual(gram_to_poly(G), signs, forms)
-    return Representation(signs=signs, forms=forms, class_lambda=tuple(class_lambda),
-                          residual=residual)
+    signs +1.  RankMismatchError, for the first matrix in order, unless every
+    rank is 3."""
+    real = ~np.any(G.imag, axis=(1, 2))
+    signs, W = complete_squares(G, real=real)
+    rank = np.count_nonzero(signs, axis=1)
+    if np.any(rank != 3):
+        raise RankMismatchError(f"completion of squares has rank {rank[rank != 3][0]}, not 3")
+    canon = [_canonicalize(s[:3].tolist(), w[:3].real if r else w[:3])
+             for s, w, r in zip(signs, W, real)]
+    F = np.array([[form.coeffs for form in forms] for _, forms in canon],
+                 dtype=complex).reshape(len(G), 3, 6)
+    S = np.array([s for s, _ in canon], dtype=int).reshape(len(G), 3)
+    return [Representation(signs=s, forms=forms, class_lambda=tuple(lam), residual=float(r))
+            for (s, forms), lam, r in zip(canon, class_lambdas, _residuals(G, S, F))]
+
+
+def factor(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
+    """Factor a rank-3 Gram matrix: a one-element batch of `_factor_batch`."""
+    return _factor_batch(G.to_array(complex)[None], [class_lambda])[0]
 
 
 @dataclass(frozen=True)
@@ -226,11 +294,19 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
     return verdicts
 
 
+def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Representation]:
+    """Representations of the solver classes, one batch: every G(lam) =
+    G0 + sum lam_i B_i at once, then `_factor_batch`.  A real class has real
+    lam, and a non-real lam puts its imaginary part into the G entries it is
+    read from (`gram.LAMBDA_SLOTS`), so the batch reads reality off G itself."""
+    lam = np.array([p.lam for p in points], dtype=complex).reshape(-1, 6)
+    G = family.base.to_array(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
+    return _factor_batch(G, [p.lam for p in points])
+
+
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:
-    """Representation of one solver class.  A real class has real lam, and a
-    non-real lam puts its imaginary part into the G entries it is read from
-    (`gram.LAMBDA_SLOTS`), so `factor` reads reality off G itself."""
-    return factor(family.matrix_at(point.lam), class_lambda=point.lam)
+    """Representation of one solver class: a one-element `classify_points`."""
+    return classify_points(family, [point])[0]
 
 
 @dataclass(frozen=True)
@@ -314,8 +390,8 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     # = 0, so v would be a singular point, and smoothness was decided exactly
     # above.  The numeric basepoint test stays in `verify`, where f may be
     # singular.
-    reps = [replace(classify_point(family, point), basepoint_free=True)
-            for point in solution_set.points]
+    reps = [replace(rep, basepoint_free=True)
+            for rep in classify_points(family, solution_set.points)]
     timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
 

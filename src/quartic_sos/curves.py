@@ -199,8 +199,10 @@ def _singular_point(f: TernaryQuartic):
     matrix on g (`_null_space_points`).  A singular set of positive
     dimension is no finite list of points: when no point passes, the
     multiples of `_CUT_FORM` join the rows and cut the set down to its
-    points on that line.  A point is accepted when every partial of g there
-    is below WITNESS_TOL, and the best one is returned.  A small singular
+    points on that line; but a first matrix of float corank 0 (as on any
+    smooth curve that is not ill-conditioned) ends the search, as added
+    rows cannot enlarge a null space.  A point is accepted when every
+    partial of g there is below WITNESS_TOL, and the best one is returned.  A small singular
     value alone is no evidence: the degree-7 matrix of a smooth but
     ill-conditioned quartic can have one.
     """
@@ -211,7 +213,10 @@ def _singular_point(f: TernaryQuartic):
     cubics = list(gradient(g))
     best, best_res = None, WITNESS_TOL
     for polys in (cubics, cubics + [_CUT_FORM]):
-        for v in _null_space_points(np.array(macaulay_matrix(polys, 7), dtype=float)):
+        points = _null_space_points(np.array(macaulay_matrix(polys, 7), dtype=float))
+        if not points:
+            return None
+        for v in points:
             v = v / np.linalg.norm(v)
             res = max(abs(complex(poly_eval(c, v))) for c in cubics)
             if res < best_res:

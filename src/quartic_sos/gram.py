@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,8 +227,9 @@ def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm])
     return SymMatrix6(entries)
 
 
-def complete_squares(A: np.ndarray):
-    """Lagrange's pivoted completion of squares, A = sum_k s_k w_k w_k^T.
+def complete_squares(A: np.ndarray, real: Optional[np.ndarray] = None):
+    """Lagrange's pivoted completion of squares, A = sum_k s_k w_k w_k^T,
+    of one symmetric matrix (m, m) or of each matrix of a stack (n, m, m).
 
     Runs on A / max|A|.  The pivot is the largest diagonal entry above
     PIVOT_TOL; when there is none, the step goes along e_u + e_v at the
@@ -238,31 +239,49 @@ def complete_squares(A: np.ndarray):
     each square takes the sign of its pivot, so by Sylvester's law of inertia
     the signs are the signature; a complex array gets signs +1, the complex
     squares absorbing them.  Elimination stops once every entry left is below
-    RANK_EIG_TOL, so the rank is the number of squares.  Returns (signs, w).
+    RANK_EIG_TOL, so the rank is the number of squares.
+
+    A stack is eliminated as one batch, a matrix that has stopped left as it
+    is; its pivot column is a gather of S's columns (j, or u and v), not a
+    product.  It returns signs (n, m), 0 past each rank, and W (n, m, m),
+    W[i, k] the k-th vector of matrix i.  A complex stack may mix the two
+    arithmetics: `real`, a boolean mask over it, picks the matrices
+    eliminated in real arithmetic on their real parts.  One matrix is a
+    one-element batch and returns (signs, w) as two lists.
     """
-    real = not np.iscomplexobj(A)
-    norm = max(np.max(np.abs(A)), 1e-300)
-    S = A / norm
-    signs, vecs = [], []
-    while len(vecs) < len(S) and np.max(np.abs(S)) >= RANK_EIG_TOL:
-        diag = np.abs(np.diag(S))
-        j = int(np.argmax(diag))
-        d = np.zeros(len(S))
-        if diag[j] > PIVOT_TOL:
-            d[j] = 1.0
+    if A.ndim == 2:
+        signs, W = complete_squares(A[None])
+        rank = int(np.count_nonzero(signs[0]))
+        return [int(s) for s in signs[0, :rank]], list(W[0, :rank])
+    if real is not None:
+        signs, W = np.zeros(A.shape[:2], dtype=int), np.zeros(A.shape, dtype=complex)
+        for rows, B in ((real, A[real].real), (~real, A[~real])):
+            signs[rows], W[rows] = complete_squares(B)
+        return signs, W
+    real_arithmetic = not np.iscomplexobj(A)
+    n, m = A.shape[:2]
+    norm = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1e-300)
+    S = A / norm[:, None, None]
+    signs, W = np.zeros((n, m), dtype=int), np.zeros_like(S)
+    for k in range(m):
+        act = np.flatnonzero(np.max(np.abs(S), axis=(1, 2)) >= RANK_EIG_TOL)
+        if act.size == 0:
+            break
+        T, r = S[act], np.arange(act.size)
+        diag = np.abs(np.diagonal(T, axis1=1, axis2=2))
+        j = np.argmax(diag, axis=1)
+        u, v = np.divmod(np.argmax(np.abs(np.triu(T, 1)).reshape(act.size, -1), axis=1), m)
+        hyperbolic = ~(diag[r, j] > PIVOT_TOL)
+        Sd = np.where(hyperbolic[:, None], T[r, :, u] + T[r, :, v], T[r, :, j])
+        pivot = np.where(hyperbolic, Sd[r, u] + Sd[r, v], Sd[r, j])
+        if real_arithmetic:
+            sign, root = np.where(pivot < 0, -1, 1), np.sqrt(np.abs(pivot))
         else:
-            off = np.abs(np.triu(S, 1))
-            u, v = np.unravel_index(int(np.argmax(off)), off.shape)
-            d[u] = d[v] = 1.0
-        Sd = S @ d
-        pivot = d @ Sd
-        sign = -1 if real and pivot < 0 else 1
-        w = Sd / np.sqrt(abs(pivot) if real else complex(pivot))
-        S = S - sign * np.outer(w, w)
-        signs.append(sign)
-        vecs.append(w)
-    root = np.sqrt(norm)
-    return signs, [root * w for w in vecs]
+            sign, root = np.ones(act.size, dtype=int), np.sqrt(pivot)
+        w = Sd / root[:, None]
+        S[act] = T - sign[:, None, None] * (w[:, :, None] * w[:, None, :])
+        signs[act, k], W[act, k] = sign, w
+    return signs, np.sqrt(norm)[:, None, None] * W
 
 
 def lambda_of_gram(family: GramFamily, G: SymMatrix6, tol: float = NOT_IN_FAMILY_TOL):

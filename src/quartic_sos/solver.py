@@ -27,6 +27,7 @@ re-polish reconverges to them.  f is divided by its largest coefficient
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -286,12 +287,22 @@ def _near(lam, scl, ok):
     return near & ok[:, None] & ok[None] & ~np.eye(len(ok), dtype=bool)
 
 
-def _start(a):
-    """Projective start points (h, mu, K) and their charts, from FERMAT_CLASSES."""
+@functools.lru_cache(maxsize=None)
+def _fermat_start():
+    """The seed-free part of the start table, built once: (1, lam) of the 63
+    FERMAT_CLASSES, their kernel charts and K there, as read-only arrays."""
     lam = np.array(FERMAT_CLASSES, dtype=float) @ np.array([1.0, np.sqrt(2.0), 1j, 1j * np.sqrt(2.0)])
     _, _, Vh = np.linalg.svd(_G0_FERMAT + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR))
     chart, K = _best_chart(np.conj(np.swapaxes(Vh[:, 3:], 1, 2)))
     hmu = np.concatenate([np.ones((len(lam), 1)), lam], axis=1)
+    for table in (hmu, chart, K):
+        table.flags.writeable = False
+    return hmu, chart, K
+
+
+def _start(a):
+    """Projective start points (h, mu, K) on the patch a and their charts."""
+    hmu, chart, K = _fermat_start()
     return np.concatenate([hmu / (hmu @ a)[:, None], K], axis=1), chart
 
 
@@ -347,19 +358,17 @@ def _polish_real(x, chart, lam, res, scl, ok, G0f):
 
 def _finalize(index, lam, is_real, residual, G0, scale: float):
     """GramPoints in canonical order, with lam mapped back by `scale`; rank
-    and signature are read off one completion of squares of G(lam).  An
-    endpoint whose completion does not have rank 3 is no class: its path
-    counts as failed."""
-    points = []
-    for i, lm, real, r in zip(index, lam, is_real, residual):
-        G = G0 + np.einsum("i,iab->ab", lm, KERNEL_BASIS_TENSOR)
-        signs, _ = complete_squares(G.real if real else G)
-        if len(signs) != 3:
-            continue
-        signature = (signs.count(1), signs.count(-1)) if real else None
-        points.append(GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
-                                signature=signature, rank=len(signs), residual=float(r),
-                                hits=1, first_restart=int(i)))
+    and signature are read off the completion of squares of every G(lam),
+    one batch.  An endpoint whose completion does not have rank 3 is no
+    class: its path counts as failed."""
+    lam, is_real = np.asarray(lam), np.asarray(is_real, dtype=bool)
+    G = G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
+    signs, _ = complete_squares(G, real=is_real)
+    points = [GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
+                        signature=(int(np.sum(s == 1)), int(np.sum(s == -1))) if real else None,
+                        rank=3, residual=float(r), hits=1, first_restart=int(i))
+              for i, lm, real, r, s in zip(index, lam, is_real, residual, signs)
+              if np.count_nonzero(s) == 3]
     return sorted(points, key=_sort_key)
 
 

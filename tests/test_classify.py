@@ -7,13 +7,23 @@ import numpy as np
 import pytest
 
 import quartic_sos.classify
-from quartic_sos.forms import QuadraticForm, parse_quartic, quad_square
-from quartic_sos.gram import SymMatrix6, build_family, representation_to_gram
+from quartic_sos.cli import random_corpus_quartic
+from quartic_sos.forms import QuadraticForm, apply_linear_change, parse_quartic, quad_square
+from quartic_sos.gram import (
+    SymMatrix6,
+    build_family,
+    complete_squares,
+    gram_to_poly,
+    representation_to_gram,
+)
 from quartic_sos.classify import (
     HypothesisFailed,
     RankMismatchError,
     Representation,
+    _canonicalize,
+    _relative_residual,
     classify_point,
+    classify_points,
     factor,
     theorem1_check,
     verify_representation,
@@ -175,6 +185,34 @@ def test_classify_point_on_trivial_fermat_class():
     rep = classify_point(family, point)
     assert rep.is_sum_of_squares
     assert verify_representation(f, [rep])[0].passed
+
+
+# x -> M x for the second change of variables of acceptance criterion 7
+_CRITERION_7_MATRIX_1 = [[3, 2, -3], [3, -2, -1], [-2, 2, 0]]
+
+
+@pytest.mark.parametrize("f", [
+    parse_quartic("x^4+y^4+z^4"),
+    random_corpus_quartic(0, 0),
+    apply_linear_change(parse_quartic("x^4+y^4+z^4"), _CRITERION_7_MATRIX_1),
+], ids=["fermat", "random-0", "criterion-7-1"])
+def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
+    # the batch completes every class at once and expands the residual as
+    # arrays; each class must come out bit for bit as one completion of its
+    # own G(lam), `_canonicalize` and the dict residual give it
+    family = build_family(f)
+    points = solve_all(family, SolveConfig(master_seed=0)).points
+    assert len(points) == 63
+    for point, rep in zip(points, classify_points(family, points)):
+        G = family.matrix_at(point.lam)
+        A = G.to_array(complex)
+        signs, vecs = complete_squares(A if np.any(A.imag) else A.real)
+        signs, forms = _canonicalize(signs, vecs)
+        assert rep.signs == signs
+        for got, want in zip(rep.forms, forms):
+            assert all(type(a) is type(b) and a == b for a, b in zip(got.coeffs, want.coeffs))
+        assert rep.residual == _relative_residual(gram_to_poly(G), signs, forms)
+        assert rep.class_lambda == point.lam
 
 
 def test_theorem1_check_rejects_singular_input():

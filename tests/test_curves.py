@@ -69,6 +69,20 @@ def test_numeric_oracle_named_examples():
     assert not numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4"))
 
 
+def test_smooth_oracle_builds_one_null_space(monkeypatch):
+    # the first degree-7 matrix of a smooth curve has float corank 0, and
+    # adding the cut form's rows cannot enlarge a null space: no cut pass
+    shapes, null_space_points = [], quartic_sos.curves._null_space_points
+
+    def spy(M):
+        shapes.append(M.shape)
+        return null_space_points(M)
+
+    monkeypatch.setattr(quartic_sos.curves, "_null_space_points", spy)
+    assert not numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4"))
+    assert shapes == [(45, 36)]
+
+
 @pytest.mark.parametrize("text", [
     "10^12*x^4 + y^4 + z^4",
     "x^4 + 0.000000000001*y^4 + z^4",

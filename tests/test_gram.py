@@ -209,3 +209,26 @@ def test_complete_squares_complex_and_degenerate_input():
     assert np.max(np.abs(sum(s * np.outer(w, w) for s, w in zip(signs, vecs)) - A)) < 1e-14
     # nothing above the rank tolerance: rank 0
     assert complete_squares(np.zeros((6, 6))) == ([], [])
+
+
+def test_complete_squares_of_a_stack_is_each_matrix_alone():
+    # matrices of different ranks stop at different steps, and a complex
+    # stack with a `real` mask eliminates the masked ones in real arithmetic:
+    # each comes out bit for bit as its own one-matrix completion
+    rng = np.random.default_rng(np.random.SeedSequence([17, 2]))
+    mats, real = [], []
+    for rank in (3, 1, 6, 0, 2, 3):
+        P = rng.standard_normal((6, rank))
+        mats.append(P @ np.diag(rng.choice([-1.0, 1.0], rank)) @ P.T)
+        real.append(True)
+        Q = P + 1j * rng.standard_normal((6, rank))
+        mats.append(Q @ Q.T)
+        real.append(False)
+    signs, W = complete_squares(np.array(mats, dtype=complex), real=np.array(real))
+    for A, is_real, s, w in zip(mats, real, signs, W):
+        one_signs, one_vecs = complete_squares(A.real if is_real else A)
+        rank = len(one_signs)
+        assert s.tolist() == one_signs + [0] * (6 - rank)
+        assert not np.any(w[rank:])
+        for got, want in zip(w, one_vecs):
+            assert (got.real if is_real else got).tobytes() == want.tobytes()

@@ -262,6 +262,48 @@ def test_class_order_ignores_last_bits(fermat_set):
         assert [p.first_restart for p in again] == index
 
 
+def test_start_table_is_built_once(monkeypatch):
+    # the charts and K of Fermat's 63 classes do not depend on the seed: the
+    # first solve builds them, and after that `_best_chart` runs only in the
+    # tracker, for paths that change chart
+    solver._fermat_start.cache_clear()
+    best_chart, track, tracking, calls = solver._best_chart, solver._track, [False], []
+
+    def chart_spy(N):
+        calls.append(tracking[0])
+        return best_chart(N)
+
+    def track_spy(*args):
+        tracking[0] = True
+        try:
+            return track(*args)
+        finally:
+            tracking[0] = False
+
+    monkeypatch.setattr(solver, "_best_chart", chart_spy)
+    monkeypatch.setattr(solver, "_track", track_spy)
+    family = build_family(random_corpus_quartic(0, 0))
+    for seed in (0, 1):
+        assert solve_all(family, SolveConfig(master_seed=seed)).counts == (63, 15, 8)
+    assert calls[0] is False and calls.count(False) == 1
+    assert calls.count(True) > 0
+
+
+def test_endpoints_are_completed_in_one_batch(fermat_family, monkeypatch):
+    # rank and signature of all 63 endpoints come from one completion of
+    # squares, the real ones in real arithmetic
+    shapes, complete_squares = [], solver.complete_squares
+
+    def spy(A, real=None):
+        shapes.append((A.shape, int(np.count_nonzero(real))))
+        return complete_squares(A, real)
+
+    monkeypatch.setattr(solver, "complete_squares", spy)
+    ss = solve_all(fermat_family, SolveConfig(master_seed=1))
+    assert ss.counts == (63, 15, 8)
+    assert shapes == [((63, 6, 6), 15)]
+
+
 def test_singular_family_reports_failed_paths():
     # (x^2+y^2+z^2)^2 is singular: the homotopy has no 63 regular endpoints
     ss = solve_all(build_family(parse_quartic("(x^2+y^2+z^2)^2")), SolveConfig())
