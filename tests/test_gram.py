@@ -14,6 +14,8 @@ from quartic_sos.forms import (
 from quartic_sos.gram import (
     KERNEL_BASIS,
     LAMBDA_SLOTS,
+    PIVOT_TOL,
+    RANK_EIG_TOL,
     TRIU_PAIRS,
     NotInFamilyError,
     SymMatrix6,
@@ -211,10 +213,37 @@ def test_complete_squares_complex_and_degenerate_input():
     assert complete_squares(np.zeros((6, 6))) == ([], [])
 
 
+def _complete_squares_one_at_a_time(A):
+    """The one-matrix loop the batch replaced, kept as its reference: the
+    pivot column as a product S @ d with d = e_j or e_u + e_v."""
+    real = not np.iscomplexobj(A)
+    norm = max(np.max(np.abs(A)), 1e-300)
+    S = A / norm
+    signs, vecs = [], []
+    while len(vecs) < len(S) and np.max(np.abs(S)) >= RANK_EIG_TOL:
+        diag = np.abs(np.diag(S))
+        j = int(np.argmax(diag))
+        d = np.zeros(len(S))
+        if diag[j] > PIVOT_TOL:
+            d[j] = 1.0
+        else:
+            off = np.abs(np.triu(S, 1))
+            u, v = np.unravel_index(int(np.argmax(off)), off.shape)
+            d[u] = d[v] = 1.0
+        Sd = S @ d
+        pivot = d @ Sd
+        sign = -1 if real and pivot < 0 else 1
+        w = Sd / np.sqrt(abs(pivot) if real else complex(pivot))
+        S = S - sign * np.outer(w, w)
+        signs.append(sign)
+        vecs.append(w)
+    return signs, [np.sqrt(norm) * w for w in vecs]
+
+
 def test_complete_squares_of_a_stack_is_each_matrix_alone():
     # matrices of different ranks stop at different steps, and a complex
     # stack with a `real` mask eliminates the masked ones in real arithmetic:
-    # each comes out bit for bit as its own one-matrix completion
+    # each comes out bit for bit as the one-matrix loop completes it
     rng = np.random.default_rng(np.random.SeedSequence([17, 2]))
     mats, real = [], []
     for rank in (3, 1, 6, 0, 2, 3):
@@ -224,11 +253,16 @@ def test_complete_squares_of_a_stack_is_each_matrix_alone():
         Q = P + 1j * rng.standard_normal((6, rank))
         mats.append(Q @ Q.T)
         real.append(False)
+    A = np.zeros((6, 6))
+    A[0, 1] = A[1, 0] = 3.0  # the hyperbolic step
+    mats.append(A)
+    real.append(True)
     signs, W = complete_squares(np.array(mats, dtype=complex), real=np.array(real))
     for A, is_real, s, w in zip(mats, real, signs, W):
-        one_signs, one_vecs = complete_squares(A.real if is_real else A)
+        one_signs, one_vecs = _complete_squares_one_at_a_time(A.real if is_real else A)
         rank = len(one_signs)
         assert s.tolist() == one_signs + [0] * (6 - rank)
         assert not np.any(w[rank:])
         for got, want in zip(w, one_vecs):
             assert (got.real if is_real else got).tobytes() == want.tobytes()
+        assert complete_squares(A.real if is_real else A)[0] == one_signs
