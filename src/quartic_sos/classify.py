@@ -33,6 +33,7 @@ from .curves import (
     PositivityStatus,
     basepoint_check,
     nonnegativity_test,
+    proved_lambda,
     smoothness_test,
 )
 from .solver import (
@@ -347,17 +348,18 @@ class Theorem1Report:
 def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Theorem1Report:
     """Exact smoothness, rank-3 solve, non-negativity, classification, counts.
 
-    A PSD class of the solve is a sum-of-squares Gram matrix of f, so it
-    certifies f >= 0 itself; only when the solve holds none does
-    `nonnegativity_test` decide, which tries the exact proof (an
-    eigenvalue ascent that stops at the first Gram matrix an exact LDL^T
-    proves positive definite) before the falsifying sphere search.  An
-    endpoint of the solve whose completion of squares does not have rank 3
-    counts as a failed path, so it fails the count certification instead
-    of reaching `factor`.
+    Non-negativity is proved, not trusted to floats.  G at the mean lam of
+    the solve's PSD classes has as kernel the intersection of theirs, so it
+    is PSD with room for rounding, and `proved_lambda` reads it as an exact
+    lam_q whose G(lam_q) an exact LDL^T proves PSD.  Only when that fails
+    does `nonnegativity_test` decide.  An endpoint of the solve
+    whose completion of squares does not have rank 3 counts as a failed
+    path, so it fails the count certification instead of reaching `factor`.
     For a smooth non-negative quartic the expected split is 8 sums of
     squares, 7 mixed-sign real representations, and 48 non-real classes.
-    Raises HypothesisFailed (no counts asserted) when a hypothesis fails.
+    Raises HypothesisFailed (no counts asserted) when a hypothesis fails;
+    an undecided non-negativity after a solve that lost paths is left to
+    fail the counts instead, since the lost paths may be the cause.
     """
     timings: dict = {}
     t0 = time.perf_counter()
@@ -369,9 +371,10 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     t0 = time.perf_counter()
     solution_set = solve_all(family, config)
     timings["solve"] = time.perf_counter() - t0
-    psd = next((p for p in solution_set.points if p.is_psd), None)
-    if psd is not None:
-        positivity = PositivityStatus(nonnegative=True, certificate=psd)
+    psd = [p.lam for p in solution_set.points if p.is_psd]
+    proof = proved_lambda(family, np.mean(np.real(psd), axis=0)) if psd else None
+    if proof is not None:
+        positivity = PositivityStatus(nonnegative=True, certificate=proof)
     else:
         t0 = time.perf_counter()
         positivity = nonnegativity_test(f, family, seed=config.master_seed)
@@ -381,8 +384,8 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
             "nonnegative",
             f"counterexample {positivity.counterexample} with value {positivity.counterexample_value}",
         )
-    if positivity.nonnegative is None:
-        raise HypothesisFailed("nonnegative", "indeterminate at tolerance")
+    if positivity.nonnegative is None and not solution_set.failed:
+        raise HypothesisFailed("nonnegative", "indeterminate: no proof, no counterexample")
 
     t0 = time.perf_counter()
     # Smoothness makes every representation basepoint-free: a common zero v
@@ -399,7 +402,8 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     mixed_real_total = sum(1 for r in reps if r.is_real and not r.is_sum_of_squares)
     nonreal_total = sum(1 for r in reps if not r.is_real)
     passed = (
-        count_report["all_pass"]
+        positivity.nonnegative is True
+        and count_report["all_pass"]
         and sos_total == 8
         and mixed_real_total == 7
         and nonreal_total == 48

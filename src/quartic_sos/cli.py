@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, TextIO
 
 from .classify import (
+    REPRESENTATION_TOL,
     HypothesisFailed,
     Representation,
     Theorem1Report,
@@ -116,6 +117,9 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
             report.sos_total, report.mixed_real_total, report.nonreal_total
         )
     )
+    worst = max((r.residual for r in report.representations), default=0.0)
+    if worst > REPRESENTATION_TOL:
+        out.write(f"certificate residuals: max {worst:.3g} (limit {REPRESENTATION_TOL:g}) [MISMATCH]\n")
     out.write(f"certified: {'pass' if report.passed else 'FAIL'}\n")
 
 
@@ -220,7 +224,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     sys.stderr.write(f"timing nonnegativity: {time.perf_counter() - t0:.3f}s\n")
     if positivity.nonnegative is True:
         out.write("nonnegative: yes (sum-of-squares certificate found)\n")
-        out.write(f"certificate floor: {positivity.ascent_max:.12g}\n")
     elif positivity.nonnegative is False:
         point = ", ".join(_fmt_num(c) for c in positivity.counterexample)
         out.write(
@@ -228,7 +231,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"{positivity.counterexample_value:.12g})\n"
         )
     else:
-        out.write("nonnegative: indeterminate at tolerance\n")
+        out.write("nonnegative: indeterminate (no proof, no counterexample)\n")
     eligible = smooth and positivity.nonnegative is True
     out.write(
         "eligible for certified counts: {}\n".format("yes" if eligible else "no")

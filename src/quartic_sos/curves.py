@@ -14,20 +14,18 @@ Common zeros are linear algebra on Macaulay matrices, all built by
 * Three conics are basepoint-free exactly when their degree-4 matrix has
   full rank; one batched SVD decides every triple (`basepoint_check`).
 
-Non-negativity is decided by a pair of one-sided searches: maximizing the
-minimum eigenvalue of the Gram family certifies (a PSD family member is a
-sum-of-squares witness, which for ternary quartics is equivalent to
-non-negativity), and minimizing f on the unit sphere falsifies; the
-certificate's signature is read off its completion of squares
-(`gram.complete_squares`).  For rational f the ascent stops at the first
-iterate whose Gram matrix, read as exact rationals, an LDL^T in Fractions
-proves positive definite (`ldl_positive_definite`): that is a proof of
-f >= 0.  The proof is tried before the falsifying search, and a proof
-ends the test; the search runs after an ascent that proved nothing, and
-ahead of the ascent when one of its start points already shows a value
-below -PSD_TOL.  Only when no iterate is proved does the ascent run to
-its end and decide at tolerance.  The sphere search evaluates f and its
-derivatives through one table of the Hessian entries.
+Non-negativity is proved or refuted; a yes is never taken at a tolerance.
+A PSD Gram matrix G(lam) of f, f = m^T G(lam) m, writes f as a sum of
+squares, and by Hilbert's theorem every nonnegative ternary quartic has
+one.  So a rational lam_q whose G(lam_q) an exact LDL^T in Fractions proves
+PSD (`ldl_positive_semidefinite`) proves f >= 0; `proved_lambda` reads a
+float lam exactly as such a lam_q.  The candidates come from an ascent of
+the minimum eigenvalue of the Gram family.  A refutation is a point of the
+unit sphere where a search finds f below -PSD_TOL (a float value).  With
+neither, the verdict is indeterminate.  The ascent runs first, and is
+skipped when a start point of the search already shows a value below
+-PSD_TOL.  The sphere search evaluates f and its derivatives through one
+table of the Hessian entries.
 """
 
 from __future__ import annotations
@@ -50,11 +48,10 @@ from .forms import (
     poly_diff,
     poly_eval,
 )
-from .gram import KERNEL_BASIS_TENSOR, GramFamily, SymMatrix6, complete_squares
+from .gram import KERNEL_BASIS_TENSOR, GramFamily, SymMatrix6
 from .resultant import gradient_resultant_is_nonzero, macaulay_matrix
-from .solver import GramPoint
 
-#: PSD / eigenvalue tolerance shared across the positivity decisions.
+#: A value of f / max |c| below -PSD_TOL on the unit sphere refutes f >= 0.
 PSD_TOL = 1e-8
 
 #: Start points of the seeded search for a negative value of f on the sphere.
@@ -115,14 +112,14 @@ class CurveStatus:
 
 @dataclass(frozen=True)
 class PositivityStatus:
-    """Non-negativity verdict; None means indeterminate at tolerance."""
+    """Non-negativity verdict; None means indeterminate.  A yes carries its
+    proof, the rational lam whose G(lam) is PSD (`proved_lambda`); a no
+    carries a unit point where f is negative."""
 
     nonnegative: Optional[bool]
-    certificate: Optional[GramPoint] = None
+    certificate: Optional[Tuple[Fraction, ...]] = None
     counterexample: Optional[Tuple[float, float, float]] = None
     counterexample_value: Optional[float] = None
-    ascent_max: Optional[float] = None  # minimum eigenvalue of the certificate (f / max |c|)
-    exact: bool = False  # True when an exact LDL^T proved the certificate positive definite
 
 
 def smoothness_test(f: TernaryQuartic) -> CurveStatus:
@@ -345,37 +342,44 @@ def _sphere_falsify(table: np.ndarray, seed: int, iters: int = 150):
     return float(vals[best]), pts[best]
 
 
-def ldl_positive_definite(G: SymMatrix6) -> bool:
-    """True iff the exact symmetric G is positive definite.
+def ldl_positive_semidefinite(G: SymMatrix6) -> bool:
+    """True iff the exact symmetric G is positive semidefinite.
 
-    LDL^T without pivoting in Fractions: the k-th pivot is the ratio of the
-    k-th and (k-1)-th leading principal minors, so all six are > 0 exactly
-    when G > 0 (Sylvester's criterion).  Elimination stops at the first
-    pivot that is not.
+    LDL^T without pivoting in Fractions.  A positive pivot is eliminated; G
+    is PSD exactly when its Schur complement is.  A zero pivot passes only
+    when the rest of its column is zero: a PSD matrix with a zero diagonal
+    entry has a zero row there, and a nonzero entry b beside it makes the
+    2x2 minor [[0, b], [b, c]] negative.  A negative pivot fails.
     """
     A = [[Fraction(G[i, j]) for j in range(6)] for i in range(6)]
     for k in range(6):
         d = A[k][k]
-        if d <= 0:
+        if d < 0 or (d == 0 and any(A[i][k] for i in range(k + 1, 6))):
             return False
         for i in range(k + 1, 6):
-            l = A[i][k] / d
-            if l:
+            if A[i][k]:  # never under a zero pivot, whose column is zero
+                l = A[i][k] / d
                 for j in range(k + 1, i + 1):
                     A[i][j] -= l * A[j][k]
     return True
 
 
-def _eig_ascent(G0n, seed: int, proves=None, restarts: int = 10, iters: int = 300):
+def proved_lambda(family: GramFamily, lam) -> Optional[Tuple[Fraction, ...]]:
+    """The float lam read exactly, lam_q = (Fraction(l) for l in lam), when an
+    exact LDL^T proves G(lam_q) PSD: then f = m^T G(lam_q) m >= 0.  Else None."""
+    lam_q = tuple(Fraction(float(v)) for v in lam)
+    return lam_q if ldl_positive_semidefinite(family.matrix_at(lam_q)) else None
+
+
+def _eig_ascent(G0n, seed: int, proves, restarts: int = 10, iters: int = 300):
     """Supergradient ascent on lam -> min-eigenvalue of G(lam).
 
-    Returns (value, lam, proved).  Each new best iterate with a positive
-    value is offered to `proves`; the ascent stops at the first one it
-    accepts (proved True).  Otherwise all restarts run and the best iterate
-    is returned with proved False.
+    Each new best iterate whose minimum eigenvalue is at least 0 is offered
+    to `proves`; the ascent returns the first proof it gives, or None after
+    all restarts.
     """
     Bt = KERNEL_BASIS_TENSOR
-    best_val, best_lam = -np.inf, np.zeros(6)
+    best_val = -np.inf
     for j in range(restarts):
         if j == 0:
             lam = np.zeros(6)
@@ -385,80 +389,50 @@ def _eig_ascent(G0n, seed: int, proves=None, restarts: int = 10, iters: int = 30
         for k in range(iters):
             ev, U = np.linalg.eigh(G0n + np.einsum("i,iab->ab", lam, Bt))
             if ev[0] > best_val:
-                best_val, best_lam = float(ev[0]), lam.copy()
-                if best_val > 0 and proves is not None and proves(best_lam):
-                    return best_val, best_lam, True
+                best_val = ev[0]
+                proof = proves(lam) if best_val >= 0 else None
+                if proof is not None:
+                    return proof
             u = U[:, 0]
             supergrad = np.einsum("iab,a,b->i", Bt, u, u)
             norm = np.linalg.norm(supergrad)
             if norm < 1e-14:
                 break
             lam = lam + (0.3 / np.sqrt(k + 1.0)) * supergrad / norm
-    return best_val, best_lam, False
+    return None
 
 
 def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> PositivityStatus:
-    """Decide non-negativity of f by PSD certification and falsification.
+    """Decide non-negativity of rational f: proved, refuted or indeterminate.
 
-    Eigenvalue ascent certifies by exhibiting a PSD member of the Gram
-    family, whose signature is read off its completion of squares; the
-    unit-sphere search falsifies (homogeneity makes the sign question
-    compact).  Decisions use the quartic rescaled to unit max coefficient,
-    making verdicts invariant under positive scaling; FloatRangeError when
-    floats cannot hold it (`TernaryQuartic.float_scale`).
+    1. Proof.  The eigenvalue ascent on the Gram family, run on f rescaled
+       to unit max coefficient, offers its iterates to `proved_lambda`
+       scaled back to f; the first lam_q proved is the certificate.  It is
+       skipped when a start point of the sphere search already shows a
+       value below -PSD_TOL.
+    2. Refutation.  Projected-gradient minimization on the unit sphere
+       (homogeneity makes the sign question compact) answers no with its
+       point when the value found is below -PSD_TOL.
+    3. Otherwise the verdict is None.
 
-    For rational f the ascent stops at its first iterate whose Gram matrix
-    is proved positive definite: lam scaled back to f, a dyadic float, is
-    read as an exact rational lam_q, and `ldl_positive_definite` checks
-    G(lam_q) in Fractions.  That proves f = m^T G(lam_q) m > 0 away from
-    0, and the status says exact=True; its certificate is lam_q.  Every
-    such iterate has a positive value, so the tolerance verdict of the full
-    ascent would also have been yes.
-
-    The proof is tried before the falsifying search: for rational f whose
-    values at the search's start points are all at least -PSD_TOL, the
-    ascent runs first, and a proved iterate ends the test with the search
-    never run.  A proof leaves f positive on the sphere, where the search
-    could not have found a value below -PSD_TOL, and the ascent and the
-    search draw from separate random streams, so the status is the one
-    the search-first order gives.  Otherwise the search runs, its
-    counterexample decides "no", and when it finds none the verdict is
-    the ascent's: proved, or at tolerance when no iterate is proved or f
-    is not rational.  A start point below -PSD_TOL already means "no", so
-    there the search runs first and the ascent never runs.
+    Verdicts are invariant under positive scaling.  ValueError when f is
+    not rational; FloatRangeError when floats cannot hold it
+    (`TernaryQuartic.float_scale`).
     """
+    if not f.is_rational():
+        raise ValueError("nonnegativity_test requires exact rational coefficients")
     scale = f.float_scale()
     table = _hessian_vectors(f, scale)
-    G0n = family.base.to_array(float) / scale
-
-    proves = ascent = None
-    if f.is_rational():
-        def proves(lam):
-            return ldl_positive_definite(family.matrix_at([Fraction(v * scale) for v in lam]))
-
-        if np.min(_values_and_gradients(table, _sphere_starts(seed))[0]) >= -PSD_TOL:
-            ascent = _eig_ascent(G0n, seed, proves)
-    if ascent is None or not ascent[2]:
-        min_val, min_pt = _sphere_falsify(table, seed)
-        if min_val < -PSD_TOL:
-            return PositivityStatus(
-                nonnegative=False,
-                counterexample=tuple(float(v) for v in min_pt),
-                counterexample_value=min_val * scale,
-            )
-        if ascent is None:
-            ascent = _eig_ascent(G0n, seed, proves)
-    val, lam, exact = ascent
-    if exact or val >= -PSD_TOL / max(scale, 1.0):
-        signs, _ = complete_squares(G0n + np.einsum("i,iab->ab", lam, KERNEL_BASIS_TENSOR))
-        certificate = GramPoint(
-            lam=tuple(complex(v * scale) for v in lam),
-            is_real=True,
-            signature=(signs.count(1), signs.count(-1)),
-            rank=len(signs),
-            residual=float(max(0.0, -val)),
-            hits=0,
-            first_restart=-1,
+    if np.min(_values_and_gradients(table, _sphere_starts(seed))[0]) >= -PSD_TOL:
+        G0n = family.base.to_array(float) / scale
+        proof = _eig_ascent(G0n, seed, lambda lam: proved_lambda(family, lam * scale))
+        if proof is not None:
+            return PositivityStatus(nonnegative=True, certificate=proof)
+    min_val, min_pt = _sphere_falsify(table, seed)
+    if min_val < -PSD_TOL:
+        return PositivityStatus(
+            nonnegative=False,
+            counterexample=tuple(float(v) for v in min_pt),
+            counterexample_value=min_val * scale,
         )
-        return PositivityStatus(nonnegative=True, certificate=certificate, ascent_max=val, exact=exact)
-    return PositivityStatus(nonnegative=None, ascent_max=val)
+    return PositivityStatus(nonnegative=None)

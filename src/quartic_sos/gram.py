@@ -34,8 +34,9 @@ NOT_IN_FAMILY_TOL = 1e-9
 #: this; the rank is the number of squares taken.
 RANK_EIG_TOL = 1e-8
 
-#: A diagonal entry of G / max|G| above this can be a pivot.
-PIVOT_TOL = 1e-10
+#: Bunch-Parlett's alpha = (1 + sqrt 17) / 8: the largest |diagonal entry| is
+#: the pivot only when it exceeds alpha times the largest |off-diagonal| one.
+PIVOT_ALPHA = (1 + 17 ** 0.5) / 8
 
 #: Upper-triangle (row-major) index pairs, the storage and JSON order.
 TRIU_PAIRS: Tuple[Tuple[int, int], ...] = tuple(
@@ -231,11 +232,14 @@ def complete_squares(A: np.ndarray, real: Optional[np.ndarray] = None):
     """Lagrange's pivoted completion of squares, A = sum_k s_k w_k w_k^T,
     of one symmetric matrix (m, m) or of each matrix of a stack (n, m, m).
 
-    Runs on A / max|A|.  The pivot is the largest diagonal entry above
-    PIVOT_TOL; when there is none, the step goes along e_u + e_v at the
-    largest off-diagonal entry (the first half of the hyperbolic identity
-    4uv = (u + v)^2 - (u - v)^2; the other half surfaces as a diagonal pivot
-    on the next step).  A real array is eliminated in real arithmetic and
+    Runs on A / max|A|.  The pivot is the largest diagonal entry when it
+    exceeds PIVOT_ALPHA times the largest off-diagonal entry S_uv, in
+    modulus; otherwise the step goes along e_u + e_v (the first half of the
+    hyperbolic identity 4uv = (u + v)^2 - (u - v)^2; the other half surfaces
+    as a diagonal pivot on the next step), whose pivot is then at least
+    2 (1 - PIVOT_ALPHA) |S_uv| = 0.72 |S_uv|.  Either way no pivot is small
+    next to the entries it eliminates, so the entries stay bounded (Bunch &
+    Parlett 1971).  A real array is eliminated in real arithmetic and
     each square takes the sign of its pivot, so by Sylvester's law of inertia
     the signs are the signature; a complex array gets signs +1, the complex
     squares absorbing them.  Elimination stops once every entry left is below
@@ -271,7 +275,7 @@ def complete_squares(A: np.ndarray, real: Optional[np.ndarray] = None):
         diag = np.abs(np.diagonal(T, axis1=1, axis2=2))
         j = np.argmax(diag, axis=1)
         u, v = np.divmod(np.argmax(np.abs(np.triu(T, 1)).reshape(act.size, -1), axis=1), m)
-        hyperbolic = ~(diag[r, j] > PIVOT_TOL)
+        hyperbolic = ~(diag[r, j] > PIVOT_ALPHA * np.abs(T[r, u, v]))
         Sd = np.where(hyperbolic[:, None], T[r, :, u] + T[r, :, v], T[r, :, j])
         pivot = np.where(hyperbolic, Sd[r, u] + Sd[r, v], Sd[r, j])
         if real_arithmetic:

@@ -28,6 +28,7 @@ from quartic_sos.classify import (
     theorem1_check,
     verify_representation,
 )
+from quartic_sos.curves import ldl_positive_semidefinite
 from quartic_sos.solver import GramPoint, SolveConfig, solve_all
 
 
@@ -229,15 +230,20 @@ def test_theorem1_check_rejects_indefinite_input():
 
 
 def test_theorem1_check_certifies_nonnegativity_by_a_psd_class(monkeypatch):
-    # a PSD rank-3 class is a sum of three squares of f, so no search runs
+    # the mean of the PSD classes is a Gram matrix an exact LDL^T proves
+    # PSD, so no search runs
     def no_search(*args, **kwargs):
         raise AssertionError("nonnegativity search ran beside a PSD class")
 
     monkeypatch.setattr(quartic_sos.classify, "nonnegativity_test", no_search)
-    report = theorem1_check(parse_quartic("x^4+y^4+z^4"))
+    f = parse_quartic("x^4+y^4+z^4")
+    report = theorem1_check(f)
     assert report.passed
-    certificate = report.positivity.certificate
-    assert certificate.is_psd and certificate in report.solution_set.points
+    lam = report.positivity.certificate
+    psd = [p.lam for p in report.solution_set.points if p.is_psd]
+    assert len(psd) == 8
+    assert lam == tuple(Fraction(float(v)) for v in np.mean(np.real(psd), axis=0))
+    assert ldl_positive_semidefinite(build_family(f).matrix_at(lam))
     assert "nonnegativity" not in report.timings
 
 
@@ -248,12 +254,21 @@ def test_theorem1_check_falls_back_to_the_ascent_without_a_psd_class(monkeypatch
         return replace(ss, points=points, counts=(len(points), sum(p.is_real for p in points), 0))
 
     monkeypatch.setattr(quartic_sos.classify, "solve_all", solve_without_psd)
-    report = theorem1_check(parse_quartic("x^4+y^4+z^4"))
+    f = parse_quartic("x^4+y^4+z^4")
+    report = theorem1_check(f)
     assert report.positivity.nonnegative is True
-    assert report.positivity.ascent_max is not None
-    assert report.positivity.certificate not in report.solution_set.points
+    assert ldl_positive_semidefinite(build_family(f).matrix_at(report.positivity.certificate))
     assert "nonnegativity" in report.timings
     assert report.sos_total == 0 and not report.passed
+
+
+@pytest.mark.parametrize("e", ["1/1000", "1/10000"])
+def test_near_discriminant_quartic_certifies_to_rounding(e):
+    # at e = 0 the curve has three real singular points; here |lam| = 1/(2e),
+    # and a pivot small next to the off-diagonal entries would lose the digits
+    report = theorem1_check(parse_quartic(f"x^2*y^2+y^2*z^2+z^2*x^2 + {e}*(x^4+y^4+z^4)"))
+    assert report.passed
+    assert max(r.residual for r in report.representations) <= 1e-10
 
 
 def test_theorem1_check_derives_basepoint_freeness(monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import quartic_sos.classify
+import quartic_sos.cli
 import quartic_sos.curves
 from quartic_sos.classify import Theorem1Report
 from quartic_sos.cli import (
@@ -162,13 +163,24 @@ def test_check_fermat(capsys):
     assert out.startswith("input: ")
     assert "smooth: yes (exact, method macaulay" in out
     assert "[agrees]" in out
-    assert "nonnegative: yes (sum-of-squares certificate found)" in out
-    assert "certificate floor:" in out
-    assert out.rstrip().endswith("eligible for certified counts: yes")
+    assert out.rstrip().endswith("nonnegative: yes (sum-of-squares certificate found)\n"
+                                 "eligible for certified counts: yes")
     # timings never pollute stdout
     assert "timing" not in out
     assert "timing smoothness" in captured.err
     assert "timing nonnegativity" in captured.err
+
+
+@pytest.mark.parametrize("form", ["10^12*x^4+y^4+z^4", "x^2*y^2+y^2*z^2+z^2*x^2"])
+def test_check_proves_a_psd_start_at_once(form, monkeypatch, capsys):
+    # G0 is PSD and singular, so the ascent's first iterate is the proof
+    # (a full ascent makes 3000 eigh calls)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(quartic_sos.curves.np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+    assert main(["check", form]) == EXIT_OK
+    assert "nonnegative: yes (sum-of-squares certificate found)" in capsys.readouterr().out
+    assert len(calls) <= 2
 
 
 def test_check_singular_quartic(capsys):
@@ -408,6 +420,29 @@ def test_decompose_certifies_ill_conditioned_change_of_variables(capsys):
     out = capsys.readouterr().out
     assert "sums of three squares: 8 (expected 8) [ok]" in out
     assert "certified: pass" in out
+
+
+@pytest.mark.parametrize("a, seed", [(10, "0"), (7, "1")])
+def test_decompose_of_a_sheared_fermat_that_loses_paths_fails_counts(a, seed, capsys):
+    # no path (a = 10) or 26 of 63 (a = 7) reach t = 1, and neither the mean
+    # of the PSD classes found nor the ascent proves f >= 0: the lost paths
+    # fail the counts; they are no evidence against the hypothesis
+    assert main(["decompose", f"(x+{a}*y)^4+(y+{a}*z)^4+z^4", "--seed", seed]) == EXIT_COUNTS
+    out = capsys.readouterr().out
+    assert "hypothesis failed" not in out
+    assert "certified: FAIL" in out
+
+
+def test_failed_certificate_residuals_are_named(monkeypatch, capsys):
+    assert main(["decompose", FERMAT]) == EXIT_OK
+    assert "certificate residuals:" not in capsys.readouterr().out
+    monkeypatch.setattr(quartic_sos.classify, "REPRESENTATION_TOL", 1e-30)
+    monkeypatch.setattr(quartic_sos.cli, "REPRESENTATION_TOL", 1e-30)
+    assert main(["decompose", FERMAT]) == EXIT_COUNTS
+    lines = capsys.readouterr().out.splitlines()
+    line = next(l for l in lines if l.startswith("certificate residuals: max "))
+    assert line.endswith(" (limit 1e-30) [MISMATCH]")
+    assert lines[lines.index(line) + 1] == "certified: FAIL"
 
 
 def test_decompose_prints_path_counters_on_stderr(capsys):

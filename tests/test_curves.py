@@ -18,11 +18,10 @@ from quartic_sos.forms import (
 )
 import quartic_sos.curves
 from quartic_sos.cli import random_corpus_quartic
-from quartic_sos.gram import SymMatrix6, build_family, gram_to_quartic
+from quartic_sos.gram import SymMatrix6, build_family, gram_to_poly
 from quartic_sos.curves import (
-    PSD_TOL,
     basepoint_check,
-    ldl_positive_definite,
+    ldl_positive_semidefinite,
     nonnegativity_test,
     numeric_singularity_oracle,
     smoothness_test,
@@ -118,18 +117,11 @@ def test_nonnegativity_fermat_has_certificate():
     family = build_family(f)
     status = nonnegativity_test(f, family)
     assert status.nonnegative is True
-    cert = status.certificate
-    assert cert is not None and cert.is_real
-    # the certificate matrix reproduces f and is PSD within tolerance
-    G = family.matrix_at(cert.lam)
-    g = gram_to_quartic(G)
-    worst = max(
-        abs(complex(g.coefficient(e)) - complex(f.coefficient(e)))
-        for e in set(g.coeffs) | set(f.coeffs)
-    )
-    assert worst < 1e-9
-    ev = np.linalg.eigvalsh(G.to_array(complex).real)
-    assert ev[0] >= -PSD_TOL * float(f.max_abs_coeff())
+    # the certificate is exact: G(lam) reproduces f and is PSD in Fractions
+    assert all(isinstance(v, Fraction) for v in status.certificate)
+    G = family.matrix_at(status.certificate)
+    assert gram_to_poly(G) == dict(f.coeffs)
+    assert ldl_positive_semidefinite(G)
 
 
 def test_nonnegativity_indefinite_has_counterexample():
@@ -153,34 +145,45 @@ def _sym(rows) -> SymMatrix6:
     return SymMatrix6([Fraction(rows[i][j]) for i in range(6) for j in range(i, 6)])
 
 
-def test_exact_ldl_decides_positive_definiteness():
+def test_exact_ldl_decides_semidefiniteness():
     # I/10 + 9/10 J: off-diagonal row sums 4.5 against a diagonal of 1
-    assert ldl_positive_definite(_sym([[1 if i == j else Fraction(9, 10) for j in range(6)] for i in range(6)]))
+    assert ldl_positive_semidefinite(_sym([[1 if i == j else Fraction(9, 10) for j in range(6)] for i in range(6)]))
     # PSD of rank 5, C C^T with row 3 of C the sum of rows 1 and 2: pivot 3 is 0
     C = np.array([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [2, 1, 0, 0, 0],
                   [0, 3, 1, 0, 0], [1, 0, 2, 1, 0], [0, 1, 0, 1, 1]])
-    assert not ldl_positive_definite(_sym((C @ C.T).tolist()))
+    assert ldl_positive_semidefinite(_sym((C @ C.T).tolist()))
+    # a zero pivot whose column is not zero: at once, and after one elimination
+    corner = np.eye(6, dtype=int)
+    corner[0, 0], corner[0, 3], corner[3, 0] = 0, 1, 1
+    assert not ldl_positive_semidefinite(_sym(corner.tolist()))
+    chain = np.eye(6, dtype=int)
+    chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = 1  # pivot 2 is 0, beside a 1
+    assert not ldl_positive_semidefinite(_sym(chain.tolist()))
     # indefinite, with its first five pivots positive: the sixth is -1/2
     hinge = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
     hinge[5][5], hinge[0][5], hinge[5][0] = 0, 1, 1
-    assert not ldl_positive_definite(_sym(hinge))
-    assert not ldl_positive_definite(_sym([[-(i == j) for j in range(6)] for i in range(6)]))
+    assert not ldl_positive_semidefinite(_sym(hinge))
+    assert not ldl_positive_semidefinite(_sym([[-(i == j) for j in range(6)] for i in range(6)]))
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(quartic_sos.curves.np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+    return calls
 
 
 def test_fermat_nonnegativity_is_proved_exactly(monkeypatch):
     f = parse_quartic("x^4+y^4+z^4")
     family = build_family(f)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(quartic_sos.curves.np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+    calls = _count_eigh(monkeypatch)
     status = nonnegativity_test(f, family)
-    assert status.nonnegative is True and status.exact
-    # the full ascent makes 10 restarts x 300 steps = 3000 calls
-    assert len(calls) <= 10
-    lam = [Fraction(z.real) for z in status.certificate.lam]
-    assert all(z.imag == 0 for z in status.certificate.lam)
-    assert ldl_positive_definite(family.matrix_at(lam))
-    assert status.certificate.signature == (6, 0)
+    assert status.nonnegative is True
+    # G0 = diag(1, 1, 1, 0, 0, 0) is PSD: the first iterate is the proof,
+    # where the full ascent makes 10 restarts x 300 steps = 3000 calls
+    assert len(calls) == 1
+    assert status.certificate == (0,) * 6
+    assert ldl_positive_semidefinite(family.matrix_at(status.certificate))
 
 
 _CRITERION_7 = [
@@ -197,50 +200,22 @@ def _ascent_quartics():
     return quartics + [parse_quartic("x^4+y^4-z^4"), parse_quartic("x^2*y^2+y^2*z^2+z^2*x^2")]
 
 
-def test_early_exit_keeps_every_verdict(monkeypatch):
-    quartics = _ascent_quartics()
-    early = [nonnegativity_test(f, build_family(f)) for f in quartics]
-    monkeypatch.setattr(quartic_sos.curves, "ldl_positive_definite", lambda G: False)
-    full = [nonnegativity_test(f, build_family(f)) for f in quartics]
-    assert [s.nonnegative for s in early] == [s.nonnegative for s in full]
-    assert not any(s.exact for s in full)
-    for s in early:
-        assert s.exact == (s.nonnegative is True and s.ascent_max > 0)
-    # criterion 7's matrix #1 stays undecided, the monomial squares are yes at tolerance
-    assert [s.nonnegative for s in early[5:]] == [True, None, True, False, True]
-
-
-#: (nonnegative, exact, ascent_max, certificate lam, counterexample,
-#: counterexample_value) of each of `_ascent_quartics()` at seed 0, recorded
-#: when the sphere search still ran before the ascent on every input.
-_SEARCH_FIRST_STATUS = [
-    (True, True, 0.000205582729312932, (-16.75754195480086, 3.665256707136748, -13.049489260786755, 7.062226731440177, -6.871620936086148, 6.956987801004301), None, None),
-    (True, True, 0.002276179387398295, (0.6762908673192783, 17.03491080956584, 9.154952886750705, -22.61174992463701, -10.01188354915184, -23.59818405488927), None, None),
-    (True, True, 7.480004389033711e-05, (-12.796481146084615, 1.87938404517, -2.9646320751597535, 18.276839916730893, 9.876011232419513, -7.799321175140344), None, None),
-    (True, True, 6.374679984078811e-05, (9.760801523055884, -41.258200016476046, -2.015192660063173, 19.866554597147775, 6.061625554689146, 11.697615534486532), None, None),
-    (True, True, 0.0032670934124429236, (-29.543229233952037, -11.468241815095489, -5.844674708595461, 42.40528083442672, 28.900809744242498, -34.48715358017832), None, None),
-    (True, True, 8.186859284348213e-05, (16.14242005929137, 30.017249951627385, 1.10183965076315, 77.42861971507507, 66.28694295714692, -103.38021795898028), None, None),
-    (None, False, -5.099909407823259e-05, None, None, None),
-    (True, True, 0.0002019452469219809, (52.03184162480869, 50.99930059999148, -23.26973678869694, 22.48342019985402, 37.256517923296535, -195.70231257715793), None, None),
-    (False, False, None, None, (5.047938346720103e-09, 5.083580193187271e-09, -1.0), -1.0),
-    (True, False, 0.0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0), None, None),
-]
-
-
-def test_proof_first_keeps_every_status_field():
-    for f, want in zip(_ascent_quartics(), _SEARCH_FIRST_STATUS, strict=True):
-        s = nonnegativity_test(f, build_family(f))
-        lam = None if s.certificate is None else tuple(z.real for z in s.certificate.lam)
-        assert s.certificate is None or all(z.imag == 0 for z in s.certificate.lam)
-        got = (s.nonnegative, s.exact, s.ascent_max, lam, s.counterexample, s.counterexample_value)
-        assert got[:2] == want[:2]
-        # the floats come from eigh and the search, whose last bits may
-        # differ between LAPACK builds; the tolerance is far below any
-        # change of stage or iterate
-        for a, b in zip(got[2:], want[2:]):
-            assert (a is None) == (b is None)
-            if b is not None:
-                assert a == pytest.approx(b, rel=1e-9, abs=1e-15)
+def test_every_verdict_carries_its_proof_or_counterexample():
+    # the verdicts the earlier tolerance test gave at seed 0; criterion 7's
+    # matrix #1 stays undecided, as its ascent never reaches 0
+    want = [True] * 5 + [True, None, True, False, True]
+    for f, verdict in zip(_ascent_quartics(), want, strict=True):
+        family = build_family(f)
+        s = nonnegativity_test(f, family)
+        assert s.nonnegative is verdict
+        if verdict:
+            assert all(isinstance(v, Fraction) for v in s.certificate)
+            assert ldl_positive_semidefinite(family.matrix_at(s.certificate))
+        else:
+            assert s.certificate is None
+        assert (s.counterexample is not None) == (verdict is False)
+        if verdict is False:
+            assert eval_quartic(f, s.counterexample) < 0
 
 
 def _count_calls(monkeypatch, name):
@@ -254,17 +229,17 @@ def test_the_proof_runs_before_the_search(monkeypatch):
     searches = _count_calls(monkeypatch, "_sphere_falsify")
     ascents = _count_calls(monkeypatch, "_eig_ascent")
     proved = [parse_quartic("x^4+y^4+z^4")] + [random_corpus_quartic(0, i) for i in range(5)]
-    assert all(nonnegativity_test(f, build_family(f)).exact for f in proved)
+    assert all(nonnegativity_test(f, build_family(f)).nonnegative for f in proved)
     assert len(searches) == 0 and len(ascents) == len(proved)
     # a start point of the search is already negative: no ascent runs
     f = parse_quartic("x^4+y^4-z^4")
     assert nonnegativity_test(f, build_family(f)).nonnegative is False
     assert len(searches) == 1 and len(ascents) == len(proved)
-    # float coefficients admit no exact proof: the search runs, then the full ascent
+    # float coefficients admit no exact proof, so they are refused
     f = TernaryQuartic({(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0})
-    status = nonnegativity_test(f, build_family(f))
-    assert status.nonnegative is True and not status.exact
-    assert len(searches) == 2 and len(ascents) == len(proved) + 1
+    with pytest.raises(ValueError):
+        nonnegativity_test(f, build_family(f))
+    assert len(searches) == 1 and len(ascents) == len(proved)
 
 
 def test_positivity_verdicts_are_scale_invariant():

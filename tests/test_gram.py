@@ -14,7 +14,7 @@ from quartic_sos.forms import (
 from quartic_sos.gram import (
     KERNEL_BASIS,
     LAMBDA_SLOTS,
-    PIVOT_TOL,
+    PIVOT_ALPHA,
     RANK_EIG_TOL,
     TRIU_PAIRS,
     NotInFamilyError,
@@ -223,12 +223,12 @@ def _complete_squares_one_at_a_time(A):
     while len(vecs) < len(S) and np.max(np.abs(S)) >= RANK_EIG_TOL:
         diag = np.abs(np.diag(S))
         j = int(np.argmax(diag))
+        off = np.abs(np.triu(S, 1))
+        u, v = np.unravel_index(int(np.argmax(off)), off.shape)
         d = np.zeros(len(S))
-        if diag[j] > PIVOT_TOL:
+        if diag[j] > PIVOT_ALPHA * off[u, v]:
             d[j] = 1.0
         else:
-            off = np.abs(np.triu(S, 1))
-            u, v = np.unravel_index(int(np.argmax(off)), off.shape)
             d[u] = d[v] = 1.0
         Sd = S @ d
         pivot = d @ Sd
@@ -256,6 +256,10 @@ def test_complete_squares_of_a_stack_is_each_matrix_alone():
     A = np.zeros((6, 6))
     A[0, 1] = A[1, 0] = 3.0  # the hyperbolic step
     mats.append(A)
+    real.append(True)
+    B = np.diag([0.5, 0.5, 1.2, 0.0, 0.0, 0.0])
+    B[0, 1] = B[1, 0] = 1.0  # a diagonal below PIVOT_ALPHA times |B_01|: hyperbolic too
+    mats.append(B)
     real.append(True)
     signs, W = complete_squares(np.array(mats, dtype=complex), real=np.array(real))
     for A, is_real, s, w in zip(mats, real, signs, W):
