@@ -200,6 +200,61 @@ def _ascent_quartics():
     return quartics + [parse_quartic("x^4+y^4-z^4"), parse_quartic("x^2*y^2+y^2*z^2+z^2*x^2")]
 
 
+def test_early_exit_keeps_every_verdict(monkeypatch):
+    quartics = _ascent_quartics()
+    early = [nonnegativity_test(f, build_family(f)) for f in quartics]
+    # the full ascent: every iterate offered is checked, none ends the run
+    proofs = []
+    proved = quartic_sos.curves.proved_lambda
+    monkeypatch.setattr(
+        quartic_sos.curves,
+        "proved_lambda",
+        lambda family, lam: proofs.append(proved(family, lam) is not None) and None,
+    )
+    full = []
+    for f in quartics:
+        proofs.clear()
+        s = nonnegativity_test(f, build_family(f))
+        full.append(True if any(proofs) else s.nonnegative)
+    assert [s.nonnegative for s in early] == full
+    # criterion 7's matrix #1 stays undecided; no verdict rests on a tolerance
+    assert full == [True] * 5 + [True, None, True, False, True]
+
+
+#: (nonnegative, certificate lam, counterexample, counterexample_value) of
+#: each of `_ascent_quartics()` at seed 0, recorded when the sphere search
+#: still ran before the ascent on every input and a tolerance could answer
+#: yes.  Matrix #1 of criterion 7 was then yes at tolerance only, and the
+#: monomial squares were exact only at lam = 0; both verdicts follow the proof.
+_SEARCH_FIRST_STATUS = [
+    (True, (-16.75754195480086, 3.665256707136748, -13.049489260786755, 7.062226731440177, -6.871620936086148, 6.956987801004301), None, None),
+    (True, (0.6762908673192783, 17.03491080956584, 9.154952886750705, -22.61174992463701, -10.01188354915184, -23.59818405488927), None, None),
+    (True, (-12.796481146084615, 1.87938404517, -2.9646320751597535, 18.276839916730893, 9.876011232419513, -7.799321175140344), None, None),
+    (True, (9.760801523055884, -41.258200016476046, -2.015192660063173, 19.866554597147775, 6.061625554689146, 11.697615534486532), None, None),
+    (True, (-29.543229233952037, -11.468241815095489, -5.844674708595461, 42.40528083442672, 28.900809744242498, -34.48715358017832), None, None),
+    (True, (16.14242005929137, 30.017249951627385, 1.10183965076315, 77.42861971507507, 66.28694295714692, -103.38021795898028), None, None),
+    (None, None, None, None),
+    (True, (52.03184162480869, 50.99930059999148, -23.26973678869694, 22.48342019985402, 37.256517923296535, -195.70231257715793), None, None),
+    (False, None, (5.047938346720103e-09, 5.083580193187271e-09, -1.0), -1.0),
+    (True, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0), None, None),
+]
+
+
+def test_proof_first_keeps_every_status_field():
+    for f, want in zip(_ascent_quartics(), _SEARCH_FIRST_STATUS, strict=True):
+        s = nonnegativity_test(f, build_family(f))
+        lam = None if s.certificate is None else tuple(float(v) for v in s.certificate)
+        got = (s.nonnegative, lam, s.counterexample, s.counterexample_value)
+        assert got[0] is want[0]
+        # the floats come from eigh and the search, whose last bits may
+        # differ between LAPACK builds; the tolerance is far below any
+        # change of stage or iterate
+        for a, b in zip(got[1:], want[1:]):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a == pytest.approx(b, rel=1e-9, abs=1e-15)
+
+
 def test_every_verdict_carries_its_proof_or_counterexample():
     # the verdicts the earlier tolerance test gave at seed 0; criterion 7's
     # matrix #1 stays undecided, as its ascent never reaches 0
