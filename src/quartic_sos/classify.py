@@ -73,13 +73,12 @@ class Representation:
 
     @property
     def is_sum_of_squares(self) -> bool:
-        return all(s == 1 for s in self.signs) and all(
-            all(complex(c).imag == 0 for c in form.coeffs) for form in self.forms
-        )
+        return all(s == 1 for s in self.signs) and self.is_real
 
     @property
     def is_real(self) -> bool:
-        return all(all(complex(c).imag == 0 for c in form.coeffs) for form in self.forms)
+        return not any(isinstance(c, complex) and c.imag
+                       for form in self.forms for c in form.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -140,33 +139,36 @@ def _finite(value) -> float:
     return x
 
 
-def _first_significant(coeffs) -> complex:
-    top = max(abs(complex(c)) for c in coeffs)
-    for c in coeffs:
-        if abs(complex(c)) > 1e-12 * top:
-            return complex(c)
-    return complex(coeffs[0])
+def _canonicalize(signs: np.ndarray, V: np.ndarray):
+    """Canonical order of a stack of classes, signs (n, 3) and forms V
+    (n, 3, 6), complex.  Each form is sign-flipped so that its leading
+    coefficient, the first whose modulus exceeds 1e-12 times its largest,
+    has positive real part (or zero real part and positive imaginary part);
+    then each class's three forms are sorted by their (re, im) coefficients,
+    stably, -0.0 equal to 0.0 as in a Python tuple sort.  Only +-1
+    rescalings preserve the squared terms, so canonical output is a sign
+    convention plus a lexicographic order, not a unit leading coefficient.
 
-
-def _canonicalize(signs: Sequence[int], vecs: Sequence[np.ndarray]):
-    """Sign-flip each form so its leading coefficient points positive, sort.
-
-    Only +-1 rescalings preserve the squared terms, so canonical output is
-    a sign convention plus a lexicographic order, not a unit leading
-    coefficient.
-    """
-    items = []
-    for s, v in zip(signs, vecs):
-        lead = _first_significant(v)
-        if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-            v = -v
-        items.append((int(s), tuple(complex(c) for c in v)))
-    items.sort(key=lambda t: tuple((c.real, c.imag) for c in t[1]))
-    out_signs = tuple(t[0] for t in items)
-    out_forms = tuple(
-        QuadraticForm(tuple(c if c.imag != 0 else c.real for c in t[1])) for t in items
-    )
-    return out_signs, out_forms
+    Returns the sorted signs and forms, every imaginary zero +0.0, and each
+    class's Python (signs, forms), a coefficient with zero imaginary part a
+    float."""
+    mag = np.hypot(V.real, V.imag)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(V, first[..., None], axis=-1)[..., 0]
+    flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
+    V = np.where(flip[..., None], -V, V)
+    # lexsort's last key is the primary one: re of the first coefficient
+    keys = np.stack([V.real, V.imag], axis=-1).reshape(V.shape[:2] + (12,))[..., ::-1]
+    order = np.lexsort(np.moveaxis(keys, -1, 0), axis=-1)
+    S = np.take_along_axis(signs, order, axis=1)
+    V = np.take_along_axis(V, order[..., None], axis=1)
+    real = V.imag == 0
+    V.imag[real] = 0
+    coeffs = V.astype(object)
+    coeffs[real] = V.real[real]
+    canon = [(tuple(s), tuple(map(QuadraticForm, forms)))
+             for s, forms in zip(S.tolist(), coeffs.tolist())]
+    return S, V, canon
 
 
 def _relative_residual(f_coeffs: dict, signs, forms) -> float:
@@ -247,11 +249,8 @@ def _factor_batch(G: np.ndarray, class_lambdas) -> List[Representation]:
     rank = np.count_nonzero(signs, axis=1)
     if np.any(rank != 3):
         raise RankMismatchError(f"completion of squares has rank {rank[rank != 3][0]}, not 3")
-    canon = [_canonicalize(s[:3].tolist(), w[:3].real if r else w[:3])
-             for s, w, r in zip(signs, W, real)]
-    F = np.array([[form.coeffs for form in forms] for _, forms in canon],
-                 dtype=complex).reshape(len(G), 3, 6)
-    S = np.array([s for s, _ in canon], dtype=int).reshape(len(G), 3)
+    # W of a real matrix has imaginary parts +0.0
+    S, F, canon = _canonicalize(signs[:, :3], W[:, :3])
     return [Representation(signs=s, forms=forms, class_lambda=tuple(lam), residual=float(r))
             for (s, forms), lam, r in zip(canon, class_lambdas, _residuals(G, S, F))]
 

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -188,6 +189,87 @@ def test_classify_point_on_trivial_fermat_class():
     assert verify_representation(f, [rep])[0].passed
 
 
+def _first_significant(coeffs) -> complex:
+    top = max(abs(complex(c)) for c in coeffs)
+    for c in coeffs:
+        if abs(complex(c)) > 1e-12 * top:
+            return complex(c)
+    return complex(coeffs[0])
+
+
+def _canonicalize_one_class(signs: Sequence[int], vecs: Sequence[np.ndarray]):
+    """The one-class loop the batched `_canonicalize` replaced, kept as its
+    reference: flip each form so its leading coefficient points positive,
+    then sort the three by their (re, im) tuples."""
+    items = []
+    for s, v in zip(signs, vecs):
+        lead = _first_significant(v)
+        if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
+            v = -v
+        items.append((int(s), tuple(complex(c) for c in v)))
+    items.sort(key=lambda t: tuple((c.real, c.imag) for c in t[1]))
+    out_signs = tuple(t[0] for t in items)
+    out_forms = tuple(
+        QuadraticForm(tuple(c if c.imag != 0 else c.real for c in t[1])) for t in items
+    )
+    return out_signs, out_forms
+
+
+def _same_bits(a, b) -> bool:
+    # repr tells -0.0 from 0.0 in either part
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _planted_stack(rng, n: int):
+    """Random signs (n, 3) and forms (n, 3, 6), complex, with the cases a
+    canonical order must get right planted in them."""
+    V = rng.integers(-2, 3, (n, 3, 6)) + 1j * rng.integers(-2, 3, (n, 3, 6))
+    V = V * rng.choice([1.0, 0.5, 1e-13], (n, 3, 6))
+    for i in range(n):
+        kind = rng.integers(7)
+        if rng.integers(2):
+            V[i].imag = 0  # a real class
+        if kind == 1:  # exact ties: equal forms, and forms equal after the flip
+            V[i, 1] = V[i, 0]
+            V[i, 2] = -V[i, 0]
+        elif kind == 2:  # -0.0 beside 0.0, in both parts
+            row = V[i, rng.integers(3)]
+            row.real = np.where(rng.integers(2, size=6), -0.0, 0.0)
+            row.imag = np.where(rng.integers(2, size=6), -0.0, 0.0)
+            V[i, :, rng.integers(6)] *= -1
+        elif kind == 3:  # a first coefficient exactly at the threshold: not the lead
+            top = abs(complex(V[i, 0, 5])) or 2.0
+            V[i, 0] = [1e-12 * top, -1.0, 0, 0, 0, top]
+            V[i, 1] = [-1e-12 * top, 0, 1.0, 0, 0, top]
+        elif kind == 4:  # leads with zero real part and negative imaginary part
+            V[i, :, 0] = [-1j, complex(-0.0, -2.0), 1j]
+        elif kind == 5:  # an all-zero row
+            V[i, rng.integers(3)] = 0
+        elif kind == 6:  # ties up to the sign of zero
+            V[i, 1] = V[i, 0]
+            V[i, 1].real[V[i, 0].real == 0] = -0.0
+            V[i, 1].imag[V[i, 0].imag == 0] = -0.0
+    signs = rng.choice([-1, 1], (n, 3))
+    return signs, V
+
+
+def test_canonical_order_of_a_stack_matches_the_one_class_loop():
+    rng = np.random.default_rng(np.random.SeedSequence([17, 0]))
+    for _ in range(20):
+        signs, V = _planted_stack(rng, 40)
+        S, F, canon = _canonicalize(signs, V.copy())
+        for i, (got_signs, got_forms) in enumerate(canon):
+            want_signs, want_forms = _canonicalize_one_class(signs[i].tolist(), V[i])
+            assert got_signs == want_signs and S[i].tolist() == list(want_signs)
+            for got, want in zip(got_forms, want_forms):
+                assert all(_same_bits(a, b) for a, b in zip(got.coeffs, want.coeffs))
+            # the array forms are the Python ones, imaginary zeros +0.0
+            want = np.array([form.coeffs for form in want_forms], dtype=complex)
+            assert F[i].tobytes() == want.tobytes()
+    S, F, canon = _canonicalize(np.zeros((0, 3), dtype=int), np.zeros((0, 3, 6), dtype=complex))
+    assert S.shape == (0, 3) and F.shape == (0, 3, 6) and canon == []
+
+
 # x -> M x for the second change of variables of acceptance criterion 7
 _CRITERION_7_MATRIX_1 = [[3, 2, -3], [3, -2, -1], [-2, 2, 0]]
 
@@ -198,9 +280,10 @@ _CRITERION_7_MATRIX_1 = [[3, 2, -3], [3, -2, -1], [-2, 2, 0]]
     apply_linear_change(parse_quartic("x^4+y^4+z^4"), _CRITERION_7_MATRIX_1),
 ], ids=["fermat", "random-0", "criterion-7-1"])
 def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
-    # the batch completes every class at once and expands the residual as
-    # arrays; each class must come out bit for bit as one completion of its
-    # own G(lam), `_canonicalize` and the dict residual give it
+    # the batch completes and orders every class at once and expands the
+    # residual as arrays; each class must come out bit for bit as one
+    # completion of its own G(lam), the one-class canonical order and the
+    # dict residual give it
     family = build_family(f)
     points = solve_all(family, SolveConfig(master_seed=0)).points
     assert len(points) == 63
@@ -208,10 +291,10 @@ def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
         G = family.matrix_at(point.lam)
         A = G.to_array(complex)
         signs, vecs = complete_squares(A if np.any(A.imag) else A.real)
-        signs, forms = _canonicalize(signs, vecs)
+        signs, forms = _canonicalize_one_class(signs, vecs)
         assert rep.signs == signs
         for got, want in zip(rep.forms, forms):
-            assert all(type(a) is type(b) and a == b for a, b in zip(got.coeffs, want.coeffs))
+            assert all(_same_bits(a, b) for a, b in zip(got.coeffs, want.coeffs))
         assert rep.residual == _relative_residual(gram_to_poly(G), signs, forms)
         assert rep.class_lambda == point.lam
 

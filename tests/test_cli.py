@@ -6,6 +6,8 @@ captured stdout/stderr, so the console-script wiring stays a thin shim.
 
 import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import quartic_sos.classify
 import quartic_sos.cli
 import quartic_sos.curves
-from quartic_sos.classify import Theorem1Report
+from quartic_sos.classify import Theorem1Report, theorem1_check
 from quartic_sos.cli import (
     EXIT_COUNTS,
     EXIT_HYPOTHESIS,
@@ -21,6 +23,8 @@ from quartic_sos.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     _print_counts,
+    _report_json,
+    _json_text,
     main,
     random_corpus_quartic,
 )
@@ -493,3 +497,96 @@ def test_decompose_of_unbalanced_fermat_fails_counts_without_a_traceback(k, caps
     assert "Traceback" not in captured.err
     assert "classes: 63 (expected 63)" not in captured.out
     assert "certified: FAIL" in captured.out
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_report_text_is_the_json_module_text(seed):
+    forms = [parse_quartic(FERMAT)] + [random_corpus_quartic(seed, i) for i in range(5)]
+    for f in forms:
+        obj = _report_json(f, seed, theorem1_check(f, SolveConfig(master_seed=seed)))
+        assert _json_text(obj) == _dumps(obj)
+
+
+def test_partial_and_error_reports_are_the_json_module_text(tmp_path, monkeypatch, capsys):
+    # 61 classes: a report that fails the counts
+    f = parse_quartic("10^8*x^4 + y^4 + z^4")
+    obj = _report_json(f, 0, theorem1_check(f))
+    assert len(obj["representations"]) == 61
+    assert _json_text(obj) == _dumps(obj)
+    # the hypothesis-failed payload, as the writer receives it
+    written = []
+    write = quartic_sos.cli._write_report
+    monkeypatch.setattr(quartic_sos.cli, "_write_report",
+                        lambda path, obj: written.append(obj) or write(path, obj))
+    path = tmp_path / "err.json"
+    assert main(["decompose", INDEFINITE, "--json", str(path)]) == EXIT_HYPOTHESIS
+    [payload] = written
+    assert "error" in payload
+    assert path.read_text(encoding="utf-8") == _json_text(payload) == _dumps(payload)
+
+
+def test_report_text_matches_json_on_every_kind_of_value():
+    nan, inf = math.nan, math.inf
+    obj = {
+        "floats": [nan, inf, -inf, -0.0, 0.0, 5e-324, 1e22, 1e16, 0.1, np.float64(0.1)],
+        "pairs": [[nan, -0.0], [inf, -inf], [5e-324, 1e22]],
+        "nested pairs": [[[1.0, 0.0]], [[-0.0, 2.5], [3.0, -1e-300]]],
+        "pairs not all floats": [[1.0, 2], [True, 1.0], [np.float64(1.5), 2.0], [None, 1.0]],
+        "tuples": ((1.0, 2.0), (3, "x"), ()),
+        "lists": [[], [[]], [1, 2, 3], [[1.0, 2.0, 3.0]], [[1.0], [2.0]]],
+        "dicts": [{}, {"b": 1, "a": {"c": []}}],
+        "none": None,
+        "text": "Hilbert \u2013 quartic \u00e9 \U0001d4c6 \"quoted\"\n\t\\",
+        "bools and ints": [True, 1, False, 0, -7, 2**70, {"t": True, "i": 1}],
+        "int keys": {10: "ten", 2: "two", -1: "minus one"},
+        "float keys": {2.5: "a", -0.0: "b", 1e22: "c"},
+        "other keys": [{None: 1}, {True: 1, False: 0}, {math.inf: 1}],
+    }
+    assert _json_text(obj) == _dumps(obj)
+    for value in (nan, -0.0, "\u00fc", [], {}, None, True, [[1.0, 2.0]], np.float64(-0.0)):
+        assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": object()},
+    {"a": [1, {1, 2}]},
+    [np.int64(3)],
+    [[np.bool_(True), 1.0]],
+    {(1, 2): 0},
+    {1: "a", "b": 2},
+    [1j],
+], ids=["object", "set", "np.int64", "np.bool_", "tuple key", "mixed keys", "complex"])
+def test_report_text_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+@pytest.mark.parametrize("form, rc", [(FERMAT, EXIT_OK), (INDEFINITE, EXIT_HYPOTHESIS)],
+                         ids=["report", "hypothesis-failed"])
+def test_unwritable_report_path_exits_2(form, rc, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "r.json"
+    assert main(["decompose", form]) == rc
+    stdout = capsys.readouterr().out
+    assert main(["decompose", form, "--json", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: cannot write report: [Errno 2] No such file or directory: "
+                                 f"'{path}'\n")
+    assert "Traceback" not in captured.err
+    # the listing is printed, the report line is not
+    assert captured.out == stdout
+    assert not path.parent.exists()
+
+
+def test_decompose_times_the_report_on_stderr(tmp_path, capsys):
+    assert main(["decompose", FERMAT, "--json", str(tmp_path / "r.json")]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert re.search(r"^timing report: \d+\.\d{3}s$", captured.err, re.M)
+    assert "timing" not in captured.out
+    assert main(["decompose", FERMAT]) == EXIT_OK
+    assert "timing report" not in capsys.readouterr().err
