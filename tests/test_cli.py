@@ -22,9 +22,9 @@ from quartic_sos.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
+    _json_text,
     _print_counts,
     _report_json,
-    _json_text,
     main,
     random_corpus_quartic,
 )
