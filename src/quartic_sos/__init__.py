@@ -63,7 +63,6 @@ from .classify import (
     theorem1_check,
     verify_representation,
 )
-from .cli import main, random_corpus_quartic
 
 __all__ = [
     "FloatRangeError",
@@ -115,3 +114,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # `cli` is imported on first use, not here: `python -m quartic_sos.cli`
+    # would otherwise find it imported before it runs as __main__
+    if name in ("main", "random_corpus_quartic"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,11 @@ which reads as f = e1 p^2 + e2 q^2 + e3 r^2 with p, q, r quadratic forms.
 One pivoted completion of squares (`gram.complete_squares`) does it for
 all the classes as one batch: a real G is eliminated in real arithmetic and
 the signs of its pivots are its signature (Sylvester's law of inertia); a
-complex G gets three complex squares with signs +1.  The residuals of the
-batch are array expansions that round as the dict code of `verify` does.
+complex G gets three complex squares with signs +1.  A class's residual is
+read off the Gram matrix E = G - sum s_i w_i w_i^T left after its squares:
+f = sum s_i p_i^2 exactly when m^T E m is the zero quartic.  `verify` keeps
+the dict re-expansion of f - sum s_i p_i^2 instead, because it is exact
+for rational certificates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from .forms import DEGREE4_MONOMIALS, MONOMIAL_ORDER, QuadraticForm, TernaryQuartic, quad_square
 from .gram import (
     KERNEL_BASIS_TENSOR,
-    TRIU_PAIRS,
     GramFamily,
     SymMatrix6,
     build_family,
@@ -186,54 +188,22 @@ def _relative_residual(f_coeffs: dict, signs, forms) -> float:
     return float(worst / max(abs(c) for c in f_coeffs.values()))
 
 
-def _term_rounds(terms):
-    """Group (e, a, b) terms, listed in summation order, into rounds of index
-    arrays: round p holds the p-th term of every degree-4 monomial e that has
-    one, so adding round after round sums each monomial's terms in the
-    listed order."""
-    rounds, seen = [], {}
-    for e, a, b in terms:
-        p = seen[e] = seen.get(e, -1) + 1
-        if p == len(rounds):
-            rounds.append([])
-        rounds[p].append((DEGREE4_MONOMIALS.index(e), a, b))
-    return [tuple(np.array(col) for col in zip(*r)) for r in rounds]
-
-
-def _monomial(a: int, b: int):
-    return tuple(u + v for u, v in zip(MONOMIAL_ORDER[a], MONOMIAL_ORDER[b]))
-
-
-#: m^T G m: the upper-triangle entries (i, j) in `gram.gram_to_poly`'s order.
-_GRAM_TERMS = _term_rounds([(_monomial(i, j), i, j) for i, j in TRIU_PAIRS])
-#: p^2: the coefficient pairs (a, b) in the order of `forms.poly_mul`'s double loop.
-_SQUARE_TERMS = _term_rounds([(_monomial(a, b), a, b) for a in range(6) for b in range(6)])
+#: vec(E) @ _COEFF_MAP is the coefficient vector of m^T E m over
+#: DEGREE4_MONOMIALS: entry (a, b) of E lands on the monomial m_a m_b.
+_EXPONENTS = np.array(MONOMIAL_ORDER)
+_COEFF_MAP = np.all((_EXPONENTS[:, None] + _EXPONENTS).reshape(36, 1, 3) == DEGREE4_MONOMIALS,
+                    axis=2).astype(float)
 
 
 def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """`_relative_residual(gram_to_poly(G), signs, forms)` of a stack, G
-    (n, 6, 6) and the forms F (n, 3, 6), complex, bit for bit when G is a
-    family's G(lam) (each monomial has one slot in G0, and lam enters as
-    exact multiples).  The expansions add their terms in the dict code's
-    order, and complex products and moduli are written out in float64
-    (ar br - ai bi, ar bi + ai br and hypot) as Python's scalar complex
-    arithmetic rounds them; numpy's vectorised complex multiply and abs
-    round differently."""
-    f = np.zeros((2, len(G), len(DEGREE4_MONOMIALS)))
-    for e, i, j in _GRAM_TERMS:
-        w = np.where(i == j, 1.0, 2.0)
-        f[0][:, e] += w * G.real[:, i, j]
-        f[1][:, e] += w * G.imag[:, i, j]
-    q = np.zeros((2,) + F.shape[:2] + (len(DEGREE4_MONOMIALS),))
-    for e, a, b in _SQUARE_TERMS:
-        ar, ai, br, bi = F.real[..., a], F.imag[..., a], F.real[..., b], F.imag[..., b]
-        q[0][..., e] += ar * br - ai * bi
-        q[1][..., e] += ar * bi + ai * br
-    total = np.zeros_like(f)
-    for k in range(F.shape[1]):
-        total += signs[:, k, None] * q[:, :, k]
-    worst = np.max(np.hypot(*(f - total)), axis=1)
-    return worst / np.max(np.hypot(*f), axis=1)
+    """Relative residuals of a stack, G (n, 6, 6), signs (n, 3) and forms F
+    (n, 3, 6), complex.  E = G - sum_k s_k F_k F_k^T is the Gram matrix left
+    after the squares, so m^T E m = f - sum_k s_k p_k^2, and the residual is
+    max |coef(E)| / max |coef(G)|: `_relative_residual(gram_to_poly(G),
+    signs, forms)` up to rounding."""
+    E = G - np.einsum("nk,nka,nkb->nab", signs, F, F)
+    coef = np.abs(np.stack([E, G]).reshape(2, len(G), 36) @ _COEFF_MAP)
+    return coef[0].max(axis=1) / coef[1].max(axis=1)
 
 
 def _factor_batch(G: np.ndarray, class_lambdas) -> List[Representation]:

@@ -12,10 +12,12 @@ verification failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +34,8 @@ from .classify import (
 )
 from .curves import numeric_singularity_oracle, nonnegativity_test, smoothness_test
 from .forms import (
+    MAX_CONSTANT_BITS,
+    FloatRangeError,
     FormError,
     QuadraticForm,
     TernaryQuartic,
@@ -48,6 +52,7 @@ EXIT_HYPOTHESIS = 4
 EXIT_VERIFY = 5
 
 _SEED_ENV = "QUARTIC_SOS_SEED"
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 _QUAD_MONOMIAL_NAMES = ("x^2", "y^2", "z^2", "y*z", "x*z", "x*y")
 
 
@@ -221,6 +226,20 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
+def _report_path_ok(path: str) -> bool:
+    """False, with `_write_report`'s error line, when path is a directory or
+    its directory does not exist.  It creates and truncates nothing, so it
+    runs before the pipeline."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return True
+    sys.stderr.write(f"error: cannot write report: {OSError(code, os.strerror(code), path)}\n")
+    return False
+
+
 def _write_report(path: str, obj) -> bool:
     """Write `_json_text(obj)` to path; False, with an error line on stderr,
     when the file cannot be written."""
@@ -241,6 +260,10 @@ def _write_report(path: str, obj) -> bool:
 
 def _coeff_from_json(value):
     if isinstance(value, str):
+        # Fraction would build 10^e first; 10^e is at least 2^e
+        exponent = _EXPONENT_RE.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_CONSTANT_BITS:
+            raise FloatRangeError(f"coefficient {value!r} is far beyond float range")
         return Fraction(value)
     if isinstance(value, bool):
         raise ValueError("boolean is not a coefficient")
@@ -373,6 +396,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         seed = _resolve_seed(args.seed)
     except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail_input(str(exc))
+    if args.json and not _report_path_ok(args.json):
+        return EXIT_INPUT
     config = SolveConfig(restarts=args.restarts, master_seed=seed, threads=args.threads)
     out = sys.stdout
     out.write(f"input: {f}\n")

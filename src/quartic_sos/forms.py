@@ -217,8 +217,33 @@ def _tokenize(text: str):
     return tokens
 
 
+#: A constant power c^n is refused once n log2|c| exceeds this many bits,
+#: 64 times float's exponent range: such a constant can only be cancelled
+#: by another as large, and building it costs time that grows with n.
+MAX_CONSTANT_BITS = 1 << 16
+
+
+def _degree(p: PolyDict) -> int:
+    return max((sum(e) for e in p), default=0)
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > 4:
+        raise NotHomogeneousError(f"term of degree {degree} at position {pos}, expected at most 4")
+
+
+def _product(p: PolyDict, q: PolyDict, pos: int) -> PolyDict:
+    # the product of the top-degree parts never cancels, so the degrees add
+    _check_degree(_degree(p) + _degree(q), pos)
+    return poly_mul(p, q)
+
+
 class _Parser:
-    """Recursive descent over +, -, * (juxtaposition allowed), /, ^, ()."""
+    """Recursive descent over +, -, * (juxtaposition allowed), /, ^, ().
+
+    A product or power with a term above degree 4 is refused from the degrees
+    of its operands, before it is multiplied out, and a constant power far
+    beyond float range before it is built."""
 
     def __init__(self, text: str):
         self.text = text
@@ -266,7 +291,7 @@ class _Parser:
             kind, _, pos = self.peek()
             if kind == "*":
                 self.advance()
-                p = poly_mul(p, self.power())
+                p = _product(p, self.power(), pos)
             elif kind == "/":
                 self.advance()
                 q = self.power()
@@ -276,7 +301,7 @@ class _Parser:
                     raise FormSyntaxError("division by zero", pos)
                 p = poly_scale(p, Fraction(1) / q[(0, 0, 0)])
             elif kind in ("num", "var", "("):
-                p = poly_mul(p, self.power())  # juxtaposition
+                p = _product(p, self.power(), pos)  # juxtaposition
             else:
                 return p
 
@@ -288,7 +313,15 @@ class _Parser:
             kind, value, pos = self.advance()
             if kind != "num" or value.denominator != 1:
                 raise FormSyntaxError("exponent must be a nonnegative integer", pos)
-            p = poly_pow(p, int(value))
+            n = int(value)
+            if set(p) - {(0, 0, 0)}:
+                _check_degree(_degree(p) * n, pos)
+                return poly_pow(p, n)
+            c = p.get((0, 0, 0), Fraction(0))
+            if n * (max(abs(c.numerator), c.denominator).bit_length() - 1) > MAX_CONSTANT_BITS:
+                raise FloatRangeError(f"constant power at position {pos} is far beyond float range")
+            c = c ** n
+            return {(0, 0, 0): c} if c else {}
         return p
 
     def atom(self) -> PolyDict:
@@ -417,7 +450,9 @@ def parse_quartic(text: str) -> TernaryQuartic:
     products, parentheses and `+`/`-`.  Decimal coefficients become exact
     rationals (scaled powers of ten), so the exact layer never sees floats.
 
-    Raises FormSyntaxError (with position), NotHomogeneousError or
+    Raises FormSyntaxError (with position), NotHomogeneousError (also for a
+    term above degree 4 as written, even one that would cancel),
+    FloatRangeError (a constant power far beyond float range) or
     ZeroFormError.
     """
     return TernaryQuartic(parse_poly(text))

@@ -23,6 +23,7 @@ from quartic_sos.classify import (
     Representation,
     _canonicalize,
     _relative_residual,
+    _residuals,
     classify_point,
     classify_points,
     factor,
@@ -274,16 +275,19 @@ def test_canonical_order_of_a_stack_matches_the_one_class_loop():
 _CRITERION_7_MATRIX_1 = [[3, 2, -3], [3, -2, -1], [-2, 2, 0]]
 
 
-@pytest.mark.parametrize("f", [
+_CLASS_BATCH_INPUTS = [
     parse_quartic("x^4+y^4+z^4"),
     random_corpus_quartic(0, 0),
     apply_linear_change(parse_quartic("x^4+y^4+z^4"), _CRITERION_7_MATRIX_1),
-], ids=["fermat", "random-0", "criterion-7-1"])
+]
+
+
+@pytest.mark.parametrize("f", _CLASS_BATCH_INPUTS, ids=["fermat", "random-0", "criterion-7-1"])
 def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
-    # the batch completes and orders every class at once and expands the
-    # residual as arrays; each class must come out bit for bit as one
-    # completion of its own G(lam), the one-class canonical order and the
-    # dict residual give it
+    # the batch completes and orders every class at once; each class must
+    # come out bit for bit as one completion of its own G(lam) and the
+    # one-class canonical order give it, and its residual, read off the Gram
+    # matrix left after the squares, must be the dict residual to rounding
     family = build_family(f)
     points = solve_all(family, SolveConfig(master_seed=0)).points
     assert len(points) == 63
@@ -295,8 +299,31 @@ def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
         assert rep.signs == signs
         for got, want in zip(rep.forms, forms):
             assert all(_same_bits(a, b) for a, b in zip(got.coeffs, want.coeffs))
-        assert rep.residual == _relative_residual(gram_to_poly(G), signs, forms)
+        assert rep.residual == pytest.approx(_relative_residual(gram_to_poly(G), signs, forms),
+                                             rel=0, abs=1e-12)
         assert rep.class_lambda == point.lam
+
+
+@pytest.mark.parametrize("f", _CLASS_BATCH_INPUTS, ids=["fermat", "random-0", "criterion-7-1"])
+def test_class_residual_measures_a_planted_error(f):
+    # raising the largest coefficient of one form per class by a relative
+    # 1e-6 must show in the Gram-matrix residual as it does in the dict one:
+    # the two measure the same quantity, not only rounding
+    family = build_family(f)
+    points = solve_all(family, SolveConfig(master_seed=0)).points
+    reps = classify_points(family, points)
+    Gs = [family.matrix_at(point.lam) for point in points]
+    signs = np.array([rep.signs for rep in reps])
+    F = np.array([[form.coeffs for form in rep.forms] for rep in reps], dtype=complex)
+    k, j = np.unravel_index(np.argmax(np.abs(F).reshape(len(reps), 18), axis=1), (3, 6))
+    F[np.arange(len(reps)), k, j] *= 1 + 1e-6
+    batch = _residuals(np.array([G.to_array(complex) for G in Gs]), signs, F)
+    for G, s, forms, r in zip(Gs, signs.tolist(), F, batch):
+        planted = [QuadraticForm(tuple(c if c.imag else c.real for c in form.tolist()))
+                   for form in forms]
+        want = _relative_residual(gram_to_poly(G), s, planted)
+        assert r == pytest.approx(want, rel=0, abs=1e-12)
+        assert min(r, want) > 1e-7
 
 
 def test_theorem1_check_rejects_singular_input():

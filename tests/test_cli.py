@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_malformed_seed_variable_exits_2(value, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: $QUARTIC_SOS_SEED")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "(x+y+z)^200"],
+    ["check", "(x+y+z)^400"],
+    ["check", "x^10000000"],
+    ["check", "10^100000*x^4+y^4+z^4"],
+    ["check", "--json-in", '{"4,0,0": "1e10000000", "0,4,0": 1, "0,0,4": 1}'],
+], ids=["power-200", "power-400", "x-power", "constant-power", "json-exponent"])
+def test_oversized_input_exits_2_at_once(argv, capsys):
+    # each was once refused only after 7 to 160 s of multiplying out
+    t0 = time.perf_counter()
+    assert main(argv) == EXIT_INPUT
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 INF, NAN = float("inf"), float("nan")
@@ -569,18 +588,40 @@ def test_report_text_raises_type_error_where_json_does(obj):
 
 @pytest.mark.parametrize("form, rc", [(FERMAT, EXIT_OK), (INDEFINITE, EXIT_HYPOTHESIS)],
                          ids=["report", "hypothesis-failed"])
-def test_unwritable_report_path_exits_2(form, rc, tmp_path, capsys):
+def test_unwritable_report_path_exits_2(form, rc, tmp_path, capsys, monkeypatch):
     path = tmp_path / "no" / "such" / "r.json"
     assert main(["decompose", form]) == rc
-    stdout = capsys.readouterr().out
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the report path was checked")
+
+    monkeypatch.setattr(quartic_sos.cli, "theorem1_check", no_solve)
     assert main(["decompose", form, "--json", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert captured.err.endswith(f"error: cannot write report: [Errno 2] No such file or directory: "
-                                 f"'{path}'\n")
-    assert "Traceback" not in captured.err
-    # the listing is printed, the report line is not
-    assert captured.out == stdout
+    assert captured.err == f"error: cannot write report: [Errno 2] No such file or directory: '{path}'\n"
+    assert captured.out == ""
     assert not path.parent.exists()
+    # a directory is refused as open() refuses it, and left as it is
+    assert main(["decompose", form, "--json", str(tmp_path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write report: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_report_write_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a path that passes the early check can still fail when it is written
+    path = tmp_path / "r.json"
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(quartic_sos.cli, "open", refuse, raising=False)
+    assert main(["decompose", FERMAT, "--json", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: cannot write report: [Errno 13] Permission denied: '{path}'\n")
+    assert "report written" not in captured.out
 
 
 def test_decompose_times_the_report_on_stderr(tmp_path, capsys):

@@ -35,3 +35,13 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_module_entry_point_runs_without_a_runtime_warning():
+    # the package imports `cli` lazily, so runpy does not find it imported
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quartic_sos.cli",
+                             "check", "x^4+y^4+z^4"], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr

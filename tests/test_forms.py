@@ -8,6 +8,7 @@ import pytest
 from quartic_sos.forms import (
     DEGREE4_MONOMIALS,
     MONOMIAL_ORDER,
+    FloatRangeError,
     FormSyntaxError,
     NotHomogeneousError,
     QuadraticForm,
@@ -60,6 +61,21 @@ def test_parse_expands_squared_sum():
 def test_parse_rejects_inhomogeneous():
     with pytest.raises(NotHomogeneousError):
         parse_quartic("x^3 + y^4")
+
+
+def test_parse_rejects_a_term_above_degree_4_as_written():
+    # refused from the operands' degrees, before any product is built
+    for text in ("x^5 - x^5 + x^4", "x*y^4 - x*y^4 + z^4", "(x+y+z)^400", "x^2 (y+z)^3"):
+        with pytest.raises(NotHomogeneousError):
+            parse_quartic(text)
+
+
+def test_parse_constant_powers():
+    f = parse_quartic("2^3*x^4 + (1/2)^2*y^4 + 0^0*z^4 + 0^2*x*y^3 + 1^1000000*x^2*y^2 + (x+y)^2*(x-y)^2")
+    assert f.coeffs == {(4, 0, 0): 9, (0, 4, 0): Fraction(5, 4), (0, 0, 4): 1, (2, 2, 0): -1}
+    for text in ("10^100000*x^4 + y^4", "(1/2)^100000*x^4 + y^4"):
+        with pytest.raises(FloatRangeError):
+            parse_quartic(text)
 
 
 def test_parse_rejects_zero_form():
