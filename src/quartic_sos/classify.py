@@ -214,8 +214,7 @@ def _factor_batch(G: np.ndarray, class_lambdas) -> List[Representation]:
     the signs are its signature; any other gets three complex squares with
     signs +1.  RankMismatchError, for the first matrix in order, unless every
     rank is 3."""
-    real = ~np.any(G.imag, axis=(1, 2))
-    signs, W = complete_squares(G, real=real)
+    signs, W = complete_squares(G)
     rank = np.count_nonzero(signs, axis=1)
     if np.any(rank != 3):
         raise RankMismatchError(f"completion of squares has rank {rank[rank != 3][0]}, not 3")

@@ -35,6 +35,7 @@ from .classify import (
 from .curves import numeric_singularity_oracle, nonnegativity_test, smoothness_test
 from .forms import (
     MAX_CONSTANT_BITS,
+    MAX_LITERAL_DIGITS,
     FloatRangeError,
     FormError,
     QuadraticForm,
@@ -53,6 +54,7 @@ EXIT_VERIFY = 5
 
 _SEED_ENV = "QUARTIC_SOS_SEED"
 _EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_DIGIT_RUN_RE = re.compile(r"[\d_.]+")
 _QUAD_MONOMIAL_NAMES = ("x^2", "y^2", "z^2", "y*z", "x*z", "x*y")
 
 
@@ -258,8 +260,16 @@ def _write_report(path: str, obj) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"coefficient {name} is not a finite number")
+
+
 def _coeff_from_json(value):
+    """A coefficient read exactly: a JSON number arrives as its text
+    (`_load_quartic`), a string is that text or 'num/den'."""
     if isinstance(value, str):
+        if any(sum(map(str.isdigit, run)) > MAX_LITERAL_DIGITS for run in _DIGIT_RUN_RE.findall(value)):
+            raise FloatRangeError(f"coefficient has a number of more than {MAX_LITERAL_DIGITS} digits")
         # Fraction would build 10^e first; 10^e is at least 2^e
         exponent = _EXPONENT_RE.search(value)
         if exponent and abs(int(exponent.group(1))) > MAX_CONSTANT_BITS:
@@ -269,10 +279,6 @@ def _coeff_from_json(value):
         raise ValueError("boolean is not a coefficient")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"coefficient {value!r} is not a finite number")
-        return Fraction(repr(value))  # the decimal the text parser would build
     raise ValueError(f"unsupported coefficient {value!r}")
 
 
@@ -281,10 +287,12 @@ def _quartic_from_json(data) -> TernaryQuartic:
         raise ValueError("coefficient map must be a JSON object")
     coeffs = {}
     for key, value in data.items():
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 3:
+        try:
+            expo = tuple(int(p) for p in key.split(","))
+        except ValueError:
+            expo = ()
+        if len(expo) != 3:
             raise ValueError(f"key {key!r} is not an exponent triple 'a,b,c'")
-        expo = tuple(int(p) for p in parts)
         coeffs[expo] = _coeff_from_json(value)
     return TernaryQuartic(coeffs)
 
@@ -292,11 +300,13 @@ def _quartic_from_json(data) -> TernaryQuartic:
 def _load_quartic(text: str, json_in: bool) -> TernaryQuartic:
     if not json_in:
         return parse_quartic(text)
+    # every number keeps its text, read exactly by `_coeff_from_json`
+    options = dict(parse_float=str, parse_int=str, parse_constant=_refuse_constant)
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, **options)
     else:
-        data = json.loads(text)
+        data = json.loads(text, **options)
     return _quartic_from_json(data)
 
 
@@ -337,18 +347,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     curve = smoothness_test(f)  # both loaders give rational coefficients
     smooth = curve.smooth
     out.write(f"smooth: {'yes' if smooth else 'no'} (exact, method {curve.method})\n")
-    if curve.witness is not None:
-        w = ", ".join(_fmt_num(c) for c in curve.witness)
-        out.write(f"singular point near: ({w})\n")
-    if smooth:
-        found_evidence = numeric_singularity_oracle(f)
-    else:
-        # smoothness_test already ran the same deterministic search for its witness
-        found_evidence = curve.witness is not None
+    point = numeric_singularity_oracle(f)
+    found = point is not None
+    if found:
+        out.write(f"singular point near: ({', '.join(_fmt_num(c) for c in point)})\n")
     out.write(
-        f"numeric singularity search: "
-        f"{'found' if found_evidence else 'none found'} "
-        f"[{'agrees' if found_evidence != smooth else 'DISAGREES'}]\n"
+        f"numeric singularity search: {'found' if found else 'none found'} "
+        f"[{'agrees' if found != smooth else 'DISAGREES'}]\n"
     )
     sys.stderr.write(f"timing smoothness: {time.perf_counter() - t0:.3f}s\n")
 

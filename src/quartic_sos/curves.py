@@ -1,31 +1,32 @@
 """Hypothesis checks for the representation theorem: smoothness and
 non-negativity of the quartic, plus basepoint-freeness of representations.
+Exact tests decide; the float searches only look.
 
 Common zeros are linear algebra on Macaulay matrices, all built by
 `resultant.macaulay_matrix`:
 
 * Smoothness is decided exactly by one integer rank of the gradient's
-  degree-7 matrix (`resultant`).  A singular curve gets a witness point
-  read off that matrix's null space by an eigenvalue problem
-  (`_null_space_points`), and `numeric_singularity_oracle` cross-checks
-  the verdict by the same search.  Both run after an exact power-of-2
+  degree-7 matrix (`resultant`).  `numeric_singularity_oracle` looks for a
+  singular point in the float null space of the same matrix by an
+  eigenvalue problem (`_null_space_points`), after an exact power-of-2
   rescaling of x and y that brings the coefficients to one magnitude
-  (`_balancing_exponents`).  Neither draws random numbers.
+  (`_balancing_exponents`).  It draws no random numbers, and no verdict
+  depends on it.
 * Three conics are basepoint-free exactly when their degree-4 matrix has
   full rank; one batched SVD decides every triple (`basepoint_check`).
 
-Non-negativity is proved or refuted; a yes is never taken at a tolerance.
-A PSD Gram matrix G(lam) of f, f = m^T G(lam) m, writes f as a sum of
-squares, and by Hilbert's theorem every nonnegative ternary quartic has
-one.  So a rational lam_q whose G(lam_q) an exact LDL^T in Fractions proves
-PSD (`ldl_positive_semidefinite`) proves f >= 0; `proved_lambda` reads a
-float lam exactly as such a lam_q.  The candidates come from an ascent of
-the minimum eigenvalue of the Gram family.  A refutation is a point of the
-unit sphere where a search finds f below -PSD_TOL (a float value).  With
-neither, the verdict is indeterminate.  The ascent runs first, and is
-skipped when a start point of the search already shows a value below
--PSD_TOL.  The sphere search evaluates f and its derivatives through one
-table of the Hessian entries.
+Non-negativity is proved or refuted; a verdict is never taken at a
+tolerance.  A PSD Gram matrix G(lam) of f, f = m^T G(lam) m, writes f as a
+sum of squares, and by Hilbert's theorem every nonnegative ternary quartic
+has one.  So a rational lam_q whose G(lam_q) an exact LDL^T in Fractions
+proves PSD (`ldl_positive_semidefinite`) proves f >= 0; `proved_lambda`
+reads a float lam exactly as such a lam_q.  The candidates come from an
+ascent of the minimum eigenvalue of the Gram family.  A refutation is a
+point of the unit sphere, read exactly, where f evaluated in Fractions is
+below 0; a search finds it.  With neither, the verdict is indeterminate.
+The ascent runs first, and is skipped when a start point of the search
+already shows a value below -PSD_TOL.  The search evaluates f and its
+gradient from the Gram matrix G0 the ascent starts from.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ from .forms import (
     PolyDict,
     QuadraticForm,
     TernaryQuartic,
+    eval_quartic,
     gradient,
     monomials_of_degree,
-    poly_diff,
     poly_eval,
 )
 from .gram import KERNEL_BASIS_TENSOR, GramFamily, SymMatrix6
 from .resultant import gradient_resultant_is_nonzero, macaulay_matrix
 
-#: A value of f / max |c| below -PSD_TOL on the unit sphere refutes f >= 0.
+#: A value of f / max |c| below -PSD_TOL at a start point of the sphere
+#: search skips the ascent.
 PSD_TOL = 1e-8
 
 #: Start points of the seeded search for a negative value of f on the sphere.
@@ -106,7 +108,6 @@ class CurveStatus:
 
     smooth: bool
     discriminant_sign: str  # "zero" or "nonzero"
-    witness: Optional[Tuple[complex, complex, complex]] = None
     method: str = "macaulay"  # the one exact test; bench/spans.py reads it
 
 
@@ -114,7 +115,7 @@ class CurveStatus:
 class PositivityStatus:
     """Non-negativity verdict; None means indeterminate.  A yes carries its
     proof, the rational lam whose G(lam) is PSD (`proved_lambda`); a no
-    carries a unit point where f is negative."""
+    carries a unit point where f, evaluated exactly, is negative."""
 
     nonnegative: Optional[bool]
     certificate: Optional[Tuple[Fraction, ...]] = None
@@ -124,50 +125,12 @@ class PositivityStatus:
 
 def smoothness_test(f: TernaryQuartic) -> CurveStatus:
     """Exact smoothness decision: the degree-7 multiples of the gradient
-    span all 36 septics exactly when the curve is smooth (`resultant`).
-
-    A singular curve also gets a numeric witness point when one passes its
-    residual test (`_singular_point`); the verdict never depends on it.
-    """
+    span all 36 septics exactly when the curve is smooth (`resultant`)."""
     if not f.is_rational():
         raise ValueError("smoothness_test requires exact rational coefficients")
     if gradient_resultant_is_nonzero(f):
         return CurveStatus(smooth=True, discriminant_sign="nonzero")
-    return CurveStatus(smooth=False, discriminant_sign="zero", witness=_singular_point(f))
-
-
-def numeric_singularity_oracle(f: TernaryQuartic) -> bool:
-    """Float cross-check of `smoothness_test`: True iff a singular point
-    was found (`_singular_point`).  It shares the Macaulay builder with the
-    exact test but not its integer rank; FloatRangeError when floats cannot
-    hold f.
-    """
-    return _singular_point(f) is not None
-
-
-def _hessian_vectors(f: TernaryQuartic, scale: float) -> np.ndarray:
-    """(6, 9) table: m(v) @ table is the Hessian of f / scale at v, row-major,
-    each entry f_jk a quadratic in the monomial order."""
-    H = np.zeros((3, 3, 6))
-    polys = list(gradient(f))
-    for j in range(3):
-        for k in range(3):
-            q: PolyDict = poly_diff(polys[j], k)
-            H[j, k] = [float(c) / scale for c in QuadraticForm.from_dict(q).coeffs]
-    return H.reshape(9, 6).T
-
-
-def _gradients_and_hessians(table: np.ndarray, pts: np.ndarray):
-    """Gradients and Hessians H(v) per point of pts, of shapes pts.shape and
-    pts.shape[:-1] + (3, 3); by Euler's relation grad f = H(v) v / 3."""
-    H = (_eval_monomials(pts) @ table).reshape(pts.shape[:-1] + (3, 3))
-    return (H @ pts[..., None])[..., 0] / 3.0, H
-
-
-def _eval_monomials(pts: np.ndarray) -> np.ndarray:
-    """Monomial vector m(v) = (x^2, y^2, z^2, yz, xz, xy) per point."""
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    return np.stack([x * x, y * y, z * z, y * z, x * z, x * y], axis=-1)
+    return CurveStatus(smooth=False, discriminant_sign="zero")
 
 
 def _balancing_exponents(f: TernaryQuartic) -> Tuple[int, int]:
@@ -182,9 +145,10 @@ def _balancing_exponents(f: TernaryQuartic) -> Tuple[int, int]:
     return int(np.rint(a)), int(np.rint(b))
 
 
-def _singular_point(f: TernaryQuartic):
+def numeric_singularity_oracle(f: TernaryQuartic) -> Optional[Tuple[complex, complex, complex]]:
     """A unit singular point of f read off a Macaulay null space, or None;
-    FloatRangeError when floats cannot hold f.
+    FloatRangeError when floats cannot hold f.  It shares the Macaulay
+    builder with `smoothness_test` but not its integer rank.
 
     The search runs on g(v) = f(Dv) / c, D = diag(2^a, 2^b, 1) from
     `_balancing_exponents` and c the largest |coefficient| of f(Dv): the
@@ -312,28 +276,34 @@ def _sphere_starts(seed: int) -> np.ndarray:
     return pts
 
 
-def _values_and_gradients(table: np.ndarray, pts: np.ndarray):
-    """f and its gradient per row of pts, both at the scale of the Hessian
-    table: grad f = H(v) v / 3 and f = v . grad f / 4 (Euler's relation)."""
-    grads = _gradients_and_hessians(table, pts)[0]
-    return np.sum(pts * grads, axis=1) / 4.0, grads
+def _values_and_gradients(G: np.ndarray, pts: np.ndarray):
+    """f = m(v)^T G m(v) and its gradient 2 (dm/dv)^T G m(v) per row of pts,
+    for a Gram matrix G of f and m(v) = (x^2, y^2, z^2, yz, xz, xy)."""
+    x, y, z = pts.T
+    m = np.stack([x * x, y * y, z * z, y * z, x * z, x * y], axis=1)
+    Gm = m @ G
+    g0, g1, g2, g3, g4, g5 = Gm.T
+    grads = 2.0 * np.stack([2.0 * x * g0 + z * g4 + y * g5,
+                            2.0 * y * g1 + z * g3 + x * g5,
+                            2.0 * z * g2 + y * g3 + x * g4], axis=1)
+    return np.einsum("ni,ni->n", m, Gm), grads
 
 
-def _sphere_falsify(table: np.ndarray, seed: int, iters: int = 150):
+def _sphere_falsify(G: np.ndarray, seed: int, iters: int = 150):
     """Projected-gradient minimization on the unit sphere of the quartic
-    whose Hessian table is given, from `_sphere_starts(seed)`.
+    with Gram matrix G, from `_sphere_starts(seed)`.
 
     An accepted step keeps the gradient it was evaluated with.  Returns
-    (best value at the table's scale, best unit point).
+    (best value at G's scale, best unit point).
     """
     pts = _sphere_starts(seed).copy()
     eta = np.full(SPHERE_STARTS, 0.1)
-    vals, grads = _values_and_gradients(table, pts)
+    vals, grads = _values_and_gradients(G, pts)
     for _ in range(iters):
         tang = grads - (np.sum(grads * pts, axis=1, keepdims=True)) * pts
         cand = pts - eta[:, None] * tang
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cvals, cgrads = _values_and_gradients(table, cand)
+        cvals, cgrads = _values_and_gradients(G, cand)
         better = cvals < vals
         pts[better], vals[better], grads[better] = cand[better], cvals[better], cgrads[better]
         eta = np.where(better, eta * 1.2, eta * 0.5)
@@ -412,27 +382,26 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
        value below -PSD_TOL.
     2. Refutation.  Projected-gradient minimization on the unit sphere
        (homogeneity makes the sign question compact) answers no with its
-       point when the value found is below -PSD_TOL.
+       point when f, evaluated in Fractions at the point read exactly, is
+       below 0.
     3. Otherwise the verdict is None.
 
-    Verdicts are invariant under positive scaling.  ValueError when f is
-    not rational; FloatRangeError when floats cannot hold it
+    Both stages evaluate f through the Gram matrix G0 / max |c|.  Verdicts
+    are invariant under positive scaling.  ValueError when f is not
+    rational; FloatRangeError when floats cannot hold it
     (`TernaryQuartic.float_scale`).
     """
     if not f.is_rational():
         raise ValueError("nonnegativity_test requires exact rational coefficients")
     scale = f.float_scale()
-    table = _hessian_vectors(f, scale)
-    if np.min(_values_and_gradients(table, _sphere_starts(seed))[0]) >= -PSD_TOL:
-        G0n = family.base.to_array(float) / scale
+    G0n = family.base.to_array(float) / scale
+    if np.min(_values_and_gradients(G0n, _sphere_starts(seed))[0]) >= -PSD_TOL:
         proof = _eig_ascent(G0n, seed, lambda lam: proved_lambda(family, lam * scale))
         if proof is not None:
             return PositivityStatus(nonnegative=True, certificate=proof)
-    min_val, min_pt = _sphere_falsify(table, seed)
-    if min_val < -PSD_TOL:
-        return PositivityStatus(
-            nonnegative=False,
-            counterexample=tuple(float(v) for v in min_pt),
-            counterexample_value=min_val * scale,
-        )
+    point = tuple(float(v) for v in _sphere_falsify(G0n, seed)[1])
+    value = eval_quartic(f, [Fraction(v) for v in point])
+    if value < 0:
+        return PositivityStatus(nonnegative=False, counterexample=point,
+                                counterexample_value=float(value))
     return PositivityStatus(nonnegative=None)

@@ -187,6 +187,11 @@ def _coeff_text(c) -> str:
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([xyz])|([-+*/^()]))")
 
+#: A number literal of more digits is refused (FloatRangeError): as an
+#: integer it is at least 10^4300, far beyond float range, and it is the
+#: interpreter's default limit for int() of a decimal string.
+MAX_LITERAL_DIGITS = 4300
+
 
 def _tokenize(text: str):
     tokens = []
@@ -202,6 +207,9 @@ def _tokenize(text: str):
         number, var, op = m.groups()
         start = m.end() - len((number or var or op))
         if number is not None:
+            if len(number) - ("." in number) > MAX_LITERAL_DIGITS:
+                raise FloatRangeError(f"number at position {start} has more than "
+                                      f"{MAX_LITERAL_DIGITS} digits")
             if "." in number:
                 intpart, fracpart = number.split(".")
                 value = Fraction(int(intpart + fracpart), 10 ** len(fracpart))
@@ -363,7 +371,9 @@ class TernaryQuartic:
     def __post_init__(self):
         clean = {e: c for e, c in self.coeffs.items() if c != 0}
         for e in clean:
-            if len(e) != 3 or any(k < 0 for k in e) or sum(e) != 4:
+            if len(e) == 3 and any(k < 0 for k in e):
+                raise NotHomogeneousError(f"monomial {e} has a negative exponent")
+            if len(e) != 3 or sum(e) != 4:
                 raise NotHomogeneousError(f"monomial {e} has degree {sum(e)}, expected 4")
         if not clean:
             raise ZeroFormError("form is identically zero")

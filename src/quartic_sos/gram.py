@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm])
     return SymMatrix6(entries)
 
 
-def complete_squares(A: np.ndarray, real: Optional[np.ndarray] = None):
+def complete_squares(A: np.ndarray):
     """Lagrange's pivoted completion of squares, A = sum_k s_k w_k w_k^T,
     of one symmetric matrix (m, m) or of each matrix of a stack (n, m, m).
 
@@ -239,25 +239,27 @@ def complete_squares(A: np.ndarray, real: Optional[np.ndarray] = None):
     as a diagonal pivot on the next step), whose pivot is then at least
     2 (1 - PIVOT_ALPHA) |S_uv| = 0.72 |S_uv|.  Either way no pivot is small
     next to the entries it eliminates, so the entries stay bounded (Bunch &
-    Parlett 1971).  A real array is eliminated in real arithmetic and
-    each square takes the sign of its pivot, so by Sylvester's law of inertia
-    the signs are the signature; a complex array gets signs +1, the complex
-    squares absorbing them.  Elimination stops once every entry left is below
-    RANK_EIG_TOL, so the rank is the number of squares.
+    Parlett 1971).  A matrix whose entries are all real is eliminated in
+    real arithmetic and each square takes the sign of its pivot, so by
+    Sylvester's law of inertia the signs are the signature; any other gets
+    signs +1, the complex squares absorbing them.  Elimination stops once
+    every entry left is below RANK_EIG_TOL, so the rank is the number of
+    squares.
 
     A stack is eliminated as one batch, a matrix that has stopped left as it
     is; its pivot column is a gather of S's columns (j, or u and v), not a
     product.  It returns signs (n, m), 0 past each rank, and W (n, m, m),
-    W[i, k] the k-th vector of matrix i.  A complex stack may mix the two
-    arithmetics: `real`, a boolean mask over it, picks the matrices
-    eliminated in real arithmetic on their real parts.  One matrix is a
-    one-element batch and returns (signs, w) as two lists.
+    W[i, k] the k-th vector of matrix i; a complex stack splits into its
+    matrices with all-real entries, eliminated on their real parts, and the
+    rest.  One matrix is a one-element batch and returns (signs, w) as two
+    lists.
     """
     if A.ndim == 2:
         signs, W = complete_squares(A[None])
         rank = int(np.count_nonzero(signs[0]))
         return [int(s) for s in signs[0, :rank]], list(W[0, :rank])
-    if real is not None:
+    real = ~np.any(A.imag, axis=(1, 2)) if np.iscomplexobj(A) else None
+    if real is not None and np.any(real):
         signs, W = np.zeros(A.shape[:2], dtype=int), np.zeros(A.shape, dtype=complex)
         for rows, B in ((real, A[real].real), (~real, A[~real])):
             signs[rows], W[rows] = complete_squares(B)

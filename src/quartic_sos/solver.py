@@ -363,7 +363,7 @@ def _finalize(index, lam, is_real, residual, G0, scale: float):
     class: its path counts as failed."""
     lam, is_real = np.asarray(lam), np.asarray(is_real, dtype=bool)
     G = G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
-    signs, _ = complete_squares(G, real=is_real)
+    signs, _ = complete_squares(G)
     points = [GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
                         signature=(int(np.sum(s == 1)), int(np.sum(s == -1))) if real else None,
                         rank=3, residual=float(r), hits=1, first_restart=int(i))

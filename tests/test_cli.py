@@ -83,21 +83,39 @@ def test_malformed_seed_variable_exits_2(value, capsys, monkeypatch):
     assert captured.err.startswith("error: $QUARTIC_SOS_SEED")
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "(x+y+z)^200"],
-    ["check", "(x+y+z)^400"],
-    ["check", "x^10000000"],
-    ["check", "10^100000*x^4+y^4+z^4"],
-    ["check", "--json-in", '{"4,0,0": "1e10000000", "0,4,0": 1, "0,0,4": 1}'],
-], ids=["power-200", "power-400", "x-power", "constant-power", "json-exponent"])
-def test_oversized_input_exits_2_at_once(argv, capsys):
-    # each was once refused only after 7 to 160 s of multiplying out
+LONG = "1" * 5000
+
+
+def _json_in(value: str):
+    return ["check", "--json-in", '{"4,0,0": %s, "0,4,0": 1, "0,0,4": 1}' % value]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "(x+y+z)^200"], "term of degree"),
+    (["check", "(x+y+z)^400"], "term of degree"),
+    (["check", "x^10000000"], "term of degree"),
+    (["check", "10^100000*x^4+y^4+z^4"], "float range"),
+    (_json_in('"1e10000000"'), "float range"),
+    (["check", LONG + "*x^4 + y^4 + z^4"], "number at position 0 has more than 4300 digits"),
+    (["check", "x^4 + y^4 + 0." + LONG + "*z^4"], "number at position 12 has more than 4300 digits"),
+    (_json_in('"%s"' % LONG), "more than 4300 digits"),
+    (_json_in('"1/%s"' % LONG), "more than 4300 digits"),
+    (_json_in(LONG), "more than 4300 digits"),
+    (_json_in("0." + LONG), "more than 4300 digits"),
+    (_json_in("1e" + LONG), "more than 4300 digits"),
+], ids=["power-200", "power-400", "x-power", "constant-power", "json-exponent",
+        "text-digits", "text-decimal-digits", "json-string-digits", "json-denominator-digits",
+        "json-integer-digits", "json-decimal-digits", "json-exponent-digits"])
+def test_oversized_input_exits_2_at_once(argv, message, capsys):
+    # each was once refused only after 7 to 160 s of multiplying out, or,
+    # past 4300 digits, by int() with advice to change an interpreter limit
     t0 = time.perf_counter()
     assert main(argv) == EXIT_INPUT
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err and "sys." not in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -113,10 +131,9 @@ def _fermat_cert(**fields):
     return cert
 
 
-# Python's json reads Infinity, -Infinity, NaN and 1e400 as floats
+# Python's json reads Infinity, -Infinity and NaN as floats
 @pytest.mark.parametrize("argv, cert", [
     (["check", "--json-in", '{"4,0,0": Infinity, "0,4,0": 1, "0,0,4": 1}'], None),
-    (["decompose", "--json-in", '{"4,0,0": 1, "0,4,0": 1e400, "0,0,4": 1}'], None),
     (["check", "--json-in", '{"4,0,0": 1, "0,4,0": 1, "0,0,4": NaN}'], None),
     (["verify", "--json-in", '{"4,0,0": -Infinity, "0,4,0": 1, "0,0,4": 1}'], _fermat_cert()),
     (["verify", FERMAT], _fermat_cert(forms=[[[INF, 0]] + [[0, 0]] * 5] + UNIT_FORMS[1:])),
@@ -124,7 +141,7 @@ def _fermat_cert(**fields):
     (["verify", FERMAT], _fermat_cert(signs=[INF, 1, 1])),
     (["verify", FERMAT], _fermat_cert(class_lambda=[[0, NAN]] * 6)),
     (["verify", FERMAT], _fermat_cert(residual=INF)),
-], ids=["check-quartic-inf", "decompose-quartic-1e400", "check-quartic-nan",
+], ids=["check-quartic-inf", "check-quartic-nan",
         "verify-quartic-minus-inf", "verify-form-inf", "verify-form-nan",
         "verify-sign-inf", "verify-lambda-nan", "verify-residual-inf"])
 def test_non_finite_json_number_exits_2(argv, cert, tmp_path, capsys):
@@ -231,15 +248,16 @@ def test_check_prints_the_singular_point(text, capsys):
 
 @pytest.mark.parametrize("seed, runs", [("0", 1), ("1", 2)])
 def test_check_singular_quartic_searches_once_per_seed(seed, runs, monkeypatch, capsys):
-    # the oracle's answer is smoothness_test's witness search, not a second one
+    # one search prints both the point and the search line; every search,
+    # from any caller, first balances the coefficients
     calls = []
-    original = quartic_sos.curves._singular_point
+    original = quartic_sos.curves._balancing_exponents
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(quartic_sos.curves, "_singular_point", counted)
+    monkeypatch.setattr(quartic_sos.curves, "_balancing_exponents", counted)
     for _ in range(runs):
         assert main(["check", SINGULAR, "--seed", seed]) == EXIT_OK
         assert "numeric singularity search: found [agrees]" in capsys.readouterr().out
@@ -263,6 +281,37 @@ def test_check_indefinite_quartic(capsys):
     assert "smooth: yes (exact" in out
     assert "nonnegative: no (f(" in out
     assert out.rstrip().endswith("eligible for certified counts: no")
+
+
+@pytest.mark.parametrize("value", ["1e400", "1e-400", '"1e400"', '"1e-400"'])
+def test_json_coefficient_beyond_float_range_exits_2(value, capsys):
+    # a JSON number is read from its text, as a string is: 1e-400 through
+    # a float was 0 and left the singular x^4 + y^4 in its place
+    payload = '{"4,0,0": 1, "0,4,0": 1, "0,0,4": %s}' % value
+    assert main(["decompose", "--json-in", payload]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float range" in captured.err
+
+
+def test_json_number_reads_exactly_like_its_text(capsys):
+    # 1.0000000000000001 is 1 as a float
+    assert main(["check", "--json-in", '{"4,0,0": 1.0000000000000001, "0,4,0": 1, "0,0,4": 1}']) == EXIT_OK
+    out_json = capsys.readouterr().out
+    assert main(["check", "1.0000000000000001*x^4 + y^4 + z^4"]) == EXIT_OK
+    assert out_json == capsys.readouterr().out
+    assert out_json.startswith("input: 10000000000000001/10000000000000000*x^4 + y^4 + z^4\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--json-in", '{"5,-1,0": 1, "0,4,0": 1, "0,0,4": 1}'], "monomial (5, -1, 0) has a negative exponent"),
+    (["check", "--json-in", '{"a,b,c": 1, "0,4,0": 1, "0,0,4": 1}'], "key 'a,b,c' is not an exponent triple 'a,b,c'"),
+], ids=["negative-exponent", "bad-key"])
+def test_malformed_json_key_is_named(argv, message, capsys):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_json_in_inline_matches_file(tmp_path, capsys):

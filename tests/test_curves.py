@@ -17,7 +17,7 @@ from quartic_sos.forms import (
     poly_eval,
 )
 import quartic_sos.curves
-from quartic_sos.cli import random_corpus_quartic
+from quartic_sos.cli import main, random_corpus_quartic
 from quartic_sos.gram import SymMatrix6, build_family, gram_to_poly
 from quartic_sos.curves import (
     basepoint_check,
@@ -56,16 +56,28 @@ def test_smoothness_consistency_field():
 
 def test_singular_curve_carries_witness():
     f = parse_quartic("(x^2+y^2+z^2)^2")
-    status = smoothness_test(f)
-    assert status.witness is not None
-    x, y, z = status.witness
+    witness = numeric_singularity_oracle(f)
+    assert witness is not None
+    x, y, z = witness
     # witness sits on the conic x^2 + y^2 + z^2 = 0 (unit-normalized point)
     assert abs(x * x + y * y + z * z) < 1e-8
 
 
 def test_numeric_oracle_named_examples():
-    assert numeric_singularity_oracle(parse_quartic("(x^2+y^2+z^2)^2"))
-    assert not numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4"))
+    assert numeric_singularity_oracle(parse_quartic("(x^2+y^2+z^2)^2")) is not None
+    assert numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4")) is None
+
+
+def test_smoothness_test_runs_no_float_search(monkeypatch, capsys):
+    # the verdict is the exact rank alone, in smoothness_test and in decompose
+    def refuse(*args):
+        raise AssertionError("float search")
+
+    monkeypatch.setattr(quartic_sos.curves, "numeric_singularity_oracle", refuse)
+    monkeypatch.setattr(quartic_sos.curves, "_null_space_points", refuse)
+    assert smoothness_test(parse_quartic("(x^2+y^2+z^2)^2")).smooth is False
+    assert main(["decompose", "(x^2+y^2+z^2)^2"]) == 4
+    assert "hypothesis failed: smooth" in capsys.readouterr().out
 
 
 def test_smooth_oracle_builds_one_null_space(monkeypatch):
@@ -78,7 +90,7 @@ def test_smooth_oracle_builds_one_null_space(monkeypatch):
         return null_space_points(M)
 
     monkeypatch.setattr(quartic_sos.curves, "_null_space_points", spy)
-    assert not numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4"))
+    assert numeric_singularity_oracle(parse_quartic("x^4+y^4+z^4")) is None
     assert shapes == [(45, 36)]
 
 
@@ -96,10 +108,10 @@ def test_oracle_agrees_with_exact_test_on_unbalanced_coefficients(text):
     # orders of magnitude apart neither fake nor hide a singular point
     f = parse_quartic(text)
     curve = smoothness_test(f)
-    assert numeric_singularity_oracle(f) == (not curve.smooth)
+    w = numeric_singularity_oracle(f)
+    assert (w is not None) == (not curve.smooth)
     if not curve.smooth:
         # the witness is mapped back to a unit singular point of f itself
-        w = curve.witness
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
         top = float(f.max_abs_coeff())
         assert all(abs(complex(poly_eval(g, w))) < 1e-8 * top for g in gradient(f))
@@ -109,7 +121,7 @@ def test_oracle_agrees_with_exact_test_on_random_quartics():
     rng = np.random.default_rng(np.random.SeedSequence([14, 0]))
     for _ in range(12):
         f = _random_quartic(rng)
-        assert smoothness_test(f).smooth == (not numeric_singularity_oracle(f))
+        assert smoothness_test(f).smooth == (numeric_singularity_oracle(f) is None)
 
 
 def test_nonnegativity_fermat_has_certificate():
@@ -270,7 +282,26 @@ def test_every_verdict_carries_its_proof_or_counterexample():
             assert s.certificate is None
         assert (s.counterexample is not None) == (verdict is False)
         if verdict is False:
-            assert eval_quartic(f, s.counterexample) < 0
+            # the point read exactly, f evaluated in Fractions
+            value = eval_quartic(f, [Fraction(v) for v in s.counterexample])
+            assert value < 0 and s.counterexample_value == float(value)
+
+
+@pytest.mark.parametrize("text", ["x^4+y^4+z^4", None, "x^4+y^4-z^4"],
+                         ids=["fermat", "random-0", "indefinite"])
+def test_sphere_search_evaluates_f_from_its_gram_matrix(text):
+    # f and its gradient from G0 / max|c| match f / max|c| and its exact
+    # gradient at seeded points of the sphere, read exactly
+    f = random_corpus_quartic(0, 0) if text is None else parse_quartic(text)
+    scale = f.float_scale()
+    G0n = build_family(f).base.to_array(float) / scale
+    pts = quartic_sos.curves._sphere_starts(3)
+    vals, grads = quartic_sos.curves._values_and_gradients(G0n, pts)
+    for v, val, grad in zip(pts, vals, grads):
+        q = [Fraction(c) for c in v]
+        want = [eval_quartic(f, q)] + [poly_eval(g, q) for g in gradient(f)]
+        for got, exact in zip([val, *grad], want):
+            assert abs(got - float(exact) / scale) <= 1e-12 * max(abs(float(exact)) / scale, 1.0)
 
 
 def _count_calls(monkeypatch, name):

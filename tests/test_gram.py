@@ -242,8 +242,8 @@ def _complete_squares_one_at_a_time(A):
 
 def test_complete_squares_of_a_stack_is_each_matrix_alone():
     # matrices of different ranks stop at different steps, and a complex
-    # stack with a `real` mask eliminates the masked ones in real arithmetic:
-    # each comes out bit for bit as the one-matrix loop completes it
+    # stack eliminates the ones whose entries are all real in real
+    # arithmetic: each comes out bit for bit as the one-matrix loop completes it
     rng = np.random.default_rng(np.random.SeedSequence([17, 2]))
     mats, real = [], []
     for rank in (3, 1, 6, 0, 2, 3):
@@ -261,7 +261,8 @@ def test_complete_squares_of_a_stack_is_each_matrix_alone():
     B[0, 1] = B[1, 0] = 1.0  # a diagonal below PIVOT_ALPHA times |B_01|: hyperbolic too
     mats.append(B)
     real.append(True)
-    signs, W = complete_squares(np.array(mats, dtype=complex), real=np.array(real))
+    real[7] = True  # the rank-0 complex product is the zero matrix
+    signs, W = complete_squares(np.array(mats, dtype=complex))
     for A, is_real, s, w in zip(mats, real, signs, W):
         one_signs, one_vecs = _complete_squares_one_at_a_time(A.real if is_real else A)
         rank = len(one_signs)
