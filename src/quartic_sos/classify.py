@@ -7,9 +7,9 @@ all the classes as one batch: a real G is eliminated in real arithmetic and
 the signs of its pivots are its signature (Sylvester's law of inertia); a
 complex G gets three complex squares with signs +1.  A class's residual is
 read off the Gram matrix E = G - sum s_i w_i w_i^T left after its squares:
-f = sum s_i p_i^2 exactly when m^T E m is the zero quartic.  `verify` keeps
-the dict re-expansion of f - sum s_i p_i^2 instead, because it is exact
-for rational certificates.
+f = sum s_i p_i^2 exactly when m^T E m is the zero quartic.  `verify` reads
+the residuals of a whole certificate file off the same map, with f's own
+Gram matrix G0 as G, in Fractions when the forms and f are rational.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import DEGREE4_MONOMIALS, MONOMIAL_ORDER, QuadraticForm, TernaryQuartic, quad_square
+from .forms import DEGREE4_MONOMIALS, MONOMIAL_ORDER, QuadraticForm, TernaryQuartic, ZeroFormError
 from .gram import (
     KERNEL_BASIS_TENSOR,
     GramFamily,
@@ -173,34 +173,20 @@ def _canonicalize(signs: np.ndarray, V: np.ndarray):
     return S, V, canon
 
 
-def _relative_residual(f_coeffs: dict, signs, forms) -> float:
-    """max |f - sum s_i form_i^2| / max |f| over coefficients, computed in the
-    coefficients' own arithmetic: exact for ints and Fractions.  `verify`
-    keeps it for that exactness; there a certificate with a zero form still
-    raises ZeroFormError from `quad_square`."""
-    total: dict = {}
-    for s, form in zip(signs, forms):
-        for e, c in quad_square(form).coeffs.items():
-            total[e] = total.get(e, 0) + s * c
-    worst = 0.0
-    for e in set(f_coeffs) | set(total):
-        worst = max(worst, abs(f_coeffs.get(e, 0) - total.get(e, 0)))
-    return float(worst / max(abs(c) for c in f_coeffs.values()))
-
-
 #: vec(E) @ _COEFF_MAP is the coefficient vector of m^T E m over
-#: DEGREE4_MONOMIALS: entry (a, b) of E lands on the monomial m_a m_b.
+#: DEGREE4_MONOMIALS: entry (a, b) of E lands on the monomial m_a m_b.  Held as
+#: integers, so Fractions stay exact and float products are those of 0.0 and 1.0.
 _EXPONENTS = np.array(MONOMIAL_ORDER)
 _COEFF_MAP = np.all((_EXPONENTS[:, None] + _EXPONENTS).reshape(36, 1, 3) == DEGREE4_MONOMIALS,
-                    axis=2).astype(float)
+                    axis=2).astype(int)
 
 
 def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Relative residuals of a stack, G (n, 6, 6), signs (n, 3) and forms F
-    (n, 3, 6), complex.  E = G - sum_k s_k F_k F_k^T is the Gram matrix left
-    after the squares, so m^T E m = f - sum_k s_k p_k^2, and the residual is
-    max |coef(E)| / max |coef(G)|: `_relative_residual(gram_to_poly(G),
-    signs, forms)` up to rounding."""
+    (n, 3, 6), complex, or object of Fractions for exact ones.  E = G -
+    sum_k s_k F_k F_k^T is the Gram matrix left after the squares, so m^T E m
+    = f - sum_k s_k p_k^2, and the residual is max |coef(E)| / max |coef(G)|,
+    NaN when a square overflows."""
     E = G - np.einsum("nk,nka,nkb->nab", signs, F, F)
     coef = np.abs(np.stack([E, G]).reshape(2, len(G), 36) @ _COEFF_MAP)
     return coef[0].max(axis=1) / coef[1].max(axis=1)
@@ -240,27 +226,35 @@ class VerifyVerdict:
 
 
 def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> List[VerifyVerdict]:
-    """Re-expand each sum sign_i form_i^2 and compare to f coefficientwise;
-    one verdict per representation, in order.
+    """Compare each sum sign_i form_i^2 to f coefficientwise; one verdict per
+    representation, in order.
 
-    Exact rational arithmetic whenever every coefficient is rational;
-    double precision otherwise.  The basepoint tests of all the
-    representations run as one batch (`basepoint_check`).
+    Every residual comes from one `_residuals` call against f's Gram matrix
+    G0, whose coefficients are f's own (c on the diagonal, c/2 twice off it):
+    in Fractions, so exactly, for the representations whose forms are
+    rational when f is, and in complex128 for the rest.  A residual that is
+    not finite fails.  The basepoint tests of all the representations run
+    as one batch (`basepoint_check`).  ZeroFormError when a form is zero.
     """
+    if any(form.is_zero() for rep in reps for form in rep.forms):
+        raise ZeroFormError("certificate form is identically zero")
     frees = basepoint_check([rep.forms for rep in reps])
-    verdicts = []
-    for rep, free in zip(reps, frees):
-        exact = f.is_rational() and all(
-            all(isinstance(c, (int, Fraction)) for c in form.coeffs) for form in rep.forms
-        )
-        residual = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
-        verdicts.append(VerifyVerdict(
-            passed=residual <= REPRESENTATION_TOL,
-            residual=residual,
-            basepoint_free=free,
-            exact=exact,
-        ))
-    return verdicts
+    rational = f.is_rational()
+    exact = np.array([rational and all(isinstance(c, (int, Fraction))
+                                       for form in rep.forms for c in form.coeffs)
+                      for rep in reps], dtype=bool)
+    signs = np.array([rep.signs for rep in reps])
+    residual = np.empty(len(reps))
+    G0 = build_family(f).base
+    for part, dtype in ((exact, object), (~exact, complex)):
+        idx = np.flatnonzero(part)
+        if idx.size:
+            F = np.array([[form.coeffs for form in reps[i].forms] for i in idx], dtype=dtype)
+            G = np.broadcast_to(G0.to_array(dtype), (idx.size, 6, 6))
+            residual[idx] = _residuals(G, signs[idx], F)  # a Fraction rounds once, by float()
+    return [VerifyVerdict(passed=math.isfinite(r) and r <= REPRESENTATION_TOL,
+                          residual=r, basepoint_free=free, exact=e)
+            for r, free, e in zip(residual.tolist(), frees, exact.tolist())]
 
 
 def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Representation]:

@@ -327,11 +327,12 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
             rejects[todo] += rejected
             lam[todo], res[todo], scl[todo] = _endpoints(x[todo], chart[todo], G0f)
             ok &= np.isfinite(scl) & (res < CONVERGENCE_TOL * scl)
-            todo = np.flatnonzero(~ok | np.any(_near(lam, scl, ok), axis=1))
+            near = _near(lam, scl, ok)
+            todo = np.flatnonzero(~ok | np.any(near, axis=1))
             if todo.size in (0, n) or attempt == 2:  # no path on a class: f is singular
                 break
             retracked += todo.size
-        ok &= ~np.any(np.triu(_near(lam, scl, ok)), axis=0)  # the lowest index keeps a shared endpoint
+        ok &= ~np.any(np.triu(near), axis=0)  # the lowest index keeps a shared endpoint
         is_real = _polish_real(x, chart, lam, res, scl, ok, G0f)
     idx = np.flatnonzero(ok)
     points = _finalize(idx, lam[idx], is_real[idx], res[idx], G0f, scale)

@@ -9,7 +9,14 @@ import pytest
 
 import quartic_sos.classify
 from quartic_sos.cli import random_corpus_quartic
-from quartic_sos.forms import QuadraticForm, apply_linear_change, parse_quartic, quad_square
+from quartic_sos.forms import (
+    QuadraticForm,
+    TernaryQuartic,
+    ZeroFormError,
+    apply_linear_change,
+    parse_quartic,
+    quad_square,
+)
 from quartic_sos.gram import (
     SymMatrix6,
     build_family,
@@ -22,7 +29,6 @@ from quartic_sos.classify import (
     RankMismatchError,
     Representation,
     _canonicalize,
-    _relative_residual,
     _residuals,
     classify_point,
     classify_points,
@@ -32,6 +38,20 @@ from quartic_sos.classify import (
 )
 from quartic_sos.curves import ldl_positive_semidefinite
 from quartic_sos.solver import GramPoint, SolveConfig, solve_all
+
+
+def _relative_residual(f_coeffs: dict, signs, forms) -> float:
+    """The reference residual: max |f - sum s_i form_i^2| / max |f| over the
+    coefficients of a dict re-expansion, in the coefficients' own arithmetic,
+    so exact for ints and Fractions."""
+    total: dict = {}
+    for s, form in zip(signs, forms):
+        for e, c in quad_square(form).coeffs.items():
+            total[e] = total.get(e, 0) + s * c
+    worst = 0.0
+    for e in set(f_coeffs) | set(total):
+        worst = max(worst, abs(f_coeffs.get(e, 0) - total.get(e, 0)))
+    return float(worst / max(abs(c) for c in f_coeffs.values()))
 
 
 def _reconstruction_error(G: SymMatrix6, rep: Representation) -> float:
@@ -161,6 +181,102 @@ def test_verify_representation_float_path():
     )
     [verdict] = verify_representation(f, [rep])
     assert verdict.passed and not verdict.exact
+
+
+def _certificate(signs, forms) -> Representation:
+    return Representation(signs=tuple(signs), forms=tuple(QuadraticForm(tuple(p)) for p in forms),
+                          class_lambda=(), residual=0.0)
+
+
+def _mixed_certificates(seed: int, signs, count: int):
+    """An exact quartic f = sum s_i p_i^2 with small integer forms, and
+    `count` rational certificates of it: each applies a reflection
+    H = I - 2 v v^T J / (v^T J v), J = diag(signs), which keeps the signed
+    sum of squares, to (p1, p2, p3)."""
+    rng = np.random.default_rng(np.random.SeedSequence([20, seed]))
+    forms = [[Fraction(int(c)) for c in rng.integers(-3, 4, size=6)] for _ in range(3)]
+    J = np.diag(signs).astype(object)
+    certs = []
+    while len(certs) < count:
+        v = np.array([Fraction(int(c)) for c in rng.integers(-4, 5, size=3)], dtype=object)
+        norm = v @ J @ v
+        if norm == 0:
+            continue
+        H = np.eye(3, dtype=int).astype(object) - np.outer(v, v @ J) * 2 / norm
+        certs.append((H @ np.array(forms, dtype=object)).tolist())
+    f = gram_to_poly(representation_to_gram(signs, [QuadraticForm(tuple(p)) for p in forms]))
+    return TernaryQuartic(f), certs
+
+
+def _rounding(f: TernaryQuartic, rep: Representation) -> float:
+    """A few units in the last place of the largest term of f - sum s_i p_i^2,
+    relative to f: the two residuals of a float certificate may differ by
+    this much, since they add the same terms in different orders.  Each
+    coefficient of p^2 is at most ||p||_1^2."""
+    terms = sum(sum(abs(complex(c)) for c in form.coeffs) ** 2 for form in rep.forms)
+    return 8 * np.finfo(float).eps * terms / float(f.max_abs_coeff())
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, -1)])
+def test_verify_residual_of_float_certificates_is_the_dict_residual(signs):
+    # certificates written as floats, as `decompose --json` and the benchmark
+    # files write them: the batched residual must be the dict one to rounding
+    f, certs = _mixed_certificates(0, signs, 21)
+    reps = [_certificate(signs, [[float(c) for c in p] for p in forms]) for forms in certs]
+    for rep, verdict in zip(reps, verify_representation(f, reps)):
+        assert not verdict.exact and verdict.passed
+        want = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
+        assert verdict.residual == pytest.approx(want, rel=0, abs=_rounding(f, rep))
+
+
+@pytest.mark.parametrize("f", [parse_quartic("x^4+y^4+z^4"), random_corpus_quartic(0, 0)],
+                         ids=["fermat", "random-0"])
+def test_verify_residual_of_a_report_is_the_dict_residual(f):
+    # the 63 certificates of a report, 48 of them non-real, go through the
+    # complex batch
+    reps = theorem1_check(f, SolveConfig(master_seed=0)).representations
+    verdicts = verify_representation(f, reps)
+    assert len(verdicts) == 63 and all(v.passed and not v.exact for v in verdicts)
+    for rep, verdict in zip(reps, verdicts):
+        want = _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
+        assert verdict.residual == pytest.approx(want, rel=0, abs=_rounding(f, rep))
+
+
+def test_verify_residual_of_a_rational_certificate_is_exact():
+    # a planted error of 1e-12 in one Fraction coefficient: the residual is
+    # float() of the exact Fraction residual, not a float computation of it
+    f, [forms] = _mixed_certificates(1, (1, 1, -1), 1)
+    forms[1][2] += Fraction(1, 10 ** 12)
+    rep = _certificate((1, 1, -1), forms)
+    [verdict] = verify_representation(f, [rep])
+    assert verdict.exact
+    assert verdict.residual == _relative_residual(dict(f.coeffs), rep.signs, rep.forms)
+    assert 1e-14 < verdict.residual < 1e-10 and verdict.passed
+
+
+def test_verify_keeps_exactness_per_certificate_in_a_mixed_call():
+    f, certs = _mixed_certificates(2, (1, 1, 1), 4)
+    certs[2][0][0] += Fraction(1, 10 ** 12)
+    reps = [_certificate((1, 1, 1), forms if k % 2 == 0 else [[float(c) for c in p] for p in forms])
+            for k, forms in enumerate(certs)]
+    verdicts = verify_representation(f, reps)
+    assert [v.exact for v in verdicts] == [True, False, True, False]
+    assert verdicts[0].residual == 0
+    assert verdicts[2].residual == _relative_residual(dict(f.coeffs), reps[2].signs, reps[2].forms)
+    for rep, verdict in zip(reps, verdicts):
+        assert verdict == verify_representation(f, [rep])[0]
+    # a float quartic makes every certificate a float one
+    f_float = TernaryQuartic({e: float(c) for e, c in f.coeffs.items()})
+    assert not any(v.exact for v in verify_representation(f_float, reps[:1]))
+
+
+def test_verify_rejects_a_zero_form():
+    # the strict xfail `zero-form-certificate` in bench/test_bench.py pins
+    # this: verify on (q, 0, 0) for q^2 raises instead of answering
+    f = parse_quartic("(x^2+y^2+z^2)^2")
+    rep = _certificate((1, 1, 1), [QuadraticForm.parse("x^2+y^2+z^2").coeffs, (0,) * 6, (0,) * 6])
+    with pytest.raises(ZeroFormError):
+        verify_representation(f, [rep])
 
 
 def test_representation_json_round_trip():

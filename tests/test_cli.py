@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import quartic_sos.classify
 import quartic_sos.cli
 import quartic_sos.curves
+import quartic_sos.forms
 from quartic_sos.classify import Theorem1Report, theorem1_check
 from quartic_sos.cli import (
     EXIT_COUNTS,
@@ -444,6 +446,39 @@ def test_verify_runs_one_basepoint_search_per_certificate_file(tmp_path, monkeyp
     out = capsys.readouterr().out
     assert out.count("pass") == 21 and out.count(", basepoint-free") == 21
     assert "verified 21/21 representation(s)" in out
+
+
+def test_verify_fails_a_certificate_whose_squares_overflow(tmp_path, capsys):
+    # (1e200 x^2)^2 - (1e200 x^2)^2 is inf - inf: the x^4 coefficient of
+    # f - sum s_i p_i^2 is NaN, and a residual that is not finite fails
+    # (max(0.0, nan) is 0.0 in Python, which once passed this certificate)
+    big = [[1e200, 0]] + [[0, 0]] * 5
+    cert = _fermat_cert(signs=[1, -1, 1], forms=[big, big, [[0, 0], [1, 0], [1, 0]] + [[0, 0]] * 3])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps([cert]), encoding="utf-8")
+    assert main(["verify", "x^4 + (y^2+z^2)^2", "--cert", str(path)]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "[1] FAIL  residual nan (float), " in out
+    assert "verified 0/1 representation(s)" in out
+
+
+def test_verify_squares_no_form_as_a_coefficient_dict(tmp_path, monkeypatch, capsys):
+    # every residual is read off one batch of Gram matrices
+    square, calls = quartic_sos.forms.quad_square, []
+
+    def counted(u):
+        calls.append(u)
+        return square(u)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("quartic_sos")
+                and getattr(module, "quad_square", None) is square):
+            monkeypatch.setattr(module, "quad_square", counted)
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps([_fermat_cert()] * 3), encoding="utf-8")
+    assert main(["verify", FERMAT, "--cert", str(path)]) == EXIT_OK
+    assert "verified 3/3 representation(s)" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_corpus_count_zero_is_deterministic(capsys):
