@@ -6,15 +6,18 @@ The exact Gram family behind the solver
 
 # every ternary quartic f has a 6-dimensional affine family of symmetric
 # Gram matrices G(lambda) with m^T G(lambda) m = f for the monomial vector
-# m = (x^2, y^2, z^2, yz, xz, xy); the family is built in exact arithmetic
+# m = (x^2, y^2, z^2, yz, xz, xy); the family is built in exact arithmetic,
+# each G a (6, 6) numpy array of Fractions
 from fractions import Fraction
+
+import numpy as np
 
 from quartic_sos import build_family, gram_to_quartic, parse_quartic
 
 f = parse_quartic("x^4 + y^4 + z^4 + x^2*y^2")
 family = build_family(f)
 print("base Gram matrix rows:")
-for row in family.base.to_array(object):
+for row in family.base:
     print("  ", [str(c) for c in row])
 
 # the identity m^T G(lambda) m = f holds exactly at every rational lambda
@@ -39,7 +42,7 @@ from quartic_sos import KERNEL_BASIS
 
 lam_rep = lambda_of_gram(build_family(h), G_rep)
 print("lambda of the representation:", [str(v) for v in lam_rep])
-G_shift = G_rep.add(KERNEL_BASIS[3].scale(2))
+G_shift = G_rep + 2 * KERNEL_BASIS[3]
 print("same quartic after a kernel shift:", gram_to_quartic(G_shift) == h)
 print("shifted lambda:", [str(v) for v in lambda_of_gram(build_family(h), G_shift)])
 
@@ -54,4 +57,5 @@ mixed = tuple(
     QuadraticForm(tuple(sum(H[i][j] * p.coeffs[k] for j, p in enumerate((p1, p2, p3))) for k in range(6)))
     for i in range(3)
 )
-print("orthogonal mixing invariance:", representation_to_gram((1, 1, 1), mixed) == representation_to_gram((1, 1, 1), (p1, p2, p3)))
+print("orthogonal mixing invariance:",
+      np.array_equal(representation_to_gram((1, 1, 1), mixed), representation_to_gram((1, 1, 1), (p1, p2, p3))))

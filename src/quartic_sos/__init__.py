@@ -28,7 +28,6 @@ from .gram import (
     KERNEL_BASIS,
     GramFamily,
     NotInFamilyError,
-    SymMatrix6,
     build_family,
     complete_squares,
     gram_to_quartic,
@@ -78,7 +77,6 @@ __all__ = [
     "eval_quartic",
     "gradient",
     "apply_linear_change",
-    "SymMatrix6",
     "GramFamily",
     "NotInFamilyError",
     "KERNEL_BASIS",

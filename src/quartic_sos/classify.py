@@ -22,11 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import DEGREE4_MONOMIALS, MONOMIAL_ORDER, QuadraticForm, TernaryQuartic, ZeroFormError
+from .forms import QuadraticForm, TernaryQuartic, ZeroFormError
 from .gram import (
+    COEFF_MAP,
     KERNEL_BASIS_TENSOR,
     GramFamily,
-    SymMatrix6,
     build_family,
     complete_squares,
 )
@@ -173,14 +173,6 @@ def _canonicalize(signs: np.ndarray, V: np.ndarray):
     return S, V, canon
 
 
-#: vec(E) @ _COEFF_MAP is the coefficient vector of m^T E m over
-#: DEGREE4_MONOMIALS: entry (a, b) of E lands on the monomial m_a m_b.  Held as
-#: integers, so Fractions stay exact and float products are those of 0.0 and 1.0.
-_EXPONENTS = np.array(MONOMIAL_ORDER)
-_COEFF_MAP = np.all((_EXPONENTS[:, None] + _EXPONENTS).reshape(36, 1, 3) == DEGREE4_MONOMIALS,
-                    axis=2).astype(int)
-
-
 def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Relative residuals of a stack, G (n, 6, 6), signs (n, 3) and forms F
     (n, 3, 6), complex, or object of Fractions for exact ones.  E = G -
@@ -188,7 +180,7 @@ def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     = f - sum_k s_k p_k^2, and the residual is max |coef(E)| / max |coef(G)|,
     NaN when a square overflows."""
     E = G - np.einsum("nk,nka,nkb->nab", signs, F, F)
-    coef = np.abs(np.stack([E, G]).reshape(2, len(G), 36) @ _COEFF_MAP)
+    coef = np.abs(np.stack([E, G]).reshape(2, len(G), 36) @ COEFF_MAP)
     return coef[0].max(axis=1) / coef[1].max(axis=1)
 
 
@@ -210,9 +202,9 @@ def _factor_batch(G: np.ndarray, class_lambdas) -> List[Representation]:
             for (s, forms), lam, r in zip(canon, class_lambdas, _residuals(G, S, F))]
 
 
-def factor(G: SymMatrix6, class_lambda: Tuple[complex, ...] = ()) -> Representation:
-    """Factor a rank-3 Gram matrix: a one-element batch of `_factor_batch`."""
-    return _factor_batch(G.to_array(complex)[None], [class_lambda])[0]
+def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representation:
+    """Factor a rank-3 (6, 6) Gram matrix: a one-element batch of `_factor_batch`."""
+    return _factor_batch(np.asarray(G, dtype=complex)[None], [class_lambda])[0]
 
 
 @dataclass(frozen=True)
@@ -250,7 +242,7 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
         idx = np.flatnonzero(part)
         if idx.size:
             F = np.array([[form.coeffs for form in reps[i].forms] for i in idx], dtype=dtype)
-            G = np.broadcast_to(G0.to_array(dtype), (idx.size, 6, 6))
+            G = np.broadcast_to(G0.astype(dtype), (idx.size, 6, 6))
             residual[idx] = _residuals(G, signs[idx], F)  # a Fraction rounds once, by float()
     return [VerifyVerdict(passed=math.isfinite(r) and r <= REPRESENTATION_TOL,
                           residual=r, basepoint_free=free, exact=e)
@@ -263,7 +255,7 @@ def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Rep
     lam, and a non-real lam puts its imaginary part into the G entries it is
     read from (`gram.LAMBDA_SLOTS`), so the batch reads reality off G itself."""
     lam = np.array([p.lam for p in points], dtype=complex).reshape(-1, 6)
-    G = family.base.to_array(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
+    G = family.base.astype(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
     return _factor_batch(G, [p.lam for p in points])
 
 

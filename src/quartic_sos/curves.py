@@ -49,7 +49,7 @@ from .forms import (
     monomials_of_degree,
     poly_eval,
 )
-from .gram import KERNEL_BASIS_TENSOR, GramFamily, SymMatrix6
+from .gram import KERNEL_BASIS_TENSOR, GramFamily
 from .resultant import gradient_resultant_is_nonzero, macaulay_matrix
 
 #: A value of f / max |c| below -PSD_TOL at a start point of the sphere
@@ -312,8 +312,8 @@ def _sphere_falsify(G: np.ndarray, seed: int, iters: int = 150):
     return float(vals[best]), pts[best]
 
 
-def ldl_positive_semidefinite(G: SymMatrix6) -> bool:
-    """True iff the exact symmetric G is positive semidefinite.
+def ldl_positive_semidefinite(G: np.ndarray) -> bool:
+    """True iff the exact symmetric (6, 6) G is positive semidefinite.
 
     LDL^T without pivoting in Fractions.  A positive pivot is eliminated; G
     is PSD exactly when its Schur complement is.  A zero pivot passes only
@@ -321,7 +321,7 @@ def ldl_positive_semidefinite(G: SymMatrix6) -> bool:
     entry has a zero row there, and a nonzero entry b beside it makes the
     2x2 minor [[0, b], [b, c]] negative.  A negative pivot fails.
     """
-    A = [[Fraction(G[i, j]) for j in range(6)] for i in range(6)]
+    A = [[Fraction(v) for v in row] for row in G.tolist()]
     for k in range(6):
         d = A[k][k]
         if d < 0 or (d == 0 and any(A[i][k] for i in range(k + 1, 6))):
@@ -394,7 +394,7 @@ def nonnegativity_test(f: TernaryQuartic, family: GramFamily, seed: int = 0) -> 
     if not f.is_rational():
         raise ValueError("nonnegativity_test requires exact rational coefficients")
     scale = f.float_scale()
-    G0n = family.base.to_array(float) / scale
+    G0n = family.base.astype(float) / scale
     if np.min(_values_and_gradients(G0n, _sphere_starts(seed))[0]) >= -PSD_TOL:
         proof = _eig_ascent(G0n, seed, lambda lam: proved_lambda(family, lam * scale))
         if proof is not None:

@@ -10,6 +10,10 @@ where G0 is a canonical particular solution and B1..B6 span the kernel of
 the linear map sending a symmetric matrix to the quartic m^T G m.  Rank-3
 members of the family are exactly the quadratic representations
 f = e1 p^2 + e2 q^2 + e3 r^2.
+
+Every Gram matrix here is a plain (6, 6) numpy array: object dtype, holding
+Fractions, on the exact path, and its `.astype(float)` or `.astype(complex)`
+on the numeric one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .forms import (
+    DEGREE4_MONOMIALS,
     MONOMIAL_ORDER,
     PolyDict,
     QuadraticForm,
@@ -38,82 +43,17 @@ RANK_EIG_TOL = 1e-8
 #: the pivot only when it exceeds alpha times the largest |off-diagonal| one.
 PIVOT_ALPHA = (1 + 17 ** 0.5) / 8
 
-#: Upper-triangle (row-major) index pairs, the storage and JSON order.
-TRIU_PAIRS: Tuple[Tuple[int, int], ...] = tuple(
-    (i, j) for i in range(6) for j in range(i, 6)
-)
-_TRIU_POS = {pair: k for k, pair in enumerate(TRIU_PAIRS)}
-
 
 class NotInFamilyError(ValueError):
     """The matrix is not (within tolerance) a Gram matrix of the quartic."""
 
 
-class SymMatrix6:
-    """Symmetric 6x6 matrix storing only the 21 upper-triangle entries.
-
-    Entries may be Fractions/ints (exact), floats or complex.  Symmetry is
-    structural: there is a single storage slot per unordered index pair.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence):
-        entries = tuple(entries)
-        if len(entries) != 21:
-            raise ValueError("SymMatrix6 stores exactly 21 entries")
-        self.entries = entries
-
-    @classmethod
-    def from_entries(cls, assignments: dict) -> "SymMatrix6":
-        """Build from a sparse {(i, j): value} map, i <= j."""
-        data = [Fraction(0)] * 21
-        for (i, j), v in assignments.items():
-            data[_TRIU_POS[(min(i, j), max(i, j))]] = v
-        return cls(data)
-
-    def __getitem__(self, ij: Tuple[int, int]):
-        i, j = ij
-        return self.entries[_TRIU_POS[(min(i, j), max(i, j))]]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix6) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"SymMatrix6({list(self.entries)!r})"
-
-    def to_array(self, dtype=None) -> np.ndarray:
-        if dtype is None:
-            dtype = complex if any(isinstance(v, complex) for v in self.entries) else float
-        a = np.zeros((6, 6), dtype=dtype)
-        for (i, j), v in zip(TRIU_PAIRS, self.entries):
-            a[i, j] = v
-            a[j, i] = v
-        return a
-
-    def add(self, other: "SymMatrix6") -> "SymMatrix6":
-        return SymMatrix6(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c) -> "SymMatrix6":
-        return SymMatrix6(tuple(c * a for a in self.entries))
-
-    def to_json(self) -> list:
-        """21 upper-triangle entries row-major; complex values as [re, im]."""
-        out = []
-        for v in self.entries:
-            if isinstance(v, complex):
-                out.append([v.real, v.imag] if v.imag != 0 else float(v.real))
-            else:
-                out.append(float(v))
-        return out
-
-    @classmethod
-    def from_json(cls, data: Sequence) -> "SymMatrix6":
-        entries = []
-        for v in data:
-            entries.append(complex(v[0], v[1]) if isinstance(v, (list, tuple)) else float(v))
-        return cls(entries)
-
+#: vec(G) @ COEFF_MAP is the coefficient vector of m^T G m over
+#: DEGREE4_MONOMIALS: entry (a, b) of G lands on the monomial m_a m_b.  Held as
+#: integers, so Fractions stay exact and float products are those of 0.0 and 1.0.
+_EXPONENTS = np.array(MONOMIAL_ORDER)
+COEFF_MAP = np.all((_EXPONENTS[:, None] + _EXPONENTS).reshape(36, 1, 3) == DEGREE4_MONOMIALS,
+                   axis=2).astype(int)
 
 # Canonical slot of each degree-4 monomial inside G0: diagonal entries carry
 # the squares, one fixed off-diagonal pair carries each cross monomial.
@@ -135,42 +75,56 @@ _CANONICAL_SLOT = {
     (1, 1, 2): (2, 5),
 }
 
-#: Fixed basis of the kernel of G -> m^T G m  (m^T B_i m = 0 identically).
-KERNEL_BASIS: Tuple[SymMatrix6, ...] = (
-    SymMatrix6.from_entries({(0, 1): 1, (5, 5): -2}),
-    SymMatrix6.from_entries({(0, 2): 1, (4, 4): -2}),
-    SymMatrix6.from_entries({(1, 2): 1, (3, 3): -2}),
-    SymMatrix6.from_entries({(0, 3): 1, (4, 5): -1}),
-    SymMatrix6.from_entries({(1, 4): 1, (3, 5): -1}),
-    SymMatrix6.from_entries({(2, 5): 1, (3, 4): -1}),
+# The six quadratic relations m_a m_b = m_c m_d among the monomials, as
+# ((a, b), (c, d)); B_k is E_ab + E_ba - E_cd - E_dc, so m^T B_k m = 0.
+_RELATIONS = (
+    ((0, 1), (5, 5)),
+    ((0, 2), (4, 4)),
+    ((1, 2), (3, 3)),
+    ((0, 3), (4, 5)),
+    ((1, 4), (3, 5)),
+    ((2, 5), (3, 4)),
 )
 
-#: The same basis as a (6, 6, 6) float tensor for the numeric solver.
-KERNEL_BASIS_TENSOR: np.ndarray = np.stack([B.to_array(float) for B in KERNEL_BASIS])
+_UNIT = np.eye(6, dtype=int)
+
+#: Fixed basis of the kernel of G -> m^T G m, an integer (6, 6, 6) array.
+KERNEL_BASIS: np.ndarray = np.array([
+    np.outer(_UNIT[a], _UNIT[b]) + np.outer(_UNIT[b], _UNIT[a])
+    - np.outer(_UNIT[c], _UNIT[d]) - np.outer(_UNIT[d], _UNIT[c])
+    for (a, b), (c, d) in _RELATIONS
+])
+KERNEL_BASIS.flags.writeable = False
+
+#: The same basis in floats for the numeric solver.
+KERNEL_BASIS_TENSOR: np.ndarray = KERNEL_BASIS.astype(float)
 
 #: Entries read off to recover lam: touched by exactly one basis matrix each.
-LAMBDA_SLOTS: Tuple[Tuple[int, int], ...] = (
-    (0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5),
-)
+LAMBDA_SLOTS: Tuple[Tuple[int, int], ...] = tuple(pair for pair, _ in _RELATIONS)
+
+# The nonzero upper-triangle entries (k, a, b) of the basis, a <= b, and
+# their values as Python ints.
+_BASIS_NONZERO = np.nonzero(np.triu(KERNEL_BASIS))
+_BASIS_VALUES = KERNEL_BASIS[_BASIS_NONZERO].astype(object)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramFamily:
-    """The affine 6-parameter family of Gram matrices of `source`."""
+    """The affine 6-parameter family of Gram matrices of `source`; `base` is
+    G0, a read-only (6, 6) object array."""
 
     source: TernaryQuartic
-    base: SymMatrix6
+    base: np.ndarray
 
-    def matrix_at(self, lam: Sequence) -> SymMatrix6:
-        """G(lam) = G0 + sum lam_i B_i; exact when lam is exact."""
-        entries = list(self.base.entries)
-        for li, B in zip(lam, KERNEL_BASIS):
-            if li == 0:
-                continue
-            for k, b in enumerate(B.entries):
-                if b != 0:
-                    entries[k] = entries[k] + li * b
-        return SymMatrix6(entries)
+    def matrix_at(self, lam: Sequence) -> np.ndarray:
+        """G(lam) = G0 + sum lam_i B_i, an object array; exact when lam is
+        exact.  No two B_i share an entry, so each nonzero entry of the
+        basis above the diagonal takes one product and one sum, mirrored
+        below it."""
+        k, a, b = _BASIS_NONZERO
+        G = self.base.copy()
+        G[a, b] = G[b, a] = G[a, b] + np.asarray(lam, dtype=object)[k] * _BASIS_VALUES
+        return G
 
 
 def build_family(f: TernaryQuartic) -> GramFamily:
@@ -179,38 +133,29 @@ def build_family(f: TernaryQuartic) -> GramFamily:
     Each quartic monomial is written into exactly one canonical slot of G0
     (coefficient c on a diagonal slot, c/2 on a symmetric off-diagonal
     pair), so the lam read-off in `lambda_of_gram` is linear-solve-free.
+    G0 holds Fractions for a rational f.
     """
-    assignments = {}
+    G = np.full((6, 6), Fraction(0), dtype=object)
     for e, c in f.coeffs.items():
         i, j = _CANONICAL_SLOT[e]
-        assignments[(i, j)] = c if i == j else Fraction(c, 2) if isinstance(c, (int, Fraction)) else c / 2
-    return GramFamily(source=f, base=SymMatrix6.from_entries(assignments))
+        G[i, j] = G[j, i] = c if i == j else Fraction(c, 2) if isinstance(c, (int, Fraction)) else c / 2
+    G.flags.writeable = False
+    return GramFamily(source=f, base=G)
 
 
-def gram_to_poly(G: SymMatrix6) -> PolyDict:
+def gram_to_poly(G: np.ndarray) -> PolyDict:
     """Exact expansion of m^T G m as a coefficient dict (may be zero)."""
-    out: PolyDict = {}
-    for (i, j), v in zip(TRIU_PAIRS, G.entries):
-        if v == 0:
-            continue
-        ei, ej = MONOMIAL_ORDER[i], MONOMIAL_ORDER[j]
-        e = (ei[0] + ej[0], ei[1] + ej[1], ei[2] + ej[2])
-        w = v if i == j else 2 * v
-        s = out.get(e, 0) + w
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
+    coef = (np.asarray(G).reshape(36) @ COEFF_MAP).tolist()
+    return {e: c for e, c in zip(DEGREE4_MONOMIALS, coef) if c != 0}
 
 
-def gram_to_quartic(G: SymMatrix6) -> TernaryQuartic:
+def gram_to_quartic(G: np.ndarray) -> TernaryQuartic:
     """Exact expansion of m^T G m as a quartic (must be nonzero)."""
     return TernaryQuartic(gram_to_poly(G))
 
 
-def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm]) -> SymMatrix6:
-    """G = e1 v_p v_p^T + e2 v_q v_q^T + e3 v_r v_r^T, exactly.
+def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm]) -> np.ndarray:
+    """G = e1 v_p v_p^T + e2 v_q v_q^T + e3 v_r v_r^T, exactly, an object array.
 
     m^T G m is then e1 p^2 + e2 q^2 + e3 r^2.  The output depends only on
     the signed span: mixing the forms by an orthogonal matrix (within a
@@ -220,12 +165,8 @@ def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm])
         raise ValueError("a representation has exactly three signed forms")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    entries = [0] * 21
-    for s, form in zip(signs, forms):
-        v = form.coeffs
-        for k, (i, j) in enumerate(TRIU_PAIRS):
-            entries[k] = entries[k] + s * v[i] * v[j]
-    return SymMatrix6(entries)
+    F = np.array([form.coeffs for form in forms], dtype=object)
+    return np.einsum("k,ka,kb->ab", np.array(signs, dtype=object), F, F)
 
 
 def complete_squares(A: np.ndarray):
@@ -290,24 +231,17 @@ def complete_squares(A: np.ndarray):
     return signs, np.sqrt(norm)[:, None, None] * W
 
 
-def lambda_of_gram(family: GramFamily, G: SymMatrix6, tol: float = NOT_IN_FAMILY_TOL):
+def lambda_of_gram(family: GramFamily, G: np.ndarray, tol: float = NOT_IN_FAMILY_TOL):
     """Coordinates of G in the family: the unique lam with G = G0 + sum lam_i B_i.
 
     Read off the six relation entries, then check the full residual
     entrywise.  Exact inputs give exact lam.
     """
+    G = np.asarray(G, dtype=object)
     lam = tuple(G[s] - family.base[s] for s in LAMBDA_SLOTS)
-    residual = _membership_residual(family, G, lam)
+    residual = np.max(np.abs((G - family.matrix_at(lam)).astype(complex)))
     if residual > tol:
         raise NotInFamilyError(
             f"matrix is not in the Gram family (residual {residual:.3e} > {tol:.1e})"
         )
     return lam
-
-
-def _membership_residual(family: GramFamily, G: SymMatrix6, lam) -> float:
-    worst = 0.0
-    recon = family.matrix_at(lam)
-    for a, b in zip(G.entries, recon.entries):
-        worst = max(worst, abs(complex(a) - complex(b)))
-    return worst

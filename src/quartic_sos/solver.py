@@ -126,7 +126,7 @@ class SolutionSet:
 def residual_system(family: GramFamily, lam: Sequence[complex], K) -> np.ndarray:
     """Entries of G(lam) . [K; I3], row-major; all 18 vanish exactly when the
     span of [K; I3] lies in the kernel of G(lam), so rank(G(lam)) <= 3."""
-    G = family.base.to_array(complex) + np.einsum("i,iab->ab", np.asarray(lam, dtype=complex), KERNEL_BASIS_TENSOR)
+    G = family.base.astype(complex) + np.einsum("i,iab->ab", np.asarray(lam, dtype=complex), KERNEL_BASIS_TENSOR)
     N = np.vstack([np.asarray(K, dtype=complex).reshape(3, 3), np.eye(3)])
     return (G @ N).reshape(18)
 
@@ -309,7 +309,7 @@ def _start(a):
 def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> SolutionSet:
     """Find the rank-3 classes of the family by tracking Fermat's 63."""
     scale = family.source.float_scale()  # FloatRangeError when floats cannot hold f
-    G0f = family.base.to_array(float) / scale
+    G0f = family.base.astype(float) / scale
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     gamma = np.exp(2j * np.pi * rng.uniform())
     a = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / np.sqrt(2)

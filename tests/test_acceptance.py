@@ -184,7 +184,7 @@ def test_criterion_6_property_suite():
         G = representation_to_gram(signs, forms)
         back = factor(G)
         G2 = representation_to_gram(back.signs, back.forms)
-        a, b = G.to_array(float), G2.to_array(float)
+        a, b = G.astype(float), G2.astype(float)
         assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
 
         cforms = tuple(
@@ -196,7 +196,7 @@ def test_criterion_6_property_suite():
         Gc = representation_to_gram((1, 1, 1), cforms)
         backc = factor(Gc)
         G2c = representation_to_gram(backc.signs, backc.forms)
-        ac, bc = Gc.to_array(complex), G2c.to_array(complex)
+        ac, bc = Gc.astype(complex), G2c.astype(complex)
         assert np.max(np.abs(ac - bc)) <= 1e-9 * max(1.0, np.max(np.abs(ac)))
 
     # orthogonal mixing leaves the Gram matrix exactly unchanged
@@ -226,7 +226,7 @@ def test_criterion_6_property_suite():
             )
             for i in range(3)
         )
-        assert representation_to_gram((1, 1, 1), mixed) == G
+        assert np.array_equal(representation_to_gram((1, 1, 1), mixed), G)
 
     # byte-for-byte determinism: repeat runs and thread counts
     family = build_family(FERMAT)

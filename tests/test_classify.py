@@ -18,7 +18,6 @@ from quartic_sos.forms import (
     quad_square,
 )
 from quartic_sos.gram import (
-    SymMatrix6,
     build_family,
     complete_squares,
     gram_to_poly,
@@ -39,6 +38,8 @@ from quartic_sos.classify import (
 from quartic_sos.curves import ldl_positive_semidefinite
 from quartic_sos.solver import GramPoint, SolveConfig, solve_all
 
+from gram_arrays import sym
+
 
 def _relative_residual(f_coeffs: dict, signs, forms) -> float:
     """The reference residual: max |f - sum s_i form_i^2| / max |f| over the
@@ -54,13 +55,13 @@ def _relative_residual(f_coeffs: dict, signs, forms) -> float:
     return float(worst / max(abs(c) for c in f_coeffs.values()))
 
 
-def _reconstruction_error(G: SymMatrix6, rep: Representation) -> float:
+def _reconstruction_error(G: np.ndarray, rep: Representation) -> float:
     back = representation_to_gram(rep.signs, rep.forms)
-    return max(abs(complex(a) - complex(b)) for a, b in zip(G.entries, back.entries))
+    return np.max(np.abs((G - back).astype(complex)))
 
 
 def test_factor_real_identity_block():
-    G = SymMatrix6.from_entries({(0, 0): 1, (1, 1): 1, (2, 2): 1})
+    G = sym({(0, 0): 1, (1, 1): 1, (2, 2): 1})
     rep = factor(G)
     assert rep.signs == (1, 1, 1)
     vecs = sorted(tuple(float(np.real(complex(c))) for c in form.coeffs) for form in rep.forms)
@@ -71,7 +72,7 @@ def test_factor_real_identity_block():
 
 
 def test_factor_real_mixed_signs():
-    G = SymMatrix6.from_entries({(0, 0): 1, (1, 1): 1, (2, 2): -1})
+    G = sym({(0, 0): 1, (1, 1): 1, (2, 2): -1})
     rep = factor(G)
     assert sorted(rep.signs) == [-1, 1, 1]
     assert rep.is_real and not rep.is_sum_of_squares
@@ -79,7 +80,7 @@ def test_factor_real_mixed_signs():
 
 
 def test_factor_real_rejects_higher_rank():
-    G = SymMatrix6.from_entries({(i, i): 1 for i in range(4)})
+    G = sym({(i, i): 1 for i in range(4)})
     with pytest.raises(RankMismatchError):
         factor(G)
 
@@ -109,7 +110,7 @@ def test_factor_complex_hyperbolic_identity():
     # the form i q0 q1 - q2^2 on (q0, q1, q2) = (x^2, y^2, z^2): its
     # diagonal vanishes after the first square, so completion of squares
     # must take the hyperbolic step and reproduce i x^2 y^2 - z^4 identically
-    G = SymMatrix6.from_entries({(0, 1): 0.5j, (2, 2): -1.0})
+    G = sym({(0, 1): 0.5j, (2, 2): -1.0})
     rep = factor(G)
     assert rep.signs == (1, 1, 1)
     assert _reconstruction_error(G, rep) < 1e-12
@@ -121,7 +122,7 @@ def test_factor_complex_hyperbolic_identity():
     for e in set(total) | set(expected):
         assert complex(total.get(e, 0)) == pytest.approx(complex(expected.get(e, 0)), abs=1e-12)
     # the real q0 q1 - q2^2 = ((q0 + q1)/2)^2 - ((q0 - q1)/2)^2 - q2^2 has signature (1, 2)
-    G = SymMatrix6.from_entries({(0, 1): 0.5, (2, 2): -1.0})
+    G = sym({(0, 1): 0.5, (2, 2): -1.0})
     rep = factor(G)
     assert rep.is_real and sorted(rep.signs) == [-1, -1, 1]
     assert _reconstruction_error(G, rep) < 1e-12
@@ -140,7 +141,7 @@ def test_factor_complex_round_trip_random_complex():
 
 
 def test_factor_complex_rejects_higher_rank():
-    G = SymMatrix6.from_entries({(i, i): 1j for i in range(5)})
+    G = sym({(i, i): 1j for i in range(5)})
     with pytest.raises(RankMismatchError):
         factor(G)
 
@@ -409,7 +410,7 @@ def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
     assert len(points) == 63
     for point, rep in zip(points, classify_points(family, points)):
         G = family.matrix_at(point.lam)
-        A = G.to_array(complex)
+        A = G.astype(complex)
         signs, vecs = complete_squares(A if np.any(A.imag) else A.real)
         signs, forms = _canonicalize_one_class(signs, vecs)
         assert rep.signs == signs
@@ -433,7 +434,7 @@ def test_class_residual_measures_a_planted_error(f):
     F = np.array([[form.coeffs for form in rep.forms] for rep in reps], dtype=complex)
     k, j = np.unravel_index(np.argmax(np.abs(F).reshape(len(reps), 18), axis=1), (3, 6))
     F[np.arange(len(reps)), k, j] *= 1 + 1e-6
-    batch = _residuals(np.array([G.to_array(complex) for G in Gs]), signs, F)
+    batch = _residuals(np.array(Gs).astype(complex), signs, F)
     for G, s, forms, r in zip(Gs, signs.tolist(), F, batch):
         planted = [QuadraticForm(tuple(c if c.imag else c.real for c in form.tolist()))
                    for form in forms]

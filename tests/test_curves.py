@@ -18,7 +18,7 @@ from quartic_sos.forms import (
 )
 import quartic_sos.curves
 from quartic_sos.cli import main, random_corpus_quartic
-from quartic_sos.gram import SymMatrix6, build_family, gram_to_poly
+from quartic_sos.gram import build_family, gram_to_poly
 from quartic_sos.curves import (
     basepoint_check,
     ldl_positive_semidefinite,
@@ -27,6 +27,8 @@ from quartic_sos.curves import (
     smoothness_test,
 )
 from quartic_sos.solver import solve_all
+
+from gram_arrays import sym
 
 
 def _random_quartic(rng) -> TernaryQuartic:
@@ -153,29 +155,21 @@ def test_nonnegativity_of_singular_but_nonnegative_quartic():
     assert status.nonnegative is True
 
 
-def _sym(rows) -> SymMatrix6:
-    return SymMatrix6([Fraction(rows[i][j]) for i in range(6) for j in range(i, 6)])
-
-
 def test_exact_ldl_decides_semidefiniteness():
     # I/10 + 9/10 J: off-diagonal row sums 4.5 against a diagonal of 1
-    assert ldl_positive_semidefinite(_sym([[1 if i == j else Fraction(9, 10) for j in range(6)] for i in range(6)]))
+    assert ldl_positive_semidefinite(sym({(i, j): 1 if i == j else Fraction(9, 10)
+                                          for i in range(6) for j in range(i, 6)}))
     # PSD of rank 5, C C^T with row 3 of C the sum of rows 1 and 2: pivot 3 is 0
     C = np.array([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [2, 1, 0, 0, 0],
                   [0, 3, 1, 0, 0], [1, 0, 2, 1, 0], [0, 1, 0, 1, 1]])
-    assert ldl_positive_semidefinite(_sym((C @ C.T).tolist()))
-    # a zero pivot whose column is not zero: at once, and after one elimination
-    corner = np.eye(6, dtype=int)
-    corner[0, 0], corner[0, 3], corner[3, 0] = 0, 1, 1
-    assert not ldl_positive_semidefinite(_sym(corner.tolist()))
-    chain = np.eye(6, dtype=int)
-    chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = 1  # pivot 2 is 0, beside a 1
-    assert not ldl_positive_semidefinite(_sym(chain.tolist()))
+    assert ldl_positive_semidefinite((C @ C.T).astype(object))
+    # a zero pivot whose column is not zero: at once (pivot 0), and after one
+    # elimination (pivot 2, beside a 1)
+    assert not ldl_positive_semidefinite(sym({**{(i, i): 1 for i in range(1, 6)}, (0, 3): 1}))
+    assert not ldl_positive_semidefinite(sym({**{(i, i): 1 for i in range(6)}, (0, 1): 1, (1, 2): 1}))
     # indefinite, with its first five pivots positive: the sixth is -1/2
-    hinge = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
-    hinge[5][5], hinge[0][5], hinge[5][0] = 0, 1, 1
-    assert not ldl_positive_semidefinite(_sym(hinge))
-    assert not ldl_positive_semidefinite(_sym([[-(i == j) for j in range(6)] for i in range(6)]))
+    assert not ldl_positive_semidefinite(sym({**{(i, i): 2 for i in range(5)}, (0, 5): 1}))
+    assert not ldl_positive_semidefinite(sym({(i, i): -1 for i in range(6)}))
 
 
 def _count_eigh(monkeypatch):
@@ -294,7 +288,7 @@ def test_sphere_search_evaluates_f_from_its_gram_matrix(text):
     # gradient at seeded points of the sphere, read exactly
     f = random_corpus_quartic(0, 0) if text is None else parse_quartic(text)
     scale = f.float_scale()
-    G0n = build_family(f).base.to_array(float) / scale
+    G0n = build_family(f).base.astype(float) / scale
     pts = quartic_sos.curves._sphere_starts(3)
     vals, grads = quartic_sos.curves._values_and_gradients(G0n, pts)
     for v, val, grad in zip(pts, vals, grads):

@@ -10,15 +10,16 @@ from quartic_sos.forms import (
     QuadraticForm,
     TernaryQuartic,
     parse_quartic,
+    poly_add,
+    poly_scale,
+    quad_square,
 )
 from quartic_sos.gram import (
     KERNEL_BASIS,
     LAMBDA_SLOTS,
     PIVOT_ALPHA,
     RANK_EIG_TOL,
-    TRIU_PAIRS,
     NotInFamilyError,
-    SymMatrix6,
     build_family,
     complete_squares,
     gram_to_poly,
@@ -26,7 +27,10 @@ from quartic_sos.gram import (
     lambda_of_gram,
     representation_to_gram,
 )
+from quartic_sos.cli import random_corpus_quartic
 from quartic_sos.resultant import exact_rank
+
+from gram_arrays import sym
 
 
 def _random_quartic(rng) -> TernaryQuartic:
@@ -42,8 +46,8 @@ def _random_quartic(rng) -> TernaryQuartic:
 
 def test_fermat_base_is_diagonal():
     family = build_family(parse_quartic("x^4+y^4+z^4"))
-    expected = SymMatrix6.from_entries({(0, 0): Fraction(1), (1, 1): Fraction(1), (2, 2): Fraction(1)})
-    assert family.base == expected
+    assert family.base.dtype == object
+    assert np.array_equal(family.base, sym({(i, i): 1 for i in range(3)}))
 
 
 def test_kernel_basis_annihilates_monomial_vector():
@@ -53,26 +57,21 @@ def test_kernel_basis_annihilates_monomial_vector():
 
 
 def test_kernel_basis_is_linearly_independent():
-    rows = [[int(v) for v in B.entries] for B in KERNEL_BASIS]
-    assert exact_rank(rows) == 6
+    assert exact_rank(KERNEL_BASIS.reshape(6, 36).tolist()) == 6
 
 
 def test_symmetric_to_quartic_map_has_nullity_six():
     # the 15x21 map from symmetric entries to quartic coefficients has rank 15,
     # so the kernel basis spans the full nullspace
-    rows = []
-    for e in DEGREE4_MONOMIALS:
-        row = []
-        for k in range(21):
-            unit = SymMatrix6(tuple(Fraction(1) if i == k else Fraction(0) for i in range(21)))
-            row.append(gram_to_poly(unit).get(e, Fraction(0)))
-        rows.append(row)
+    pairs = [(i, j) for i in range(6) for j in range(i, 6)]
+    rows = [[gram_to_poly(sym({pair: Fraction(1)})).get(e, Fraction(0)) for pair in pairs]
+            for e in DEGREE4_MONOMIALS]
     assert exact_rank(rows) == 15
     assert 21 - exact_rank(rows) == 6
 
 
 def test_gram_to_quartic_identity_matrix():
-    G = SymMatrix6.from_entries({(i, i): Fraction(1) for i in range(6)})
+    G = sym({(i, i): Fraction(1) for i in range(6)})
     f = gram_to_quartic(G)
     assert dict(f.coeffs) == {
         (4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1,
@@ -98,12 +97,46 @@ def test_family_identity_at_random_lambda():
         assert dict(gram_to_quartic(family.matrix_at(lam)).coeffs) == dict(f.coeffs)
 
 
+@pytest.mark.parametrize("name", ["fermat"] + [f"random-{i}" for i in range(5)])
+def test_matrix_at_rational_lambda_is_exact(name):
+    # G(lam) at a rational lam holds only Fractions and reproduces f; the
+    # base G0 it starts from is read-only
+    f = parse_quartic("x^4+y^4+z^4") if name == "fermat" else random_corpus_quartic(0, int(name[7:]))
+    family = build_family(f)
+    rng = np.random.default_rng(np.random.SeedSequence([21, 0]))
+    for _ in range(10):
+        lam = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(6))
+        G = family.matrix_at(lam)
+        assert G.dtype == object
+        assert all(type(v) is Fraction for v in G.flat)
+        assert gram_to_quartic(G) == f
+    with pytest.raises(ValueError):
+        family.base[0, 0] = Fraction(2)
+
+
+def test_representation_to_gram_expands_the_squares_exactly():
+    # m^T G m = sum s_i p_i^2 in Fractions, against forms' dict arithmetic,
+    # on Fermat's certificate (x^2, y^2, z^2) and on random rational triples
+    rng = np.random.default_rng(np.random.SeedSequence([21, 1]))
+    triples = [[QuadraticForm.parse(p) for p in ("x^2", "y^2", "z^2")]]
+    triples += [[QuadraticForm(tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                                     for _ in range(6))) for _ in range(3)] for _ in range(10)]
+    for forms in triples:
+        for signs in ((1, 1, 1), (1, 1, -1)):
+            want = {}
+            for s, p in zip(signs, forms):
+                want = poly_add(want, poly_scale(dict(quad_square(p).coeffs), s))
+            G = representation_to_gram(signs, forms)
+            assert all(isinstance(v, (int, Fraction)) for v in G.flat)
+            assert dict(gram_to_quartic(G).coeffs) == want
+
+
 def test_representation_to_gram_diagonal_cases():
     forms = (QuadraticForm.parse("x^2"), QuadraticForm.parse("y^2"), QuadraticForm.parse("z^2"))
     G = representation_to_gram((1, 1, 1), forms)
-    assert G == SymMatrix6.from_entries({(0, 0): 1, (1, 1): 1, (2, 2): 1})
+    assert np.array_equal(G, sym({(0, 0): 1, (1, 1): 1, (2, 2): 1}))
     G = representation_to_gram((1, 1, -1), forms)
-    assert G == SymMatrix6.from_entries({(0, 0): 1, (1, 1): 1, (2, 2): -1})
+    assert np.array_equal(G, sym({(0, 0): 1, (1, 1): 1, (2, 2): -1}))
 
 
 def test_representation_to_gram_orthogonal_mixing_invariance():
@@ -119,7 +152,8 @@ def test_representation_to_gram_orthogonal_mixing_invariance():
                                      for _ in range(6))) for _ in range(3)]
         mixed = [QuadraticForm(tuple(sum(H[i][j] * forms[j].coeffs[k] for j in range(3))
                                      for k in range(6))) for i in range(3)]
-        assert representation_to_gram((1, 1, 1), forms) == representation_to_gram((1, 1, 1), mixed)
+        assert np.array_equal(representation_to_gram((1, 1, 1), forms),
+                              representation_to_gram((1, 1, 1), mixed))
 
 
 def test_representation_to_gram_validates_input():
@@ -133,7 +167,7 @@ def test_representation_to_gram_validates_input():
 def test_lambda_of_gram_read_off():
     family = build_family(parse_quartic("x^4+y^4+z^4"))
     assert lambda_of_gram(family, family.base) == (0, 0, 0, 0, 0, 0)
-    shifted = family.base.add(KERNEL_BASIS[3])
+    shifted = family.base + KERNEL_BASIS[3]
     assert lambda_of_gram(family, shifted) == (0, 0, 0, 1, 0, 0)
 
 
@@ -155,7 +189,7 @@ def test_lambda_of_gram_round_trip_random():
 
 def test_lambda_of_gram_rejects_foreign_matrix():
     family = build_family(parse_quartic("x^4+y^4+z^4"))
-    wrong = SymMatrix6.from_entries({(0, 0): Fraction(2)})
+    wrong = sym({(0, 0): Fraction(2)})
     with pytest.raises(NotInFamilyError):
         lambda_of_gram(family, wrong)
 
@@ -165,21 +199,6 @@ def test_lambda_slots_touched_by_one_basis_matrix_each():
         touching = [i for i, B in enumerate(KERNEL_BASIS) if B[slot] != 0]
         assert touching == [k]
         assert KERNEL_BASIS[k][slot] == 1
-
-
-def test_sym_matrix_json_round_trip():
-    rng = np.random.default_rng(np.random.SeedSequence([12, 4]))
-    entries = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(21)]
-    entries[0] = 1.5  # keep one real slot
-    M = SymMatrix6(tuple(entries))
-    again = SymMatrix6.from_json(M.to_json())
-    for a, b in zip(M.entries, again.entries):
-        assert complex(a) == complex(b)
-
-
-def test_triu_pair_order_is_row_major():
-    assert TRIU_PAIRS[:7] == ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1))
-    assert len(TRIU_PAIRS) == 21
 
 
 def test_complete_squares_reads_rank_and_signature():

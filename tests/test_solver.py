@@ -74,7 +74,7 @@ def test_residual_system_at_known_representation():
     f = gram_to_quartic(G)
     family = build_family(f)
     lam = lambda_of_gram(family, G)
-    A = G.to_array(float)
+    A = G.astype(float)
     K, *_ = np.linalg.lstsq(A[:, :3], -A[:, 3:], rcond=None)
     res = residual_system(family, lam, K)
     assert np.max(np.abs(res)) < 1e-12
@@ -210,7 +210,6 @@ def test_fermat_start_table_is_exact():
         """G_Fermat(lam) = diag(1, 1, 1, 0, 0, 0) + sum lam_i B_i over `field`."""
         G = [[field.one if p == q < 3 else field.zero for q in range(6)] for p in range(6)]
         for value, B in zip(lam, KERNEL_BASIS):
-            B = B.to_array(int)
             for p, q in zip(*np.nonzero(B)):
                 G[p][q] += field.convert(int(B[p, q])) * value
         return DomainMatrix(G, (6, 6), field)
@@ -249,7 +248,7 @@ def test_class_order_ignores_last_bits(fermat_set):
     lam = np.array([p.lam for p in points])
     real = [p.is_real for p in points]
     res = [p.residual for p in points]
-    G0 = build_family(parse_quartic("x^4+y^4+z^4")).base.to_array(float)
+    G0 = build_family(parse_quartic("x^4+y^4+z^4")).base.astype(float)
     rng = np.random.default_rng(np.random.SeedSequence([19]))
     nudged = lam.copy()
     for _ in range(3):
@@ -368,7 +367,7 @@ def test_taylor_coefficients_have_the_right_orders():
     # divides the truncation error by about 2^(k+1), here at the Fermat
     # start points of random-0 with the exact path point from Newton's method
     family = build_family(random_corpus_quartic(0, 0))
-    G0f = family.base.to_array(float) / family.source.float_scale()
+    G0f = family.base.astype(float) / family.source.float_scale()
     rng = np.random.default_rng(np.random.SeedSequence([23]))
     a = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / np.sqrt(2)
     x0, chart = solver._start(a)
