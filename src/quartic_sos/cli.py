@@ -4,9 +4,9 @@ All deterministic output (reports, tables, certificates, JSON files) goes to
 stdout or the requested file; wall-clock timings go to stderr so stdout is a
 pure function of the input and the seed.
 
-Exit codes: 0 success, 2 malformed input, 3 count certification failed,
-4 hypothesis (smoothness or non-negativity) failed, 5 certificate
-verification failed.
+Exit codes: 0 success, 1 stdout closed early, 2 malformed input, 3 count
+certification failed, 4 hypothesis (smoothness or non-negativity) failed,
+5 certificate verification failed.
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ from .curves import numeric_singularity_oracle, nonnegativity_test, smoothness_t
 from .forms import (
     MAX_CONSTANT_BITS,
     MAX_LITERAL_DIGITS,
+    MONOMIAL_ORDER,
     FloatRangeError,
-    FormError,
     QuadraticForm,
     TernaryQuartic,
     parse_quartic,
-    poly_mul,
+    poly_add,
+    poly_scale,
+    poly_text,
+    quad_square,
 )
 from .gram import build_family
 from .solver import SolveConfig
@@ -55,7 +58,11 @@ EXIT_VERIFY = 5
 _SEED_ENV = "QUARTIC_SOS_SEED"
 _EXPONENT_RE = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 _DIGIT_RUN_RE = re.compile(r"[\d_.]+")
-_QUAD_MONOMIAL_NAMES = ("x^2", "y^2", "z^2", "y*z", "x*z", "x*y")
+_QUAD_MONOMIAL_NAMES = tuple(poly_text({e: 1}) for e in MONOMIAL_ORDER)
+
+
+class _Refused(Exception):
+    """Malformed input: `main` prints `error: <message>` and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +143,7 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
 # JSON report
 # ---------------------------------------------------------------------------
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is None or key is True or key is False:
-        return _CONSTANTS[key]
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,18 +155,16 @@ def _pairs_template(depth: int, n: int) -> str:
 
 
 def _pair_texts(items) -> Optional[tuple]:
-    """The texts of the 2n floats of a list of n [re, im] pairs of floats
-    (float itself: a subclass takes the general path), else None."""
+    """The texts of the 2n floats of a list of n [re, im] pairs of finite
+    floats (float itself: a subclass takes the general path), else None."""
     flat: list = []
     for pair in items:
         if type(pair) is not list or len(pair) != 2:
             return None
         flat += pair
-    if {*map(type, flat)} != {float}:
+    if {*map(type, flat)} != {float} or not all(map(math.isfinite, flat)):
         return None
-    if all(map(math.isfinite, flat)):
-        return tuple(map(float.__repr__, flat))
-    return tuple(map(_float_text, flat))
+    return tuple(map(float.__repr__, flat))
 
 
 def _emit(obj, depth: int, out: List[str]) -> None:
@@ -187,12 +174,9 @@ def _emit(obj, depth: int, out: List[str]) -> None:
         out.append(_CONSTANTS[obj])
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif isinstance(obj, float) and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
         texts = _pair_texts(obj)
         if texts is not None:
             out.append(_pairs_template(depth, len(obj)) % texts)
@@ -203,33 +187,31 @@ def _emit(obj, depth: int, out: List[str]) -> None:
             _emit(item, depth + 1, out)
             sep = ",\n" + "  " * (depth + 1)
         out.append("\n" + "  " * depth + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         sep = "{\n" + "  " * (depth + 1)
         for key, value in sorted(obj.items()):
-            out.append(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _emit(value, depth + 1, out)
             sep = ",\n" + "  " * (depth + 1)
         out.append("\n" + "  " * depth + "}")
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    else:  # empty, non-finite, other keys or types: json's own text, or its TypeError
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
 
 
 def _json_text(obj) -> str:
     """The text of `json.dumps(obj, indent=2, sort_keys=True) + "\n"`, at a
     fraction of its time: a list of [re, im] float pairs, most of a report,
-    fills one cached template.  Same TypeErrors as json (a circular
-    reference recurses without end instead of raising ValueError)."""
+    fills one cached template.  What a report does not hold goes to json
+    itself (a circular reference above it recurses without end instead of
+    raising ValueError)."""
     out: List[str] = []
     _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
 
-def _report_path_ok(path: str) -> bool:
-    """False, with `_write_report`'s error line, when path is a directory or
+def _check_report_path(path: str) -> None:
+    """_Refused, with `_write_report`'s message, when path is a directory or
     its directory does not exist.  It creates and truncates nothing, so it
     runs before the pipeline."""
     if os.path.isdir(path):
@@ -237,22 +219,18 @@ def _report_path_ok(path: str) -> bool:
     elif not os.path.isdir(os.path.dirname(path) or "."):
         code = errno.ENOENT
     else:
-        return True
-    sys.stderr.write(f"error: cannot write report: {OSError(code, os.strerror(code), path)}\n")
-    return False
+        return
+    raise _Refused(f"cannot write report: {OSError(code, os.strerror(code), path)}")
 
 
-def _write_report(path: str, obj) -> bool:
-    """Write `_json_text(obj)` to path; False, with an error line on stderr,
-    when the file cannot be written."""
+def _write_report(path: str, obj) -> None:
+    """Write `_json_text(obj)` to path; _Refused when it cannot be written."""
     text = _json_text(obj)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write report: {exc}\n")
-        return False
-    return True
+        raise _Refused(f"cannot write report: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +275,42 @@ def _quartic_from_json(data) -> TernaryQuartic:
     return TernaryQuartic(coeffs)
 
 
-def _load_quartic(text: str, json_in: bool) -> TernaryQuartic:
-    if not json_in:
-        return parse_quartic(text)
-    # every number keeps its text, read exactly by `_coeff_from_json`
+def _read_form(args: argparse.Namespace) -> TernaryQuartic:
+    """FORM, from text or --json-in, checked to fit float range; _Refused
+    otherwise.  Every JSON number keeps its text, read exactly by
+    `_coeff_from_json`."""
     options = dict(parse_float=str, parse_int=str, parse_constant=_refuse_constant)
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            data = json.load(fh, **options)
-    else:
-        data = json.loads(text, **options)
-    return _quartic_from_json(data)
+    try:
+        if not args.json_in:
+            f = parse_quartic(args.form)
+        elif os.path.exists(args.form):
+            with open(args.form, "r", encoding="utf-8") as fh:
+                f = _quartic_from_json(json.load(fh, **options))
+        else:
+            f = _quartic_from_json(json.loads(args.form, **options))
+        f.float_scale()  # FloatRangeError before any stage runs
+    except RecursionError:  # json's nesting limit
+        raise _Refused("FORM is nested too deeply") from None
+    except (ValueError, OSError) as exc:  # FormError, json.JSONDecodeError among them
+        raise _Refused(str(exc)) from None
+    return f
+
+
+def _read_certificates(path: str) -> List[Representation]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reps = _extract_representations(json.load(fh))
+    except RecursionError:
+        raise _Refused("cannot read certificates: nested too deeply") from None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _Refused(f"cannot read certificates: {exc}") from None
+    if not reps:
+        raise _Refused("no representations found in certificate file")
+    return reps
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    """The --seed value, else $QUARTIC_SOS_SEED, else 0; ValueError if malformed."""
+    """The --seed value, else $QUARTIC_SOS_SEED, else 0; _Refused if malformed."""
     if value is not None:
         return value
     env = os.environ.get(_SEED_ENV)
@@ -320,12 +319,17 @@ def _resolve_seed(value: Optional[int]) -> int:
     try:
         return _nonnegative_int(env)
     except argparse.ArgumentTypeError:
-        raise ValueError(f"${_SEED_ENV} must be a non-negative integer, got {env!r}") from None
+        raise _Refused(f"${_SEED_ENV} must be a non-negative integer, got {env!r}") from None
 
 
-def _fail_input(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_INPUT
+def _extract_representations(data) -> List[Representation]:
+    if isinstance(data, dict) and "representations" in data:
+        data = data["representations"]
+    if isinstance(data, dict):
+        data = [data]
+    if not isinstance(data, list):
+        raise ValueError("certificate JSON must be an object or a list")
+    return [Representation.from_json(item) for item in data]
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +338,8 @@ def _fail_input(message: str) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        f = _load_quartic(args.form, args.json_in)
-        f.float_scale()  # FloatRangeError before any stage runs
-        seed = _resolve_seed(args.seed)
-    except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail_input(str(exc))
+    f = _read_form(args)
+    seed = _resolve_seed(args.seed)
     out = sys.stdout
 
     out.write(f"input: {f}\n")
@@ -395,14 +395,10 @@ def _report_json(f: TernaryQuartic, seed: int, report: Theorem1Report) -> dict:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        f = _load_quartic(args.form, args.json_in)
-        f.float_scale()  # FloatRangeError before any stage runs
-        seed = _resolve_seed(args.seed)
-    except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail_input(str(exc))
-    if args.json and not _report_path_ok(args.json):
-        return EXIT_INPUT
+    f = _read_form(args)
+    seed = _resolve_seed(args.seed)
+    if args.json:
+        _check_report_path(args.json)
     config = SolveConfig(restarts=args.restarts, master_seed=seed, threads=args.threads)
     out = sys.stdout
     out.write(f"input: {f}\n")
@@ -417,8 +413,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 "seed": seed,
                 "error": {"hypothesis": exc.hypothesis, "detail": exc.detail},
             }
-            if not _write_report(args.json, payload):
-                return EXIT_INPUT
+            _write_report(args.json, payload)
         return EXIT_HYPOTHESIS
 
     _print_counts(report, out)
@@ -438,8 +433,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
     if args.json:
         t0 = time.perf_counter()
-        if not _write_report(args.json, _report_json(f, seed, report)):
-            return EXIT_INPUT
+        _write_report(args.json, _report_json(f, seed, report))
         sys.stderr.write(f"timing report: {time.perf_counter() - t0:.3f}s\n")
         out.write(f"report written: {args.json}\n")
     return EXIT_OK if report.passed else EXIT_COUNTS
@@ -455,34 +449,23 @@ def random_corpus_quartic(seed: int, index: int) -> TernaryQuartic:
     import numpy as np
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 105, index]))
-    bump = poly_mul(
-        {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)},
-        {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)},
-    )
+    bump = poly_scale(quad_square(QuadraticForm((1, 1, 1, 0, 0, 0))).as_dict(), Fraction(1, 100))
     while True:
         total: dict = {}
         for _ in range(3):
-            coeffs = tuple(
-                Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
-                for _ in range(6)
-            )
-            q = QuadraticForm(coeffs).as_dict()
-            if not q:
-                continue
-            for expo, c in poly_mul(q, q).items():
-                total[expo] = total.get(expo, Fraction(0)) + c
-        for expo, c in bump.items():
-            total[expo] = total.get(expo, Fraction(0)) + Fraction(1, 100) * c
-        f = TernaryQuartic({e: c for e, c in total.items() if c != 0})
+            q = QuadraticForm(tuple(
+                Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4))) for _ in range(6)
+            ))
+            if not q.is_zero():
+                total = poly_add(total, quad_square(q).as_dict())
+        f = TernaryQuartic(poly_add(total, bump))
         if smoothness_test(f).smooth:
             return f
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    seed = _resolve_seed(args.seed)
+    config = SolveConfig(restarts=args.restarts, master_seed=seed, threads=args.threads)
     out = sys.stdout
     entries = [("fermat", parse_quartic("x^4 + y^4 + z^4"))]
     for i in range(args.count):
@@ -497,9 +480,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     out.write("-" * len(header) + "\n")
     all_pass = True
     for name, f in entries:
-        config = SolveConfig(
-            restarts=args.restarts, master_seed=seed, threads=args.threads
-        )
         t0 = time.perf_counter()
         try:
             report = theorem1_check(f, config)
@@ -517,31 +497,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_COUNTS
 
 
-def _extract_representations(data) -> List[Representation]:
-    if isinstance(data, dict) and "representations" in data:
-        data = data["representations"]
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
-        raise ValueError("certificate JSON must be an object or a list")
-    return [Representation.from_json(item) for item in data]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        f = _load_quartic(args.form, args.json_in)
-        f.float_scale()  # FloatRangeError before any certificate is read
-    except (FormError, ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail_input(str(exc))
-    try:
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        reps = _extract_representations(data)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        return _fail_input(f"cannot read certificates: {exc}")
-    if not reps:
-        return _fail_input("no representations found in certificate file")
-
+    f = _read_form(args)
+    reps = _read_certificates(args.cert)
     out = sys.stdout
     out.write(f"input: {f}\n")
     failures = 0
@@ -598,6 +556,12 @@ def _add_seed_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
+    for flag, default in (("--restarts", 20000), ("--threads", 1)):
+        parser.add_argument(flag, type=_positive_int, default=default,
+                            help=f"accepted; no longer changes the result (default {default})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartic-sos",
@@ -619,14 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_form_argument(p_dec)
     _add_seed_argument(p_dec)
-    p_dec.add_argument(
-        "--restarts", type=_positive_int, default=20000,
-        help="accepted; no longer changes the result (default 20000)"
-    )
-    p_dec.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="accepted; no longer changes the result (default 1)"
-    )
+    _add_solver_arguments(p_dec)
     p_dec.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     group = p_dec.add_mutually_exclusive_group()
     group.add_argument(
@@ -648,14 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument(
         "--count", type=_nonnegative_int, default=5, help="number of random quartics (default 5)"
     )
-    p_cor.add_argument(
-        "--restarts", type=_positive_int, default=20000,
-        help="accepted; no longer changes the result (default 20000)"
-    )
-    p_cor.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="accepted; no longer changes the result (default 1)"
-    )
+    _add_solver_arguments(p_cor)
     p_cor.set_defaults(func=_cmd_corpus)
 
     p_ver = sub.add_parser(
@@ -673,9 +623,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except _Refused as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # stdout's reader has gone: what is left in its buffer goes to
+        # devnull at exit, with the 1 an uncaught error would give
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

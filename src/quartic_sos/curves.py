@@ -56,8 +56,14 @@ from .resultant import gradient_resultant_is_nonzero, macaulay_matrix
 #: search skips the ascent.
 PSD_TOL = 1e-8
 
-#: Start points of the seeded search for a negative value of f on the sphere.
+#: Start points of the seeded search for a negative value of f on the sphere,
+#: and the projected-gradient steps it takes from each.
 SPHERE_STARTS = 100
+SPHERE_ITERS = 150
+
+#: Restarts of the eigenvalue ascent, and the supergradient steps of each.
+ASCENT_RESTARTS = 10
+ASCENT_ITERS = 300
 
 #: A triple of conics, each scaled to max |coefficient| 1, is free when its
 #: 18x15 matrix has sigma_min > BASEPOINT_TOL * sigma_max.  Rounding the
@@ -289,7 +295,7 @@ def _values_and_gradients(G: np.ndarray, pts: np.ndarray):
     return np.einsum("ni,ni->n", m, Gm), grads
 
 
-def _sphere_falsify(G: np.ndarray, seed: int, iters: int = 150):
+def _sphere_falsify(G: np.ndarray, seed: int):
     """Projected-gradient minimization on the unit sphere of the quartic
     with Gram matrix G, from `_sphere_starts(seed)`.
 
@@ -299,7 +305,7 @@ def _sphere_falsify(G: np.ndarray, seed: int, iters: int = 150):
     pts = _sphere_starts(seed).copy()
     eta = np.full(SPHERE_STARTS, 0.1)
     vals, grads = _values_and_gradients(G, pts)
-    for _ in range(iters):
+    for _ in range(SPHERE_ITERS):
         tang = grads - (np.sum(grads * pts, axis=1, keepdims=True)) * pts
         cand = pts - eta[:, None] * tang
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
@@ -341,7 +347,7 @@ def proved_lambda(family: GramFamily, lam) -> Optional[Tuple[Fraction, ...]]:
     return lam_q if ldl_positive_semidefinite(family.matrix_at(lam_q)) else None
 
 
-def _eig_ascent(G0n, seed: int, proves, restarts: int = 10, iters: int = 300):
+def _eig_ascent(G0n, seed: int, proves):
     """Supergradient ascent on lam -> min-eigenvalue of G(lam).
 
     Each new best iterate whose minimum eigenvalue is at least 0 is offered
@@ -350,13 +356,13 @@ def _eig_ascent(G0n, seed: int, proves, restarts: int = 10, iters: int = 300):
     """
     Bt = KERNEL_BASIS_TENSOR
     best_val = -np.inf
-    for j in range(restarts):
+    for j in range(ASCENT_RESTARTS):
         if j == 0:
             lam = np.zeros(6)
         else:
             g = np.random.default_rng(np.random.SeedSequence([seed, 104, j]))
             lam = 0.5 * g.standard_normal(6)
-        for k in range(iters):
+        for k in range(ASCENT_ITERS):
             ev, U = np.linalg.eigh(G0n + np.einsum("i,iab->ab", lam, Bt))
             if ev[0] > best_val:
                 best_val = ev[0]

@@ -230,6 +230,10 @@ def _tokenize(text: str):
 #: by another as large, and building it costs time that grows with n.
 MAX_CONSTANT_BITS = 1 << 16
 
+#: Parentheses nested deeper than this are refused (FormSyntaxError), well
+#: before the recursive descent would exhaust the interpreter's stack.
+MAX_NESTING = 100
+
 
 def _degree(p: PolyDict) -> int:
     return max((sum(e) for e in p), default=0)
@@ -257,6 +261,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -341,7 +346,11 @@ class _Parser:
             e[VARIABLES.index(value)] = 1
             return {tuple(e): Fraction(1)}
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise FormSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             kind, _, pos = self.advance()
             if kind != ")":
                 raise FormSyntaxError("expected ')'", pos)
@@ -460,7 +469,8 @@ def parse_quartic(text: str) -> TernaryQuartic:
     products, parentheses and `+`/`-`.  Decimal coefficients become exact
     rationals (scaled powers of ten), so the exact layer never sees floats.
 
-    Raises FormSyntaxError (with position), NotHomogeneousError (also for a
+    Raises FormSyntaxError (with position; also for parentheses nested
+    deeper than MAX_NESTING), NotHomogeneousError (also for a
     term above degree 4 as written, even one that would cancel),
     FloatRangeError (a constant power far beyond float range) or
     ZeroFormError.

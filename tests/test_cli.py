@@ -1,15 +1,19 @@
 """End-to-end tests of the command line front end.
 
-Every test drives `main(argv)` in-process and inspects exit codes plus
-captured stdout/stderr, so the console-script wiring stays a thin shim.
+Every test but the closed-pipe one drives `main(argv)` in-process and
+inspects exit codes plus captured stdout/stderr, so the console-script
+wiring stays a thin shim.
 """
 
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,28 @@ def test_verify_unreadable_certificate_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]\n", encoding="utf-8")
     assert main(["verify", FERMAT, "--cert", str(empty)]) == EXIT_INPUT
+
+
+def _nested_file(tmp_path, depth):
+    path = tmp_path / f"nested-{depth}.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["check", "(" * 300 + FERMAT + ")" * 300],
+     "error: parentheses nested deeper than 100 (at position 100)\n"),
+    (lambda tmp: ["check", "--json-in", "[" * 2000 + "]" * 2000], "error: FORM is nested too deeply\n"),
+    (lambda tmp: ["check", "--json-in", _nested_file(tmp, 2000)], "error: FORM is nested too deeply\n"),
+    (lambda tmp: ["verify", FERMAT, "--cert", _nested_file(tmp, 100000)],
+     "error: cannot read certificates: nested too deeply\n"),
+], ids=["parentheses-300", "json-in-2000", "json-in-file-2000", "cert-file-100000"])
+def test_nested_input_exits_2(argv, message, tmp_path, capsys):
+    # each once escaped as a RecursionError traceback with exit code 1
+    assert main(argv(tmp_path)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_mutually_exclusive_listing_flags():
@@ -495,6 +521,45 @@ def test_corpus_count_zero_is_deterministic(capsys):
     assert len(row) == 1
     assert row[0].split() == ["fermat", "63", "15", "8", "pass"]
     assert lines[-1] == "corpus: all pass"
+
+
+# the texts the corpus generator gave before it was built from `forms`
+CORPUS_TEXTS = dict([
+    ((0, 0), "24409/900*x^4 - 40*x^3*y + 32/3*x^3*z - 697/150*x^2*y^2 - 59/3*x^2*y*z + 22843/900*x^2*z^2 + 45*x*y^3 - 23/2*x*y^2*z - 245/9*x*y*z^2 + 82/9*x*z^3 + 1463/50*y^4 + 41*y^3*z - 2257/900*y^2*z^2 - 223/9*y*z^3 + 8509/900*z^4"),
+    ((0, 1), "41309/900*x^4 + 58/3*x^3*y + 80/3*x^3*z + 2927/100*x^2*y^2 + 215/3*x^2*y*z + 178843/900*x^2*z^2 + x*y^3 + 21*x*y^2*z + 214/3*x*y*z^2 - 29/3*x*z^3 + 1217/450*y^4 + 127/6*y^3*z + 9827/100*y^2*z^2 + 457/3*y*z^3 + 73909/900*z^4"),
+    ((0, 2), "13309/900*x^4 - 262/9*x^3*y + 38/3*x^3*z + 4609/450*x^2*y^2 - 51*x^2*y*z + 5753/150*x^2*z^2 + 34/3*x*y^3 - 223/3*x*y^2*z + 53/3*x*y*z^2 + 2263/50*y^4 + 28*y^3*z + 1877/100*y^2*z^2 - 19/3*y*z^3 + 317/450*z^4"),
+    ((0, 3), "37967/450*x^4 + 49/3*x^3*y - 415/3*x^3*z + 22481/300*x^2*y^2 - 53/3*x^2*y*z - 749/50*x^2*z^2 + 43/9*x*y^3 - 251/9*x*y^2*z - 583/18*x*y*z^2 + 68*x*z^3 + 17009/900*y^4 - 98/3*y^3*z + 28259/450*y^2*z^2 - 316/9*y*z^3 + 20359/900*z^4"),
+    ((0, 4), "8901/100*x^4 + 72*x^3*y - 464/3*x^3*z + 127/100*x^2*y^2 - 463/3*x^2*y*z + 27509/450*x^2*z^2 + 40*x*y^3 - 112/3*x*y^2*z + 63/2*x*y*z^2 + 71/3*x*z^3 + 2063/50*y^4 - 13/2*y^3*z + 2327/100*y^2*z^2 + 28*y*z^3 + 413/50*z^4"),
+    ((1, 0), "1401/100*x^4 + 10*x^3*y - 76/3*x^3*z + 9281/300*x^2*y^2 + 461/6*x^2*y*z + 46343/900*x^2*z^2 + 1/3*x*y^3 + 284/9*x*y^2*z - 143/3*x*y*z^2 - 30*x*z^3 + 103/300*y^4 - 2/3*y^3*z + 11453/150*y^2*z^2 + 52*y*z^3 + 1201/100*z^4"),
+    ((1, 1), "1101/100*x^4 - 14*x^3*y - 10/3*x^3*z + 1/50*x^2*y^2 + 8*x^2*y*z + 40309/450*x^2*z^2 + 8*x*y^3 - 65/3*x*y^2*z - 40/3*x*y*z^2 + 403/9*x*z^3 + 163/50*y^4 - 22*y^3*z + 3689/75*y^2*z^2 - 52/3*y*z^3 + 32417/450*z^4"),
+    ((1, 2), "1009/900*x^4 + 34/3*x^3*y - 13/3*x^3*z + 8003/150*x^2*y^2 - 190/9*x^2*y*z + 16843/900*x^2*z^2 + 7*x*y^3 + 392/3*x*y^2*z - 164/3*x*y*z^2 + 53/3*x*z^3 + 3651/100*y^4 - 2/3*y^3*z + 65459/450*y^2*z^2 - 44/3*y*z^3 + 3001/100*z^4"),
+    ((1, 3), "13759/900*x^4 - 13/3*x^3*y + 17/6*x^3*z + 7603/150*x^2*y^2 - 138*x^2*y*z + 114643/900*x^2*z^2 - 58*x*y^3 + 75*x*y^2*z - 39*x*y*z^2 - 205/3*x*z^3 + 2201/100*y^4 + 18*y^3*z + 2753/150*y^2*z^2 - 82/3*y*z^3 + 78209/900*z^4"),
+    ((1, 4), "5101/100*x^4 - 7/3*x^3*y + 8/3*x^3*z + 46543/900*x^2*y^2 - 158/3*x^2*y*z + 43109/450*x^2*z^2 - 47/3*x*y^3 + 809/18*x*y^2*z - 218/3*x*y*z^2 + 176/3*x*z^3 + 901/100*y^4 - 7/3*y^3*z + 36643/900*y^2*z^2 - 11*y*z^3 + 3401/100*z^4"),
+    ((2, 0), "2051/100*x^4 + 2*x^3*y + 15/2*x^3*z + 2863/25*x^2*y^2 + 16*x^2*y*z - 1969/300*x^2*z^2 + 4*x*y^3 + 25/2*x*y^2*z - 28/3*x*y*z^2 + 57/2*x*z^3 + 8713/50*y^4 + 90*y^3*z - 3312/25*y^2*z^2 - 34*y*z^3 + 37517/450*z^4"),
+    ((2, 1), "5701/100*x^4 - 192*x^3*y - 22/3*x^3*z + 5001/50*x^2*y^2 + 134*x^2*y*z + 4859/450*x^2*z^2 + 95*x*y^3 - 778/3*x*y^2*z + 190/3*x*y*z^2 - 56/9*x*z^3 + 4363/50*y^4 - 150*y^3*z + 56909/450*y^2*z^2 - 32*y*z^3 + 7009/900*z^4"),
+    ((2, 2), "2501/100*x^4 - 26*x^3*y + 10/3*x^3*z + 8392/225*x^2*y^2 - 100/9*x^2*y*z + 3601/50*x^2*z^2 - 83/3*x*y^3 + 44*x*y^2*z - 320/3*x*y*z^2 + 22*x*z^3 + 1701/100*y^4 - 28*y^3*z + 8327/100*y^2*z^2 - 71*y*z^3 + 8601/100*z^4"),
+    ((2, 3), "41309/900*x^4 - 152/3*x^3*y - 79/3*x^3*z + 8903/150*x^2*y^2 - 16/3*x^2*y*z + 41681/300*x^2*z^2 - 55*x*y^3 + 235/3*x*y^2*z - 83/3*x*y*z^2 - 73*x*z^3 + 8417/450*y^4 - 520/9*y^3*z + 77609/450*y^2*z^2 - 484/3*y*z^3 + 11001/100*z^4"),
+    ((2, 4), "5401/100*x^4 - 200/3*x^3*y - 128/3*x^3*z + 85859/450*x^2*y^2 + 22*x^2*y*z - 3541/450*x^2*z^2 - 436/3*x*y^3 - 82*x*y^2*z + 26*x*y*z^2 - 116/3*x*z^3 + 13401/100*y^4 - 248/3*y^3*z - 8341/450*y^2*z^2 + 184/3*y*z^3 + 61009/900*z^4"),
+])
+
+
+def test_corpus_quartics_keep_their_text():
+    for (seed, index), text in CORPUS_TEXTS.items():
+        assert str(random_corpus_quartic(seed, index)) == text
+
+
+def test_closed_output_pipe_exits_1_quietly():
+    # a fresh process: the reader takes one line and closes the pipe; the
+    # corpus flushes each row, so the next one meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(quartic_sos.cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "quartic_sos.cli", "corpus", "--count", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    assert proc.stdout.readline().split() == ["name", "classes", "real", "psd", "verdict"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert [line for line in err.splitlines() if not line.startswith("timing ")] == []
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,6 +8,7 @@ import pytest
 from quartic_sos.forms import (
     DEGREE4_MONOMIALS,
     MONOMIAL_ORDER,
+    MAX_NESTING,
     FloatRangeError,
     FormSyntaxError,
     NotHomogeneousError,
@@ -87,6 +88,17 @@ def test_parse_syntax_error_carries_position():
     with pytest.raises(FormSyntaxError) as err:
         parse_quartic("x^4 + @")
     assert err.value.position == 6
+
+
+def test_parse_refuses_parentheses_nested_past_the_bound():
+    # deeper nesting once exhausted the recursive descent's stack
+    assert MAX_NESTING == 100
+    nested = lambda n: "(" * n + "x^4 + y^4 + z^4" + ")" * n
+    assert parse_quartic(nested(100)) == parse_quartic("x^4 + y^4 + z^4")
+    for depth in (101, 300, 100000):
+        with pytest.raises(FormSyntaxError, match="nested deeper than 100") as err:
+            parse_quartic(nested(depth))
+        assert err.value.position == 100
 
 
 def test_parse_decimal_coefficients_are_exact():
