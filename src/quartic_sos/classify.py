@@ -120,9 +120,10 @@ class Representation:
 
 
 def _list_of(items, n: int, what: str) -> list:
-    """items if it is a JSON list of n entries, else ValueError naming `what`."""
+    """items if it is a JSON list of n entries, else ValueError naming `what` and items' type and size."""
     if not isinstance(items, list) or len(items) != n:
-        raise ValueError(f"certificate needs {what}, got {items!r}")
+        size = f" of length {len(items)}" if hasattr(items, "__len__") else ""
+        raise ValueError(f"certificate needs {what}, got {type(items).__name__}{size}")
     return items
 
 

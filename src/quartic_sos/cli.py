@@ -291,7 +291,10 @@ def _read_form(args: argparse.Namespace) -> TernaryQuartic:
         f.float_scale()  # FloatRangeError before any stage runs
     except RecursionError:  # json's nesting limit
         raise _Refused("FORM is nested too deeply") from None
-    except (ValueError, OSError) as exc:  # FormError, json.JSONDecodeError among them
+    except json.JSONDecodeError as exc:  # from a file, inline JSON or a mistyped path
+        missing = not os.path.exists(args.form) and not args.form.lstrip().startswith(("{", "["))
+        raise _Refused(f"no such file: {args.form!r} (and FORM is not JSON)" if missing else str(exc)) from None
+    except (ValueError, OSError) as exc:  # FormError among them
         raise _Refused(str(exc)) from None
     return f
 

@@ -20,9 +20,9 @@ they set the step length too: a path whose homotopy does not move (Fermat
 itself, or any multiple of it) goes to t = 1 in one step.  A path that
 fails or lands on another's endpoint is tracked again with smaller steps
 (unless all 63 did: f is then singular), and if it fails again the count
-certification fails.  Near-real endpoints are real when a real-arithmetic
-re-polish reconverges to them.  f is divided by its largest coefficient
-(`TernaryQuartic.float_scale`).
+certification fails.  A class nearest to its own conjugate is real when its
+real part is a class too, and the others must pair off by conjugation.  f
+is divided by its largest coefficient (`TernaryQuartic.float_scale`).
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class SolutionSet:
     points: Tuple[GramPoint, ...]
     counts: Tuple[int, int, int]
     config: SolveConfig
-    scale: float = 1.0
     tracked: int = 0
     retracked: int = 0
     failed: int = 0
@@ -333,28 +332,25 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
                 break
             retracked += todo.size
         ok &= ~np.any(np.triu(near), axis=0)  # the lowest index keeps a shared endpoint
-        is_real = _polish_real(x, chart, lam, res, scl, ok, G0f)
-    idx = np.flatnonzero(ok)
-    points = _finalize(idx, lam[idx], is_real[idx], res[idx], G0f, scale)
+        idx = np.flatnonzero(ok)
+        real = idx[_conjugates(lam[idx]) == np.arange(idx.size)]
+        xr = np.concatenate([np.ones((real.size, 1)), lam[real].real, x[real, 7:].real], axis=1)
+        lr, rr, sr = _endpoints(xr, chart[real], G0f)
+        good = rr < CONVERGENCE_TOL * sr  # else a non-real class whose conjugate was lost
+        real = real[good]
+        lam[real], res[real] = lr[good], rr[good]
+    points = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], G0f, scale)
     counts = (len(points), sum(p.is_real for p in points), sum(p.is_psd for p in points))
-    return SolutionSet(points=tuple(points), counts=counts, config=config, scale=scale,
+    return SolutionSet(points=tuple(points), counts=counts, config=config,
                        tracked=n, retracked=retracked, failed=n - len(points),
                        steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()))
 
 
-def _polish_real(x, chart, lam, res, scl, ok, G0f):
-    """Endpoints within DEDUP_TOL of their conjugate are real when the corrector,
-    in real arithmetic on the patch h = 1, reconverges to them; lam and res
-    of real classes are updated in place."""
-    is_real = np.zeros(len(ok), dtype=bool)
-    cand = np.flatnonzero(ok & (np.max(np.abs(lam.imag), axis=1) < DEDUP_TOL * scl))
-    if cand.size:
-        xr = np.concatenate([np.ones((cand.size, 1)), lam[cand].real, x[cand, 7:].real], axis=1)
-        xr, conv = _correct(xr, np.broadcast_to(G0f, (cand.size, 6, 6)), np.eye(7)[0], chart[cand])
-        lr, rr, sr = _endpoints(xr, chart[cand], G0f)
-        real = conv & (rr < CONVERGENCE_TOL * sr) & (np.max(np.abs(lr - lam[cand]), axis=1) < DEDUP_TOL * sr)
-        lam[cand[real]], res[cand[real]], is_real[cand[real]] = lr[real], rr[real], True
-    return is_real
+def _conjugates(lam):
+    """Per class, the index of the class nearest to its conjugate: its own if
+    it is real.  An argmin does not depend on scale and needs no tolerance."""
+    gap = np.max(np.abs(np.conj(lam)[:, None] - lam[None]), axis=2)
+    return np.argmin(gap, axis=1) if len(lam) else np.zeros(0, dtype=int)
 
 
 def _finalize(index, lam, is_real, residual, G0, scale: float):
@@ -382,15 +378,14 @@ def _sort_key(p: GramPoint):
 
 def certify_count(solution_set: SolutionSet) -> dict:
     """Compare class counts against the smooth non-negative expectation:
-    63 classes (2^6 - 1 two-torsion points), 15 real (2^4 - 1), 8 positive
-    semidefinite, and the 48 non-real ones in 24 conjugate pairs."""
+    63 classes (2^6 - 1 two-torsion points), 15 real (2^4 - 1), 8 PSD, and
+    48 non-real in 24 pairs: `_conjugates` is a fixed-point-free involution."""
     expected = dict(zip(_COUNT_KEYS, (63, 15, 8)))
     actual = dict(zip(_COUNT_KEYS, solution_set.counts))
     passes = {k: actual[k] == expected[k] for k in expected}
     nonreal = np.array([p.lam for p in solution_set.points if not p.is_real]).reshape(-1, 6)
-    tol = DEDUP_TOL * np.maximum(max(solution_set.scale, 1.0), np.max(np.abs(nonreal), axis=1, initial=0.0))
-    near = np.max(np.abs(np.conj(nonreal)[:, None] - nonreal[None]), axis=2, initial=0.0) < tol[:, None]
-    pairing_ok = bool(np.all(np.any(near, axis=1))) and len(nonreal) % 2 == 0
+    pair, own = _conjugates(nonreal), np.arange(len(nonreal))
+    pairing_ok = bool(np.all((pair != own) & (pair[pair] == own)))
     return {
         "expected": expected,
         "actual": actual,

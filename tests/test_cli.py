@@ -187,6 +187,28 @@ def test_verify_malformed_certificate_exits_2(fields, tmp_path, capsys):
     assert captured.err.startswith("error: cannot read certificates")
 
 
+def test_verify_names_an_oversized_field_by_type_and_length(tmp_path, capsys):
+    # the message names the field's type and length, not its 200000 entries
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_fermat_cert(signs=[1] * 200000)), encoding="utf-8")
+    assert main(["verify", FERMAT, "--cert", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read certificates: certificate needs three signs, got list")
+    assert "200000" in err and len(err.encode()) < 300
+
+
+def test_json_in_names_a_missing_file(capsys):
+    # FORM that is neither a file nor JSON, and does not open like JSON,
+    # is taken for a mistyped path
+    assert main(["check", "--json-in", "nosuch/form.json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no such file: 'nosuch/form.json'")
+    # text that starts like JSON keeps the parser's message
+    assert main(["check", "--json-in", '{"4,0,0": 1,']) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: Expecting property name")
+
+
 def test_verify_unreadable_certificate_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify", FERMAT, "--cert", str(missing)]) == EXIT_INPUT
@@ -623,6 +645,18 @@ def test_decompose_prints_path_counters_on_stderr(capsys):
     assert ("paths: 63 tracked, 0 retracked, 0 failed; "
             "steps: 63 accepted (at most 1 per path), 0 rejected\n") in captured.err
     assert "paths:" not in captured.out and "steps:" not in captured.out
+
+
+def test_decompose_decides_reality_by_conjugation_near_the_discriminant(capsys):
+    # near the discriminant, |lam| ~ 1/(2e): conjugation, which reads no
+    # tolerance, still finds all 15 real classes and 24 pairs at seed 0
+    form = "x^2*y^2+y^2*z^2+z^2*x^2 + 1/100000*(x^4+y^4+z^4)"
+    assert main(["decompose", form, "--seed", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for line in ("classes: 63 (expected 63) [ok]", "real classes: 15 (expected 15) [ok]",
+                 "sums of three squares: 8 (expected 8) [ok]",
+                 "non-real classes: 48 in 24 conjugate pairs [ok]", "certified: pass"):
+        assert line in out.splitlines()
 
 
 def test_count_report_says_when_conjugate_pairing_fails():

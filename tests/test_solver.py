@@ -26,6 +26,7 @@ from quartic_sos.solver import (
     DEDUP_TOL,
     FERMAT_CLASSES,
     GramPoint,
+    SolutionSet,
     SolveConfig,
     _finalize,
     _system,
@@ -144,6 +145,40 @@ def test_certify_count_report(fermat_set):
     assert report["conjugate_pairing_ok"]
 
 
+def _nonreal_points(lams):
+    return tuple(GramPoint(lam=lam, is_real=False, signature=None, rank=3, residual=0.0,
+                           hits=1, first_restart=i) for i, lam in enumerate(lams))
+
+
+def test_certify_count_pairs_conjugates_without_a_tolerance():
+    # each class sits 2e-6 (relative) from its partner's conjugate, above
+    # DEDUP_TOL: the nearest conjugate still pairs them, at any scale
+    u, v = (3 + 4j, 0j, 1j, 0j, 0j, 2 + 0j), (-2 + 1j, 0.5j, 0j, 1 + 0j, 0j, 0j)
+    lams = [u, v] + [tuple(np.conj(np.array(w)) * (1 + 2e-6)) for w in (u, v)]
+    for scale in (1.0, 1e-9, 1e9):
+        points = _nonreal_points([tuple(np.array(lam) * scale) for lam in lams])
+        report = certify_count(SolutionSet(points=points, counts=(4, 0, 0), config=SolveConfig()))
+        assert report["conjugate_pairing_ok"] and report["conjugate_pairs"] == 2
+
+
+def test_certify_count_refuses_a_class_that_is_its_own_conjugate():
+    # a non-real class nearest to its own conjugate is a fixed point of the
+    # map: no pairing, although the set is even and the first two pair off
+    points = _nonreal_points([(z,) + (0j,) * 5 for z in (1 + 1j, 1 - 1j, 5 + 1e-3j, 7 + 1e-3j)])
+    report = certify_count(SolutionSet(points=points, counts=(4, 0, 0), config=SolveConfig()))
+    assert not report["conjugate_pairing_ok"] and report["conjugate_pairs"] is None
+
+
+def test_real_part_guard_keeps_non_real_classes_non_real(fermat_family, monkeypatch):
+    # were conjugation to fix every class, as it may fix a non-real class
+    # whose conjugate path failed, the real part of each non-real class would
+    # fail the residual bound and keep it non-real
+    monkeypatch.setattr(solver, "_conjugates", lambda lam: np.arange(len(lam)))
+    ss = solve_all(fermat_family, SolveConfig())
+    assert ss.counts == (63, 15, 8)
+    assert [p.first_restart for p in ss.points if p.is_real] == list(range(15))
+
+
 def test_seed_determinism_and_thread_independence(fermat_family):
     runs = [
         solve_all(fermat_family, SolveConfig(restarts=5000, master_seed=3, threads=t))
@@ -164,7 +199,7 @@ def test_system_jacobian_matches_central_differences(system):
     # the system is bilinear, so central differences are exact up to rounding;
     # the h and mu columns, the K columns and the patch row are all checked.
     # "patched" is the tracker's complex system on a random patch, "affine"
-    # the same on the patch h = 1, and "affine-real" the real re-polish's
+    # the same on the patch h = 1, and "affine-real" that one in real arithmetic
     rng = np.random.default_rng(np.random.SeedSequence([17, len(system)]))
     complex_ = system != "affine-real"
 
@@ -394,6 +429,11 @@ def test_corrector_norm_keeps_paths_on_their_class():
     # another path's class at seed 2 and has to be retracked
     ss = solve_all(build_family(random_corpus_quartic(0, 0)), SolveConfig(master_seed=2))
     assert (ss.counts, ss.retracked, ss.failed) == ((63, 15, 8), 0, 0)
+    # a real class is the real part of its endpoint, and is a class itself
+    for p in ss.points:
+        if p.is_real:
+            assert all(z.imag == 0 for z in p.lam)
+            assert p.residual < solver.CONVERGENCE_TOL * max(1.0, max(abs(z) for z in p.lam))
 
 
 def test_ill_conditioned_change_of_variables():
