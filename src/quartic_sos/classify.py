@@ -2,14 +2,14 @@
 
 A rank-3 Gram matrix G factors as e1 v1 v1^T + e2 v2 v2^T + e3 v3 v3^T,
 which reads as f = e1 p^2 + e2 q^2 + e3 r^2 with p, q, r quadratic forms.
-One pivoted completion of squares (`gram.complete_squares`) does it for
-all the classes as one batch: a real G is eliminated in real arithmetic and
-the signs of its pivots are its signature (Sylvester's law of inertia); a
-complex G gets three complex squares with signs +1.  A class's residual is
-read off the Gram matrix E = G - sum s_i w_i w_i^T left after its squares:
-f = sum s_i p_i^2 exactly when m^T E m is the zero quartic.  `verify` reads
-the residuals of a whole certificate file off the same map, with f's own
-Gram matrix G0 as G, in Fractions when the forms and f are rational.
+The solver completes the squares of all the classes as one batch
+(`gram.complete_squares`), each GramPoint carrying its own: a real G in
+real arithmetic, its pivot signs its signature (Sylvester's law of
+inertia), a complex G as three complex squares with signs +1.  Here they
+are put in canonical order, and a residual is read off the Gram matrix E =
+G - sum s_i w_i w_i^T left after the squares: f = sum s_i p_i^2 exactly
+when m^T E m is the zero quartic.  `verify` reads the residuals of a whole
+certificate file off the same map, with f's own Gram matrix G0 as G.
 """
 
 from __future__ import annotations
@@ -94,14 +94,24 @@ class Representation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
-        """Read a certificate: three signs, each 1 or -1, and three forms of
-        six [re, im] pairs, not all zero.  ValueError on any other shape or
-        on a number that is not finite."""
-        def coeff(pair):
-            re, im = map(_finite, _list_of(pair, 2, "[re, im] pairs"))
+        """Read a certificate: three signs, each 1 or -1, three forms of six
+        [re, im] pairs, not all zero, class_lambda's [re, im] pairs and the
+        residual.  ValueError naming the field on any other shape, on a
+        missing field and on a number that is not a finite int or float."""
+        if not isinstance(data, dict):
+            raise ValueError(f"certificate entry must be a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("signs", "forms", "class_lambda", "residual") if key not in data]
+        if missing:
+            raise ValueError(f"certificate lacks the field {missing[0]!r}")
+
+        def pair(item, what):
+            return tuple(_finite(x, what) for x in _list_of(item, 2, f"[re, im] pairs in {what}"))
+
+        def coeff(item):
+            re, im = pair(item, "forms")
             return complex(re, im) if im != 0 else re
 
-        signs = tuple(map(_finite, _list_of(data["signs"], 3, "three signs")))
+        signs = tuple(_finite(s, "signs") for s in _list_of(data["signs"], 3, "three signs"))
         if not set(signs) <= {1, -1}:
             raise ValueError(f"certificate signs must be 1 or -1, got {list(signs)}")
         forms = tuple(
@@ -113,32 +123,33 @@ class Representation:
         return cls(
             signs=tuple(int(s) for s in signs),
             forms=forms,
-            class_lambda=tuple(complex(_finite(re), _finite(im)) for re, im in data["class_lambda"]),
-            residual=_finite(data["residual"]),
+            class_lambda=tuple(complex(*pair(z, "class_lambda"))
+                               for z in _list_of(data["class_lambda"], None, "class_lambda as a list")),
+            residual=_finite(data["residual"], "residual"),
             basepoint_free=data.get("basepoint_free"),
         )
 
 
-def _list_of(items, n: int, what: str) -> list:
-    """items if it is a JSON list of n entries, else ValueError naming `what` and items' type and size."""
-    if not isinstance(items, list) or len(items) != n:
+def _list_of(items, n: Optional[int], what: str) -> list:
+    """items if it is a JSON list of n entries (any if n is None), else ValueError naming `what`."""
+    if not isinstance(items, list) or n not in (None, len(items)):
         size = f" of length {len(items)}" if hasattr(items, "__len__") else ""
         raise ValueError(f"certificate needs {what}, got {type(items).__name__}{size}")
     return items
 
 
-def _finite(value) -> float:
-    """float(value), rejecting infinities, NaN and integers beyond float range.
-
-    Python's json reads Infinity, NaN and 1e400 as floats, which would
-    otherwise pass into verification as garbage.
-    """
+def _finite(value, what: str) -> float:
+    """float(value) of a finite JSON int or float, else ValueError naming the
+    field `what`: a bool, a string, or Infinity, NaN and 1e400, which Python's
+    json reads as floats, would otherwise pass into verification as garbage."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"certificate {what}: {type(value).__name__} is not a number")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise ValueError(f"certificate number {value!r} is not finite")
+        raise ValueError(f"certificate {what}: {value!r} is not finite")
     return x
 
 
@@ -185,27 +196,22 @@ def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     return coef[0].max(axis=1) / coef[1].max(axis=1)
 
 
-def _factor_batch(G: np.ndarray, class_lambdas) -> List[Representation]:
-    """Representations of a stack G (n, 6, 6) of rank-3 Gram matrices, complex
-    dtype, one completion of squares (`complete_squares`) for the stack.
-
-    A matrix whose entries are all real is eliminated in real arithmetic, and
-    the signs are its signature; any other gets three complex squares with
-    signs +1.  RankMismatchError, for the first matrix in order, unless every
-    rank is 3."""
-    signs, W = complete_squares(G)
-    rank = np.count_nonzero(signs, axis=1)
-    if np.any(rank != 3):
-        raise RankMismatchError(f"completion of squares has rank {rank[rank != 3][0]}, not 3")
-    # W of a real matrix has imaginary parts +0.0
-    S, F, canon = _canonicalize(signs[:, :3], W[:, :3])
+def _represent(G: np.ndarray, signs: np.ndarray, W: np.ndarray, class_lambdas) -> List[Representation]:
+    """Representations of a stack of completions G (n, 6, 6) = sum_k s_k w_k
+    w_k^T, signs (n, 3) and W (n, 3, 6) complex: canonical, with residuals."""
+    S, F, canon = _canonicalize(signs, W)
     return [Representation(signs=s, forms=forms, class_lambda=tuple(lam), residual=float(r))
             for (s, forms), lam, r in zip(canon, class_lambdas, _residuals(G, S, F))]
 
 
 def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representation:
-    """Factor a rank-3 (6, 6) Gram matrix: a one-element batch of `_factor_batch`."""
-    return _factor_batch(np.asarray(G, dtype=complex)[None], [class_lambda])[0]
+    """Factor a (6, 6) Gram matrix by one completion of squares, its signs the
+    signature of a real G; RankMismatchError unless the rank is 3."""
+    G = np.asarray(G, dtype=complex)[None]
+    signs, W = complete_squares(G)
+    if np.count_nonzero(signs) != 3:
+        raise RankMismatchError(f"completion of squares has rank {np.count_nonzero(signs)}, not 3")
+    return _represent(G, signs[:, :3], W[:, :3], [class_lambda])[0]
 
 
 @dataclass(frozen=True)
@@ -251,13 +257,14 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
 
 
 def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Representation]:
-    """Representations of the solver classes, one batch: every G(lam) =
-    G0 + sum lam_i B_i at once, then `_factor_batch`.  A real class has real
-    lam, and a non-real lam puts its imaginary part into the G entries it is
-    read from (`gram.LAMBDA_SLOTS`), so the batch reads reality off G itself."""
+    """Representations of the solver classes, one batch: each point's
+    squares (`GramPoint.squares`), in canonical order, with residuals against
+    the same G(lam) = G0 + sum lam_i B_i the solver completed."""
     lam = np.array([p.lam for p in points], dtype=complex).reshape(-1, 6)
     G = family.base.astype(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
-    return _factor_batch(G, [p.lam for p in points])
+    signs = np.array([p.squares[0] for p in points], dtype=int).reshape(-1, 3)
+    W = np.array([p.squares[1] for p in points], dtype=complex).reshape(-1, 3, 6)
+    return _represent(G, signs, W, [p.lam for p in points])
 
 
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:
@@ -307,11 +314,10 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     the solve's PSD classes has as kernel the intersection of theirs, so it
     is PSD with room for rounding, and `proved_lambda` reads it as an exact
     lam_q whose G(lam_q) an exact LDL^T proves PSD.  Only when that fails
-    does `nonnegativity_test` decide.  An endpoint of the solve
-    whose completion of squares does not have rank 3 counts as a failed
-    path, so it fails the count certification instead of reaching `factor`.
-    For a smooth non-negative quartic the expected split is 8 sums of
-    squares, 7 mixed-sign real representations, and 48 non-real classes.
+    does `nonnegativity_test` decide.  The split is read off the counts: a
+    real class has a real G, so real forms whose signs are its signature,
+    and a non-real one non-real forms.  For a smooth non-negative quartic
+    it is 8 sums of squares, 7 mixed-sign real and 48 non-real classes.
     Raises HypothesisFailed (no counts asserted) when a hypothesis fails;
     an undecided non-negativity after a solve that lost paths is left to
     fail the counts instead, since the lost paths may be the cause.
@@ -352,27 +358,10 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
             for rep in classify_points(family, solution_set.points)]
     timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
-
-    sos_total = sum(1 for r in reps if r.is_sum_of_squares)
-    mixed_real_total = sum(1 for r in reps if r.is_real and not r.is_sum_of_squares)
-    nonreal_total = sum(1 for r in reps if not r.is_real)
-    passed = (
-        positivity.nonnegative is True
-        and count_report["all_pass"]
-        and sos_total == 8
-        and mixed_real_total == 7
-        and nonreal_total == 48
-        and all(r.residual <= REPRESENTATION_TOL for r in reps)
-    )
-    return Theorem1Report(
-        curve=curve,
-        positivity=positivity,
-        solution_set=solution_set,
-        representations=tuple(reps),
-        count_report=count_report,
-        sos_total=sos_total,
-        mixed_real_total=mixed_real_total,
-        nonreal_total=nonreal_total,
-        passed=passed,
-        timings=timings,
-    )
+    total, real, psd = solution_set.counts
+    passed = (positivity.nonnegative is True and count_report["all_pass"]
+              and all(r.residual <= REPRESENTATION_TOL for r in reps))
+    return Theorem1Report(curve=curve, positivity=positivity, solution_set=solution_set,
+                          representations=tuple(reps), count_report=count_report,
+                          sos_total=psd, mixed_real_total=real - psd, nonreal_total=total - real,
+                          passed=passed, timings=timings)

@@ -211,12 +211,12 @@ def _json_text(obj) -> str:
 
 
 def _check_report_path(path: str) -> None:
-    """_Refused, with `_write_report`'s message, when path is a directory or
-    its directory does not exist.  It creates and truncates nothing, so it
-    runs before the pipeline."""
+    """_Refused, with `_write_report`'s message, when path is empty, is a
+    directory or its directory does not exist.  It creates and truncates
+    nothing, so it runs before the pipeline."""
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(os.path.dirname(path) or "."):
+    elif not path or not os.path.isdir(os.path.dirname(path) or "."):
         code = errno.ENOENT
     else:
         return
@@ -400,7 +400,7 @@ def _report_json(f: TernaryQuartic, seed: int, report: Theorem1Report) -> dict:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     f = _read_form(args)
     seed = _resolve_seed(args.seed)
-    if args.json:
+    if args.json is not None:
         _check_report_path(args.json)
     config = SolveConfig(restarts=args.restarts, master_seed=seed, threads=args.threads)
     out = sys.stdout
@@ -410,7 +410,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     except HypothesisFailed as exc:
         out.write(f"hypothesis failed: {exc.hypothesis} ({exc.detail})\n")
         out.write("no counts asserted\n")
-        if args.json:
+        if args.json is not None:
             payload = {
                 "input": str(f),
                 "seed": seed,
@@ -434,7 +434,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         for line in _rep_lines(i, rep):
             out.write(line + "\n")
 
-    if args.json:
+    if args.json is not None:
         t0 = time.perf_counter()
         _write_report(args.json, _report_json(f, seed, report))
         sys.stderr.write(f"timing report: {time.perf_counter() - t0:.3f}s\n")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,15 +72,21 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class GramPoint:
-    """One class of quadratic representations, a rank-3 lam, found by path `first_restart`."""
+    """One class of quadratic representations, a rank-3 lam, found by path `first_restart`,
+    with its squares G(lam) = sum_k s_k w_k w_k^T, signs (3,) and W (3, 6)."""
 
     lam: Tuple[complex, ...]
     is_real: bool
-    signature: Optional[Tuple[int, int]]
     rank: int
     residual: float
     hits: int
     first_restart: int
+    squares: Tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+
+    @property
+    def signature(self) -> Optional[Tuple[int, int]]:
+        signs = list(self.squares[0])
+        return (signs.count(1), signs.count(-1)) if self.is_real else None
 
     @property
     def is_psd(self) -> bool:
@@ -237,11 +243,11 @@ def _track(x, chart, G0f, gamma, a, trust_max):
     """Track paths from t = 0 to exactly t = 1; returns (x, chart, ok) and the
     accepted and rejected steps per path.  Each step predicts with the order-4
     expansion in s (`_taylor`) over |sigma| = 0.9 trust min((1e-3 / |x_4|)^(1/4),
-    |x_3| / |x_4|), norms relative to max(1, |x|), and corrects; a path whose
-    homotopy does not move (x_k = 0) goes to t = 1 in one step.  trust starts
-    at trust_max, halves on a reject and doubles, up to trust_max, on an
-    accept; a path fails when its t-step falls below 1e-12 or its Jacobian
-    is singular."""
+    |x_3| / |x_4|, where |x_3| > 1e-12 |x_1|), norms relative to max(1, |x|),
+    and corrects; a path whose homotopy does not move (x_k = 0) goes to t = 1
+    in one step.  trust starts at trust_max, halves on a reject and doubles,
+    up to trust_max, on an accept; a path fails when its t-step falls below
+    1e-12 or its Jacobian is singular."""
     D = G0f - _G0_FERMAT
     x, chart, n = x.copy(), chart.copy(), x.shape[0]
     t, trust, active = np.zeros(n), np.full(n, trust_max), np.ones(n, dtype=bool)
@@ -254,7 +260,9 @@ def _track(x, chart, G0f, gamma, a, trust_max):
         s0 = _s(t0, gamma)
         xk = _taylor(x0, _base(s0, G0f), D, a, c)
         norm = np.max(np.abs(xk), axis=2) / np.maximum(1.0, np.max(np.abs(x0), axis=1))
-        radius = 0.9 * trust[idx] * np.fmin((1e-3 / norm[3]) ** 0.25, norm[2] / norm[3])
+        # a vanishing x_3 would hold the step, and the path, at its start
+        ratio = np.where(norm[2] > 1e-12 * norm[0], norm[2] / norm[3], np.inf)
+        radius = 0.9 * trust[idx] * np.fmin((1e-3 / norm[3]) ** 0.25, ratio)
         # |ds/dt| = 1 / |t + gamma (1 - t)|^2 turns the length in s into one in t
         t1 = np.minimum(1.0, t0 + radius * np.abs(t0 + gamma * (1.0 - t0)) ** 2)
         s1 = _s(t1, gamma)
@@ -339,7 +347,7 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
         good = rr < CONVERGENCE_TOL * sr  # else a non-real class whose conjugate was lost
         real = real[good]
         lam[real], res[real] = lr[good], rr[good]
-    points = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], G0f, scale)
+    points = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], family.base.astype(float), scale)
     counts = (len(points), sum(p.is_real for p in points), sum(p.is_psd for p in points))
     return SolutionSet(points=tuple(points), counts=counts, config=config,
                        tracked=n, retracked=retracked, failed=n - len(points),
@@ -354,17 +362,15 @@ def _conjugates(lam):
 
 
 def _finalize(index, lam, is_real, residual, G0, scale: float):
-    """GramPoints in canonical order, with lam mapped back by `scale`; rank
-    and signature are read off the completion of squares of every G(lam),
-    one batch.  An endpoint whose completion does not have rank 3 is no
-    class: its path counts as failed."""
-    lam, is_real = np.asarray(lam), np.asarray(is_real, dtype=bool)
-    G = G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
-    signs, _ = complete_squares(G)
-    points = [GramPoint(lam=tuple(complex(z) * scale for z in lm), is_real=bool(real),
-                        signature=(int(np.sum(s == 1)), int(np.sum(s == -1))) if real else None,
-                        rank=3, residual=float(r), hits=1, first_restart=int(i))
-              for i, lm, real, r, s in zip(index, lam, is_real, residual, signs)
+    """GramPoints in canonical order, lam mapped back by `scale`, each with
+    its squares from one completion of every G(lam) = G0 + sum lam_i B_i, G0
+    f's own.  An endpoint whose completion does not have rank 3 is no class:
+    its path counts as failed."""
+    lam = np.asarray(lam) * scale
+    signs, W = complete_squares(G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR))
+    points = [GramPoint(lam=tuple(lm), is_real=bool(real), rank=3, residual=float(r), hits=1,
+                        first_restart=int(i), squares=(s[:3], w[:3]))
+              for i, lm, real, r, s, w in zip(index, lam.tolist(), is_real, residual, signs, W)
               if np.count_nonzero(s) == 3]
     return sorted(points, key=_sort_key)
 

@@ -1,5 +1,6 @@
 """Unit tests for factorization of rank-3 Gram matrices and verification."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
@@ -300,8 +301,9 @@ def test_representation_json_round_trip():
 def test_classify_point_on_trivial_fermat_class():
     f = parse_quartic("x^4+y^4+z^4")
     family = build_family(f)
-    point = GramPoint(lam=(complex(0),) * 6, is_real=True, signature=(3, 0), rank=3,
-                      residual=0.0, hits=1, first_restart=0)
+    # its squares: signs (1, 1, 1) and the vectors e1, e2, e3
+    point = GramPoint(lam=(complex(0),) * 6, is_real=True, rank=3, residual=0.0, hits=1,
+                      first_restart=0, squares=((1, 1, 1), np.eye(3, 6)))
     rep = classify_point(family, point)
     assert rep.is_sum_of_squares
     assert verify_representation(f, [rep])[0].passed
@@ -441,6 +443,30 @@ def test_class_residual_measures_a_planted_error(f):
         want = _relative_residual(gram_to_poly(G), s, planted)
         assert r == pytest.approx(want, rel=0, abs=1e-12)
         assert min(r, want) > 1e-7
+
+
+def test_theorem1_check_completes_squares_once(monkeypatch):
+    # the solver's completion of the 63 endpoints is the certificate:
+    # classification puts those squares in order and completes nothing
+    # itself.  Every module that binds the name gets the spy; the calls a
+    # completion makes into itself (its real and complex parts) do not count
+    original, calls, depth = complete_squares, [], [0]
+
+    def spy(A):
+        if not depth[0]:
+            calls.append(A.shape)
+        depth[0] += 1
+        try:
+            return original(A)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quartic_sos" and getattr(module, "complete_squares", None) is original:
+            monkeypatch.setattr(module, "complete_squares", spy)
+    report = theorem1_check(parse_quartic("x^4+y^4+z^4"))
+    assert report.passed
+    assert calls == [(63, 6, 6)]
 
 
 def test_theorem1_check_rejects_singular_input():

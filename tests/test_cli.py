@@ -22,7 +22,7 @@ import quartic_sos.classify
 import quartic_sos.cli
 import quartic_sos.curves
 import quartic_sos.forms
-from quartic_sos.classify import Theorem1Report, theorem1_check
+from quartic_sos.classify import Representation, Theorem1Report, theorem1_check
 from quartic_sos.cli import (
     EXIT_COUNTS,
     EXIT_HYPOTHESIS,
@@ -162,29 +162,40 @@ def test_non_finite_json_number_exits_2(argv, cert, tmp_path, capsys):
     assert "finite" in captured.err
 
 
-@pytest.mark.parametrize("fields", [
-    {"signs": [1]},
-    {"signs": [4, 0, 0], "forms": [[[0.5 if j == i else 0, 0] for j in range(6)] for i in range(3)]},
-    {"signs": [1, 1, 1, 1]},
-    {"signs": [1, 1, 0.5]},
-    {"signs": "111"},
-    {"forms": UNIT_FORMS[:2]},
-    {"forms": UNIT_FORMS + UNIT_FORMS[:1]},
-    {"forms": [UNIT_FORMS[0][:5]] + UNIT_FORMS[1:]},
-    {"forms": [[[1, 0, 0]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]},
-    {"forms": [[[1]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]},
-    {"forms": [[[0, 0]] * 6] * 3},
+@pytest.mark.parametrize("cert, field", [
+    (_fermat_cert(signs=[1]), "signs"),
+    (_fermat_cert(signs=[4, 0, 0], forms=[[[0.5 if j == i else 0, 0] for j in range(6)] for i in range(3)]),
+     "signs"),
+    (_fermat_cert(signs=[1, 1, 1, 1]), "signs"),
+    (_fermat_cert(signs=[1, 1, 0.5]), "signs"),
+    (_fermat_cert(signs="111"), "signs"),
+    (_fermat_cert(forms=UNIT_FORMS[:2]), "forms"),
+    (_fermat_cert(forms=UNIT_FORMS + UNIT_FORMS[:1]), "forms"),
+    (_fermat_cert(forms=[UNIT_FORMS[0][:5]] + UNIT_FORMS[1:]), "form"),
+    (_fermat_cert(forms=[[[1, 0, 0]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]), "forms"),
+    (_fermat_cert(forms=[[[1]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]), "forms"),
+    (_fermat_cert(forms=[[[0, 0]] * 6] * 3), "forms"),
+    (_fermat_cert(signs=["1", 1, 1]), "signs"),
+    (_fermat_cert(signs=[True, 1, 1]), "signs"),
+    (_fermat_cert(forms=[[["1", 0]] + UNIT_FORMS[0][1:]] + UNIT_FORMS[1:]), "forms"),
+    (_fermat_cert(class_lambda=[[0, 0, 0]] * 6), "class_lambda"),
+    (_fermat_cert(class_lambda=5), "class_lambda"),
+    ({k: v for k, v in _fermat_cert().items() if k != "residual"}, "'residual'"),
+    ([_fermat_cert(), [1, 1, 1]], "entry"),
 ], ids=["one-sign", "sign-4-and-0", "four-signs", "sign-half", "signs-string", "two-forms",
-        "four-forms", "five-pairs", "triple-not-pair", "single-not-pair", "all-zero-forms"])
-def test_verify_malformed_certificate_exits_2(fields, tmp_path, capsys):
+        "four-forms", "five-pairs", "triple-not-pair", "single-not-pair", "all-zero-forms",
+        "sign-as-string", "sign-as-bool", "coefficient-as-string", "lambda-triple", "lambda-int",
+        "no-residual", "list-entry"])
+def test_verify_malformed_certificate_exits_2(cert, field, tmp_path, capsys):
     # the first two re-expand to x^4 if zip drops the extra forms, or if
-    # 4 * (0.5*x^2)^2 counts with the sign 4
+    # 4 * (0.5*x^2)^2 counts with the sign 4; each message names its field
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_fermat_cert(**fields)), encoding="utf-8")
+    path.write_text(json.dumps(cert), encoding="utf-8")
     assert main(["verify", "x^4", "--cert", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read certificates")
+    assert field in captured.err
 
 
 def test_verify_names_an_oversized_field_by_type_and_length(tmp_path, capsys):
@@ -617,14 +628,26 @@ def test_decompose_certifies_ill_conditioned_change_of_variables(capsys):
 
 
 @pytest.mark.parametrize("a, seed", [(10, "0"), (7, "1")])
-def test_decompose_of_a_sheared_fermat_that_loses_paths_fails_counts(a, seed, capsys):
+def test_decompose_of_a_sheared_fermat_that_loses_paths_fails_counts(a, seed, tmp_path, capsys):
     # no path (a = 10) or 26 of 63 (a = 7) reach t = 1, and neither the mean
     # of the PSD classes found nor the ascent proves f >= 0: the lost paths
     # fail the counts; they are no evidence against the hypothesis
-    assert main(["decompose", f"(x+{a}*y)^4+(y+{a}*z)^4+z^4", "--seed", seed]) == EXIT_COUNTS
+    path = tmp_path / "r.json"
+    argv = ["decompose", f"(x+{a}*y)^4+(y+{a}*z)^4+z^4", "--seed", seed, "--json", str(path)]
+    assert main(argv) == EXIT_COUNTS
     out = capsys.readouterr().out
     assert "hypothesis failed" not in out
     assert "certified: FAIL" in out
+    # the split is read off the counts, and on a failing run too it is what
+    # the forms themselves say
+    data = json.loads(path.read_text(encoding="utf-8"))
+    total, real, psd = (data["solutions"]["counts"][k] for k in ("complex_total", "real_total", "psd_total"))
+    split = tuple(data["split"][k] for k in ("sos_total", "mixed_real_total", "nonreal_total"))
+    assert split == (psd, real - psd, total - real)
+    reps = [Representation.from_json(r) for r in data["representations"]]
+    assert split == (sum(r.is_sum_of_squares for r in reps),
+                     sum(r.is_real and not r.is_sum_of_squares for r in reps),
+                     sum(not r.is_real for r in reps))
 
 
 def test_failed_certificate_residuals_are_named(monkeypatch, capsys):
@@ -661,8 +684,8 @@ def test_decompose_decides_reality_by_conjugation_near_the_discriminant(capsys):
 
 def test_count_report_says_when_conjugate_pairing_fails():
     # three non-real classes, one of them without its conjugate
-    points = tuple(GramPoint(lam=(z,) + (0j,) * 5, is_real=False, signature=None, rank=3,
-                             residual=0.0, hits=1, first_restart=i)
+    points = tuple(GramPoint(lam=(z,) + (0j,) * 5, is_real=False, rank=3, residual=0.0,
+                             hits=1, first_restart=i, squares=((1, 1, 1), np.eye(3, 6)))
                    for i, z in enumerate((1 + 1j, 1 - 1j, 2 + 1j)))
     ss = SolutionSet(points=points, counts=(3, 0, 0), config=SolveConfig())
     count_report = certify_count(ss)
@@ -791,6 +814,18 @@ def test_unwritable_report_path_exits_2(form, rc, tmp_path, capsys, monkeypatch)
     assert captured.err == f"error: cannot write report: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_empty_report_path_exits_2(capsys, monkeypatch):
+    # "" names no file: it is refused as open() refuses it, before the pipeline runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the report path was checked")
+
+    monkeypatch.setattr(quartic_sos.cli, "theorem1_check", no_solve)
+    assert main(["decompose", FERMAT, "--json", ""]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write report: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
 
 
 def test_report_write_failure_exits_2(tmp_path, capsys, monkeypatch):

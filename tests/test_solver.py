@@ -146,8 +146,9 @@ def test_certify_count_report(fermat_set):
 
 
 def _nonreal_points(lams):
-    return tuple(GramPoint(lam=lam, is_real=False, signature=None, rank=3, residual=0.0,
-                           hits=1, first_restart=i) for i, lam in enumerate(lams))
+    return tuple(GramPoint(lam=lam, is_real=False, rank=3, residual=0.0, hits=1,
+                           first_restart=i, squares=((1, 1, 1), np.eye(3, 6)))
+                 for i, lam in enumerate(lams))
 
 
 def test_certify_count_pairs_conjugates_without_a_tolerance():
@@ -338,6 +339,17 @@ def test_endpoints_are_completed_in_one_batch(fermat_family, monkeypatch):
     assert shapes == [((63, 6, 6), 15)]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_path_with_a_vanishing_third_coefficient_leaves_its_start(seed):
+    # from the start lam = 0 the third Taylor coefficient of one path is 0
+    # (seed 0) or 3.5e-20 (seed 1); a step bounded by |x_3| / |x_4| would
+    # never leave t = 0, and the path would count as failed
+    family = build_family(parse_quartic("3/7*x^4+y^4+5*z^4+x*y*z^2"))
+    ss = solve_all(family, SolveConfig(master_seed=seed))
+    assert ss.counts == (63, 15, 8)
+    assert ss.failed == 0
+
+
 def test_singular_family_reports_failed_paths():
     # (x^2+y^2+z^2)^2 is singular: the homotopy has no 63 regular endpoints
     ss = solve_all(build_family(parse_quartic("(x^2+y^2+z^2)^2")), SolveConfig())
@@ -457,9 +469,10 @@ def test_solution_set_json_shape(fermat_set):
 
 
 def test_gram_point_is_psd_property():
-    p = GramPoint(lam=(0,) * 6, is_real=True, signature=(3, 0), rank=3,
-                  residual=0.0, hits=1, first_restart=0)
-    assert p.is_psd
-    q = GramPoint(lam=(0,) * 6, is_real=True, signature=(2, 1), rank=3,
-                  residual=0.0, hits=1, first_restart=0)
-    assert not q.is_psd
+    # the signature is read off the point's squares
+    p = GramPoint(lam=(0,) * 6, is_real=True, rank=3, residual=0.0, hits=1,
+                  first_restart=0, squares=((1, 1, 1), np.eye(3, 6)))
+    assert p.signature == (3, 0) and p.is_psd
+    q = GramPoint(lam=(0,) * 6, is_real=True, rank=3, residual=0.0, hits=1,
+                  first_restart=0, squares=((1, -1, 1), np.eye(3, 6)))
+    assert q.signature == (2, 1) and not q.is_psd
