@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -105,6 +105,10 @@ class Representation:
             raise ValueError(f"certificate lacks the field {missing[0]!r}")
 
         def pair(item, what):
+            if type(item) is list and len(item) == 2:  # two finite floats: most pairs of a file
+                re, im = item
+                if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+                    return re, im
             return tuple(_finite(x, what) for x in _list_of(item, 2, f"[re, im] pairs in {what}"))
 
         def coeff(item):
@@ -196,12 +200,17 @@ def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     return coef[0].max(axis=1) / coef[1].max(axis=1)
 
 
-def _represent(G: np.ndarray, signs: np.ndarray, W: np.ndarray, class_lambdas) -> List[Representation]:
+def _represent(G: np.ndarray, signs: np.ndarray, W: np.ndarray, class_lambdas,
+               basepoint_free: Optional[bool] = None):
     """Representations of a stack of completions G (n, 6, 6) = sum_k s_k w_k
-    w_k^T, signs (n, 3) and W (n, 3, 6) complex: canonical, with residuals."""
+    w_k^T, signs (n, 3) and W (n, 3, 6) complex: canonical, with residuals;
+    and their canonical signs (n, 3), forms (n, 3, 6) and residuals (n,)."""
     S, F, canon = _canonicalize(signs, W)
-    return [Representation(signs=s, forms=forms, class_lambda=tuple(lam), residual=float(r))
-            for (s, forms), lam, r in zip(canon, class_lambdas, _residuals(G, S, F))]
+    residual = _residuals(G, S, F)
+    reps = [Representation(signs=s, forms=forms, class_lambda=tuple(lam), residual=r,
+                           basepoint_free=basepoint_free)
+            for (s, forms), lam, r in zip(canon, class_lambdas, residual.tolist())]
+    return reps, (S, F, residual)
 
 
 def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representation:
@@ -211,7 +220,7 @@ def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representat
     signs, W = complete_squares(G)
     if np.count_nonzero(signs) != 3:
         raise RankMismatchError(f"completion of squares has rank {np.count_nonzero(signs)}, not 3")
-    return _represent(G, signs[:, :3], W[:, :3], [class_lambda])[0]
+    return _represent(G, signs[:, :3], W[:, :3], [class_lambda])[0][0]
 
 
 @dataclass(frozen=True)
@@ -264,7 +273,7 @@ def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Rep
     G = family.base.astype(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
     signs = np.array([p.squares[0] for p in points], dtype=int).reshape(-1, 3)
     W = np.array([p.squares[1] for p in points], dtype=complex).reshape(-1, 3, 6)
-    return _represent(G, signs, W, [p.lam for p in points])
+    return _represent(G, signs, W, [p.lam for p in points])[0]
 
 
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:
@@ -286,6 +295,10 @@ class Theorem1Report:
     nonreal_total: int
     passed: bool
     timings: dict = field(default_factory=dict, compare=False)
+    #: `representations` as arrays, for writers that skip the objects: their
+    #: canonical signs (n, 3), forms (n, 3, 6) and residuals (n,); every
+    #: class of a smooth quartic is basepoint-free
+    arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -332,8 +345,9 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     t0 = time.perf_counter()
     solution_set = solve_all(family, config)
     timings["solve"] = time.perf_counter() - t0
-    psd = [p.lam for p in solution_set.points if p.is_psd]
-    proof = proved_lambda(family, np.mean(np.real(psd), axis=0)) if psd else None
+    arrays = solution_set.arrays
+    psd = arrays.lam[arrays.real & np.all(arrays.signs > 0, axis=1)]
+    proof = proved_lambda(family, np.mean(psd.real, axis=0)) if len(psd) else None
     if proof is not None:
         positivity = PositivityStatus(nonnegative=True, certificate=proof)
     else:
@@ -353,9 +367,8 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     # of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)
     # = 0, so v would be a singular point, and smoothness was decided exactly
     # above.  The numeric basepoint test stays in `verify`, where f may be
-    # singular.
-    reps = [replace(rep, basepoint_free=True)
-            for rep in classify_points(family, solution_set.points)]
+    # singular.  The solve has completed the squares of every class already.
+    reps, rep_arrays = _represent(arrays.G, arrays.signs, arrays.W, arrays.lam.tolist(), basepoint_free=True)
     timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
     total, real, psd = solution_set.counts
@@ -364,4 +377,4 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     return Theorem1Report(curve=curve, positivity=positivity, solution_set=solution_set,
                           representations=tuple(reps), count_report=count_report,
                           sos_total=psd, mixed_real_total=real - psd, nonreal_total=total - real,
-                          passed=passed, timings=timings)
+                          passed=passed, timings=timings, arrays=rep_arrays)

@@ -15,14 +15,15 @@ import argparse
 import errno
 import functools
 import json
-import math
 import os
 import re
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, TextIO
+
+import numpy as np
 
 from .classify import (
     REPRESENTATION_TOL,
@@ -79,35 +80,21 @@ def _fmt_num(value) -> str:
     return f"{z.real:.12g}"
 
 
-def _form_text(form: QuadraticForm) -> str:
+def _form_text(coeffs: Sequence[complex]) -> str:
     # terms below display precision (12 significant digits) are omitted;
     # the JSON output keeps every coefficient in full precision
-    floor = 1e-12 * max((abs(complex(c)) for c in form.coeffs), default=0.0)
-    parts: List[str] = []
-    for coeff, name in zip(form.coeffs, _QUAD_MONOMIAL_NAMES):
-        if abs(complex(coeff)) <= floor:
-            continue
-        parts.append(f"{_fmt_num(coeff)}*{name}")
-    if not parts:
-        return "0"
-    text = parts[0]
-    for term in parts[1:]:
-        text += " - " + term[1:] if term.startswith("-") else " + " + term
-    return text
+    floor = 1e-12 * max(map(abs, coeffs))
+    parts = [f"{_fmt_num(c)}*{name}" for c, name in zip(coeffs, _QUAD_MONOMIAL_NAMES) if not abs(c) <= floor]
+    return " + ".join(parts).replace(" + -", " - ") or "0"  # a term's text holds no space
 
 
-def _rep_lines(index: int, rep: Representation) -> List[str]:
-    signs = " ".join("+" if s > 0 else "-" for s in rep.signs)
-    kind = "sum of squares" if rep.is_sum_of_squares else (
-        "real, mixed signs" if rep.is_real else "non-real"
-    )
-    tail = f"residual {rep.residual:.3g}"
-    if rep.basepoint_free is not None:
-        tail += ", basepoint-free" if rep.basepoint_free else ", shared base point"
-    lines = [f"[{index}] signs ({signs})  {kind}  ({tail})"]
-    for k, form in enumerate(rep.forms, start=1):
-        lines.append(f"    p{k} = {_form_text(form)}")
-    return lines
+def _rep_text(index: int, signs: Sequence[int], forms, residual: float, real: bool) -> str:
+    """The listing of one class of a decompose report: its signs, kind and
+    residual, then its three forms, each six complex coefficients."""
+    kind = ("sum of squares" if min(signs) > 0 else "real, mixed signs") if real else "non-real"
+    signs = " ".join("+" if s > 0 else "-" for s in signs)
+    return "".join([f"[{index}] signs ({signs})  {kind}  (residual {residual:.3g}, basepoint-free)\n"]
+                   + [f"    p{k} = {_form_text(form)}\n" for k, form in enumerate(forms, start=1)])
 
 
 def _print_counts(report: Theorem1Report, out: TextIO) -> None:
@@ -143,71 +130,59 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
 # JSON report
 # ---------------------------------------------------------------------------
 
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs_template(depth: int, n: int) -> str:
-    """`%`-template of a list of n [re, im] pairs that opens at indent `depth`."""
-    outer, mid, inner = ("\n" + "  " * k for k in (depth, depth + 1, depth + 2))
-    pair = "[" + inner + "%s," + inner + "%s" + mid + "]"
-    return "[" + mid + ("," + mid).join([pair] * n) + outer + "]"
+def _record_template(kind: str) -> str:
+    """`%`-template of one record, as json.dumps indents it in a report: a
+    "real" or "non-real" point (slots: 12 lambda floats, residual, a real
+    one's signature) or a "representation" (slots: 12 class_lambda floats,
+    36 of forms, residual, signs)."""
+    slot, pairs = "\0", [["\0"] * 2] * 6
+    if kind == "representation":
+        record, depth = {"basepoint_free": True, "class_lambda": pairs, "forms": [pairs] * 3,
+                         "residual": slot, "signs": [slot] * 3}, 2
+    else:
+        record, depth = {"lambda": pairs, "rank": 3, "reality": kind == "real", "residual": slot,
+                         "signature": [slot] * 2 if kind == "real" else None}, 3
+    return _dumps(record)[:-1].replace("\n", "\n" + "  " * depth).replace('"\\u0000"', "%s")
 
 
-def _pair_texts(items) -> Optional[tuple]:
-    """The texts of the 2n floats of a list of n [re, im] pairs of finite
-    floats (float itself: a subclass takes the general path), else None."""
-    flat: list = []
-    for pair in items:
-        if type(pair) is not list or len(pair) != 2:
-            return None
-        flat += pair
-    if {*map(type, flat)} != {float} or not all(map(math.isfinite, flat)):
-        return None
-    return tuple(map(float.__repr__, flat))
+def _list_text(records: List[str], depth: int) -> str:
+    """json.dumps's text of a list of records already written, at indent `depth`."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(records) + "\n" + "  " * depth + "]" if records else "[]"
 
 
-def _emit(obj, depth: int, out: List[str]) -> None:
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append(_CONSTANTS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float) and math.isfinite(obj):
-        out.append(float.__repr__(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        texts = _pair_texts(obj)
-        if texts is not None:
-            out.append(_pairs_template(depth, len(obj)) % texts)
-            return
-        sep = "[\n" + "  " * (depth + 1)
-        for item in obj:
-            out.append(sep)
-            _emit(item, depth + 1, out)
-            sep = ",\n" + "  " * (depth + 1)
-        out.append("\n" + "  " * depth + "]")
-    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        sep = "{\n" + "  " * (depth + 1)
-        for key, value in sorted(obj.items()):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _emit(value, depth + 1, out)
-            sep = ",\n" + "  " * (depth + 1)
-        out.append("\n" + "  " * depth + "}")
-    else:  # empty, non-finite, other keys or types: json's own text, or its TypeError
-        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
+def _float_texts(a: np.ndarray) -> List[str]:
+    """repr of each float of a, a complex one as (re, im), in C order."""
+    return list(map(float.__repr__, np.ascontiguousarray(a).view(float).ravel().tolist()))
 
 
-def _json_text(obj) -> str:
-    """The text of `json.dumps(obj, indent=2, sort_keys=True) + "\n"`, at a
-    fraction of its time: a list of [re, im] float pairs, most of a report,
-    fills one cached template.  What a report does not hold goes to json
-    itself (a circular reference above it recurses without end instead of
-    raising ValueError)."""
-    out: List[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+def _report_text(f: TernaryQuartic, seed: int, report: Theorem1Report) -> str:
+    """`_dumps(_report_json(f, seed, report))`, its two class lists written
+    from the arrays (`SolutionSet.arrays`, `Theorem1Report.arrays`): each
+    float's text made once, lambda's shared by a point and its representation.
+    The rest goes through json.dumps, and so does a report with a float that
+    is not finite, which json writes NaN or Infinity, repr nan or inf."""
+    ss = report.solution_set
+    points, (signs, forms, residual) = ss.arrays, report.arrays
+    if not all(np.all(np.isfinite(a)) for a in (points.lam, points.residual, forms, residual)):
+        return _dumps(_report_json(f, seed, report))
+    lam = _float_texts(points.lam)
+    lam = [lam[k:k + 12] for k in range(0, len(lam), 12)]
+    rows = zip(lam, _float_texts(points.residual), points.real.tolist(), points.signs.tolist())
+    point_texts = [_record_template("real") % (*x, r, s.count(1), s.count(-1)) if real
+                   else _record_template("non-real") % (*x, r) for x, r, real, s in rows]
+    form = _float_texts(forms)
+    rows = zip(lam, range(0, len(form), 36), _float_texts(residual), signs.tolist())
+    rep_texts = [_record_template("representation") % (*x, *form[k:k + 36], r, *s) for x, k, r, s in rows]
+    bare = replace(report, representations=(), solution_set=replace(ss, points=()))
+    text = _dumps(_report_json(f, seed, bare))
+    text = text.replace('"points": []', '"points": ' + _list_text(point_texts, 2), 1)
+    return text.replace('"representations": []', '"representations": ' + _list_text(rep_texts, 1), 1)
 
 
 def _check_report_path(path: str) -> None:
@@ -223,9 +198,8 @@ def _check_report_path(path: str) -> None:
     raise _Refused(f"cannot write report: {OSError(code, os.strerror(code), path)}")
 
 
-def _write_report(path: str, obj) -> None:
-    """Write `_json_text(obj)` to path; _Refused when it cannot be written."""
-    text = _json_text(obj)
+def _write_report(path: str, text: str) -> None:
+    """Write text to path; _Refused when it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -328,6 +302,8 @@ def _resolve_seed(value: Optional[int]) -> int:
 def _extract_representations(data) -> List[Representation]:
     if isinstance(data, dict) and "representations" in data:
         data = data["representations"]
+    elif isinstance(data, dict) and isinstance(data.get("error"), dict):  # a hypothesis-failed report
+        raise ValueError(f"the report holds no certificates (hypothesis failed: {data['error'].get('hypothesis')})")
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
@@ -416,27 +392,26 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 "seed": seed,
                 "error": {"hypothesis": exc.hypothesis, "detail": exc.detail},
             }
-            _write_report(args.json, payload)
+            _write_report(args.json, _dumps(payload))
         return EXIT_HYPOTHESIS
 
     _print_counts(report, out)
+    signs, forms, residual = report.arrays
+    real = ~np.any(forms.imag, axis=(1, 2))
     if args.show_all:
-        chosen = list(report.representations)
-        title = "all representation classes"
+        chosen, title = np.ones(len(real), dtype=bool), "all representation classes"
     elif args.sos_only:
-        chosen = [r for r in report.representations if r.is_sum_of_squares]
-        title = "sum-of-three-squares certificates"
+        chosen, title = real & np.all(signs > 0, axis=1), "sum-of-three-squares certificates"
     else:
-        chosen = [r for r in report.representations if r.is_real]
-        title = "real representation certificates"
-    out.write(f"{title} ({len(chosen)}):\n")
-    for i, rep in enumerate(chosen, start=1):
-        for line in _rep_lines(i, rep):
-            out.write(line + "\n")
+        chosen, title = real, "real representation certificates"
+    out.write(f"{title} ({np.count_nonzero(chosen)}):\n")
+    rows = zip(signs[chosen].tolist(), forms[chosen].tolist(), residual[chosen].tolist(), real[chosen].tolist())
+    for i, row in enumerate(rows, start=1):
+        out.write(_rep_text(i, *row))
 
     if args.json is not None:
         t0 = time.perf_counter()
-        _write_report(args.json, _report_json(f, seed, report))
+        _write_report(args.json, _report_text(f, seed, report))
         sys.stderr.write(f"timing report: {time.perf_counter() - t0:.3f}s\n")
         out.write(f"report written: {args.json}\n")
     return EXIT_OK if report.passed else EXIT_COUNTS
@@ -449,8 +424,6 @@ def random_corpus_quartic(seed: int, index: int) -> TernaryQuartic:
     positive bump (1/100)(x^2+y^2+z^2)^2; redrawn from the same stream
     until the exact smoothness test passes.
     """
-    import numpy as np
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 105, index]))
     bump = poly_scale(quad_square(QuadraticForm((1, 1, 1, 0, 0, 0))).as_dict(), Fraction(1, 100))
     while True:

@@ -27,6 +27,7 @@ is divided by its largest coefficient (`TernaryQuartic.float_scale`).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -102,12 +103,19 @@ class GramPoint:
         }
 
 
+#: The points of a SolutionSet as arrays, in their order: lam (n, 6), reality
+#: (n,), residuals (n,) and the squares of each G(lam) (n, 6, 6) = sum_k s_k
+#: w_k w_k^T, signs (n, 3) and W (n, 3, 6).
+PointArrays = collections.namedtuple("PointArrays", "lam real residual G signs W")
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     """All rank-3 classes found, their counts and the (deterministic, not
     serialized) counts of paths tracked, retracked and failed, of accepted
     tracker steps (in total and on the longest path, retracks included)
-    and of rejected ones."""
+    and of rejected ones.  `solve_all` also gives the points as arrays; a
+    copy that changes `points` must change `arrays` with them."""
 
     points: Tuple[GramPoint, ...]
     counts: Tuple[int, int, int]
@@ -118,6 +126,7 @@ class SolutionSet:
     steps: int = 0
     max_steps: int = 0
     rejects: int = 0
+    arrays: Optional[PointArrays] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -347,11 +356,13 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
         good = rr < CONVERGENCE_TOL * sr  # else a non-real class whose conjugate was lost
         real = real[good]
         lam[real], res[real] = lr[good], rr[good]
-    points = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], family.base.astype(float), scale)
-    counts = (len(points), sum(p.is_real for p in points), sum(p.is_psd for p in points))
-    return SolutionSet(points=tuple(points), counts=counts, config=config,
+    points, arrays = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], family.base.astype(float), scale)
+    psd = arrays.real & np.all(arrays.signs > 0, axis=1)
+    counts = (len(points), int(np.count_nonzero(arrays.real)), int(np.count_nonzero(psd)))
+    return SolutionSet(points=points, counts=counts, config=config,
                        tracked=n, retracked=retracked, failed=n - len(points),
-                       steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()))
+                       steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()),
+                       arrays=arrays)
 
 
 def _conjugates(lam):
@@ -362,24 +373,27 @@ def _conjugates(lam):
 
 
 def _finalize(index, lam, is_real, residual, G0, scale: float):
-    """GramPoints in canonical order, lam mapped back by `scale`, each with
-    its squares from one completion of every G(lam) = G0 + sum lam_i B_i, G0
-    f's own.  An endpoint whose completion does not have rank 3 is no class:
-    its path counts as failed."""
+    """The classes as GramPoints and as PointArrays, lam mapped back by
+    `scale`, with the squares of one completion of every G(lam) = G0 + sum
+    lam_i B_i, G0 f's own; an endpoint whose completion does not have rank 3
+    is no class, its path failed.  The order is real first, then fewer
+    negative squares (PSD first), then the start-table index, not the float
+    lam, whose last bits would reorder Fermat's exactly tied classes."""
     lam = np.asarray(lam) * scale
-    signs, W = complete_squares(G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR))
-    points = [GramPoint(lam=tuple(lm), is_real=bool(real), rank=3, residual=float(r), hits=1,
-                        first_restart=int(i), squares=(s[:3], w[:3]))
-              for i, lm, real, r, s, w in zip(index, lam.tolist(), is_real, residual, signs, W)
-              if np.count_nonzero(s) == 3]
-    return sorted(points, key=_sort_key)
-
-
-def _sort_key(p: GramPoint):
-    """Real first, PSD first among real, then the start-table index (not the
-    float lam, whose last bits would reorder Fermat's exactly tied classes)."""
-    sig = (p.signature[1], -p.signature[0]) if p.signature is not None else (0, 0)
-    return (0 if p.is_real else 1, sig, p.first_restart)
+    G = G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
+    signs, W = complete_squares(G)
+    real, index = np.asarray(is_real, dtype=bool), np.asarray(index, dtype=int)
+    minus = np.where(real, np.count_nonzero(signs < 0, axis=1), 0)
+    keep = np.flatnonzero(np.count_nonzero(signs, axis=1) == 3)
+    order = keep[np.lexsort((index[keep], minus[keep], ~real[keep]))]
+    arrays = PointArrays(lam[order], real[order], np.asarray(residual, dtype=float)[order],
+                         G[order], signs[order, :3], W[order, :3])
+    points = tuple(GramPoint(lam=tuple(lm), is_real=r, rank=3, residual=res, hits=1,
+                             first_restart=i, squares=(s, w))
+                   for lm, r, res, i, s, w in zip(arrays.lam.tolist(), arrays.real.tolist(),
+                                                  arrays.residual.tolist(), index[order].tolist(),
+                                                  arrays.signs, arrays.W))
+    return points, arrays
 
 
 def certify_count(solution_set: SolutionSet) -> dict:

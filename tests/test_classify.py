@@ -503,8 +503,10 @@ def test_theorem1_check_certifies_nonnegativity_by_a_psd_class(monkeypatch):
 def test_theorem1_check_falls_back_to_the_ascent_without_a_psd_class(monkeypatch):
     def solve_without_psd(family, config):
         ss = solve_all(family, config)
-        points = tuple(p for p in ss.points if not p.is_psd)
-        return replace(ss, points=points, counts=(len(points), sum(p.is_real for p in points), 0))
+        keep = np.array([not p.is_psd for p in ss.points])
+        points = tuple(p for p, k in zip(ss.points, keep) if k)
+        return replace(ss, points=points, counts=(len(points), sum(p.is_real for p in points), 0),
+                       arrays=ss.arrays._make(a[keep] for a in ss.arrays))
 
     monkeypatch.setattr(quartic_sos.classify, "solve_all", solve_without_psd)
     f = parse_quartic("x^4+y^4+z^4")

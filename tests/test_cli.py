@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,13 @@ from quartic_sos.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
-    _json_text,
     _print_counts,
     _report_json,
+    _report_text,
     main,
     random_corpus_quartic,
 )
-from quartic_sos.forms import apply_linear_change, parse_quartic
+from quartic_sos.forms import QuadraticForm, apply_linear_change, parse_quartic
 from quartic_sos.solver import GramPoint, SolutionSet, SolveConfig, certify_count
 
 FERMAT = "x^4 + y^4 + z^4"
@@ -147,9 +148,10 @@ def _fermat_cert(**fields):
     (["verify", FERMAT], _fermat_cert(signs=[INF, 1, 1])),
     (["verify", FERMAT], _fermat_cert(class_lambda=[[0, NAN]] * 6)),
     (["verify", FERMAT], _fermat_cert(residual=INF)),
+    (["verify", FERMAT], _fermat_cert(forms=[[[1.0, 0.0]] * 5 + [[0.0, -INF]]] + UNIT_FORMS[1:])),
 ], ids=["check-quartic-inf", "check-quartic-nan",
         "verify-quartic-minus-inf", "verify-form-inf", "verify-form-nan",
-        "verify-sign-inf", "verify-lambda-nan", "verify-residual-inf"])
+        "verify-sign-inf", "verify-lambda-nan", "verify-residual-inf", "verify-float-pair-inf"])
 def test_non_finite_json_number_exits_2(argv, cert, tmp_path, capsys):
     if cert is not None:
         path = tmp_path / "cert.json"
@@ -218,6 +220,18 @@ def test_json_in_names_a_missing_file(capsys):
     # text that starts like JSON keeps the parser's message
     assert main(["check", "--json-in", '{"4,0,0": 1,']) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: Expecting property name")
+
+
+def test_verify_names_a_hypothesis_failed_report(tmp_path, capsys):
+    # decompose writes the error, not certificates, when a hypothesis fails
+    path = tmp_path / "r.json"
+    assert main(["decompose", INDEFINITE, "--json", str(path)]) == EXIT_HYPOTHESIS
+    capsys.readouterr()
+    assert main(["verify", INDEFINITE, "--cert", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot read certificates: the report holds no certificates "
+                            "(hypothesis failed: nonnegative)\n")
 
 
 def test_verify_unreadable_certificate_exits_2(tmp_path, capsys):
@@ -728,52 +742,128 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _reference(f, seed, report) -> str:
+    """The report's bytes as json writes them from the per-class dicts."""
+    return _dumps(_report_json(f, seed, report))
+
+
+def _no_class_dicts(monkeypatch):
+    """Make building a per-class dict raise."""
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_json ran")
+
+    monkeypatch.setattr(GramPoint, "to_json", refuse)
+    monkeypatch.setattr(Representation, "to_json", refuse)
+
+
+def _decompose_report(monkeypatch, argv):
+    """main(argv) with per-class dicts refused, its exit code and the report it wrote out."""
+    reports = []
+    check = quartic_sos.cli.theorem1_check
+    with monkeypatch.context() as m:
+        m.setattr(quartic_sos.cli, "theorem1_check", lambda *a: reports.append(check(*a)) or reports[-1])
+        _no_class_dicts(m)
+        rc = main(argv)
+    return rc, reports[0]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_report_text_is_the_json_module_text(seed):
     forms = [parse_quartic(FERMAT)] + [random_corpus_quartic(seed, i) for i in range(5)]
     for f in forms:
-        obj = _report_json(f, seed, theorem1_check(f, SolveConfig(master_seed=seed)))
-        assert _json_text(obj) == _dumps(obj)
+        report = theorem1_check(f, SolveConfig(master_seed=seed))
+        assert _report_text(f, seed, report) == _reference(f, seed, report)
+
+
+def test_decompose_json_builds_no_per_class_dicts(tmp_path, monkeypatch, capsys):
+    # the two class lists are written from the arrays; the file must still
+    # be what json writes from the dicts
+    path = tmp_path / "r.json"
+    rc, report = _decompose_report(monkeypatch, ["decompose", FERMAT, "--json", str(path)])
+    assert rc == EXIT_OK
+    assert len(report.representations) == 63
+    assert path.read_text(encoding="utf-8") == _reference(parse_quartic(FERMAT), 0, report)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_class_report_is_the_json_module_text(seed, tmp_path, monkeypatch, capsys):
+    # every endpoint of this quartic completes to a rank other than 3
+    form = "2^999*x^4 + y^4 + z^4"
+    path = tmp_path / "r.json"
+    rc, report = _decompose_report(monkeypatch, ["decompose", form, "--seed", str(seed), "--json", str(path)])
+    assert rc == EXIT_COUNTS
+    assert report.solution_set.points == () and report.representations == ()
+    text = path.read_text(encoding="utf-8")
+    assert text == _reference(parse_quartic(form), seed, report)
+    assert '"points": []' in text and '"representations": []' in text
 
 
 def test_partial_and_error_reports_are_the_json_module_text(tmp_path, monkeypatch, capsys):
     # 61 classes: a report that fails the counts
     f = parse_quartic("10^8*x^4 + y^4 + z^4")
-    obj = _report_json(f, 0, theorem1_check(f))
-    assert len(obj["representations"]) == 61
-    assert _json_text(obj) == _dumps(obj)
-    # the hypothesis-failed payload, as the writer receives it
-    written = []
-    write = quartic_sos.cli._write_report
-    monkeypatch.setattr(quartic_sos.cli, "_write_report",
-                        lambda path, obj: written.append(obj) or write(path, obj))
+    report = theorem1_check(f)
+    assert len(report.representations) == 61
+    assert _report_text(f, 0, report) == _reference(f, 0, report)
+    # the hypothesis-failed payload, as json writes it
     path = tmp_path / "err.json"
     assert main(["decompose", INDEFINITE, "--json", str(path)]) == EXIT_HYPOTHESIS
-    [payload] = written
-    assert "error" in payload
-    assert path.read_text(encoding="utf-8") == _json_text(payload) == _dumps(payload)
+    text = path.read_text(encoding="utf-8")
+    assert "error" in json.loads(text)
+    assert text == _dumps(json.loads(text))
 
 
-def test_report_text_matches_json_on_every_kind_of_value():
-    nan, inf = math.nan, math.inf
-    obj = {
-        "floats": [nan, inf, -inf, -0.0, 0.0, 5e-324, 1e22, 1e16, 0.1, np.float64(0.1)],
-        "pairs": [[nan, -0.0], [inf, -inf], [5e-324, 1e22]],
-        "nested pairs": [[[1.0, 0.0]], [[-0.0, 2.5], [3.0, -1e-300]]],
-        "pairs not all floats": [[1.0, 2], [True, 1.0], [np.float64(1.5), 2.0], [None, 1.0]],
-        "tuples": ((1.0, 2.0), (3, "x"), ()),
-        "lists": [[], [[]], [1, 2, 3], [[1.0, 2.0, 3.0]], [[1.0], [2.0]]],
-        "dicts": [{}, {"b": 1, "a": {"c": []}}],
-        "none": None,
-        "text": "Hilbert \u2013 quartic \u00e9 \U0001d4c6 \"quoted\"\n\t\\",
-        "bools and ints": [True, 1, False, 0, -7, 2**70, {"t": True, "i": 1}],
-        "int keys": {10: "ten", 2: "two", -1: "minus one"},
-        "float keys": {2.5: "a", -0.0: "b", 1e22: "c"},
-        "other keys": [{None: 1}, {True: 1, False: 0}, {math.inf: 1}],
-    }
-    assert _json_text(obj) == _dumps(obj)
-    for value in (nan, -0.0, "\u00fc", [], {}, None, True, [[1.0, 2.0]], np.float64(-0.0)):
-        assert _json_text(value) == _dumps(value)
+def _with_values(report, lam, point_residual, forms, residual):
+    """report with new class values, in its arrays and its objects alike."""
+    ss = report.solution_set
+    points = tuple(replace(p, lam=tuple(z), residual=r)
+                   for p, z, r in zip(ss.points, lam.tolist(), point_residual.tolist()))
+    reps = tuple(replace(rep, class_lambda=tuple(z), residual=r,
+                         forms=tuple(QuadraticForm(tuple(c)) for c in F))
+                 for rep, z, F, r in zip(report.representations, lam.tolist(), forms.tolist(), residual.tolist()))
+    return replace(report, representations=reps, arrays=(report.arrays[0], forms, residual),
+                   solution_set=replace(ss, points=points, arrays=ss.arrays._replace(lam=lam, residual=point_residual)))
+
+
+def _filled(shape, values, shift=0):
+    """An array of shape, complex when shape ends in a pair, cycling through values."""
+    flat = np.roll(np.resize(np.array(values, dtype=float), int(np.prod(shape))), shift)
+    if shape[-1] != 2:
+        return flat.reshape(shape)
+    z = np.empty(shape[:-1], dtype=complex)
+    z.real, z.imag = flat.reshape(shape)[..., 0], flat.reshape(shape)[..., 1]
+    return z
+
+
+def test_report_text_matches_json_on_every_kind_of_value(monkeypatch):
+    # the writer's inputs are the class arrays, the rest goes through json:
+    # every float the arrays can hold must come out as json writes it, and a
+    # report with one that is not finite (json: NaN, Infinity; repr: nan,
+    # inf) must come out as json writes it too
+    f = parse_quartic(FERMAT)
+    report = theorem1_check(f)
+    n = len(report.representations)
+    finite = [-0.0, 0.0, 5e-324, -5e-324, 1e22, 1e16, 0.1, 1 / 3, -1e-300, 1.7976931348623157e308, 3.0]
+    case = _with_values(report, _filled((n, 6, 2), finite), _filled((n,), finite, 1),
+                        _filled((n, 3, 6, 2), finite, 2), _filled((n,), finite, 3))
+    expected = _reference(f, 0, case)
+    assert "-0.0," in expected and "5e-324" in expected and "1e+22" in expected
+    with monkeypatch.context() as m:
+        _no_class_dicts(m)
+        assert _report_text(f, 0, case) == expected
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(4):
+            values = [_filled((n, 6, 2), finite), _filled((n,), finite, 1),
+                      _filled((n, 3, 6, 2), finite, 2), _filled((n,), finite, 3)]
+            values[k].flat[n // 2] = bad
+            case = _with_values(report, *values)
+            text = _report_text(f, 0, case)
+            assert text == _reference(f, 0, case)
+            assert ("NaN" if math.isnan(bad) else "Infinity") in text
+    # the rest of the report goes through json as it stands
+    rest = {"text": "Hilbert \u2013 quartic \u00e9 \U0001d4c6 \"quoted\"\n\t\\", "int keys": {10: "ten", 2: "two"},
+            "float keys": {2.5: "a", -0.0: "b"}, "floats": [math.nan, -0.0, 1e16], "none": None}
+    case = replace(report, count_report=rest)
+    assert _report_text(f, 0, case) == _reference(f, 0, case)
 
 
 @pytest.mark.parametrize("obj", [
@@ -786,10 +876,14 @@ def test_report_text_matches_json_on_every_kind_of_value():
     [1j],
 ], ids=["object", "set", "np.int64", "np.bool_", "tuple key", "mixed keys", "complex"])
 def test_report_text_raises_type_error_where_json_does(obj):
+    # a value json cannot write in the rest of the report, which the writer
+    # hands to json, raises as it does there
+    f = parse_quartic(FERMAT)
+    report = replace(theorem1_check(f), count_report=obj)
     with pytest.raises(TypeError):
-        _dumps(obj)
+        _reference(f, 0, report)
     with pytest.raises(TypeError):
-        _json_text(obj)
+        _report_text(f, 0, report)
 
 
 @pytest.mark.parametrize("form, rc", [(FERMAT, EXIT_OK), (INDEFINITE, EXIT_HYPOTHESIS)],

@@ -293,8 +293,11 @@ def test_class_order_ignores_last_bits(fermat_set):
             nudged.imag == 0, 0.0, np.nextafter(nudged.imag, -toward))
     assert not np.array_equal(nudged, lam)
     for values in (lam, nudged):
-        again = _finalize(index, values, real, res, G0, 1.0)
+        again, arrays = _finalize(index, values, real, res, G0, 1.0)
         assert [p.first_restart for p in again] == index
+        # the arrays hold the points, in their order
+        assert arrays.lam.tolist() == [list(p.lam) for p in again]
+        assert arrays.signs.tolist() == [list(p.squares[0]) for p in again]
 
 
 def test_start_table_is_built_once(monkeypatch):
