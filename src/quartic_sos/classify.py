@@ -2,18 +2,19 @@
 
 A rank-3 Gram matrix G factors as e1 v1 v1^T + e2 v2 v2^T + e3 v3 v3^T,
 which reads as f = e1 p^2 + e2 q^2 + e3 r^2 with p, q, r quadratic forms.
-The solver completes the squares of all the classes as one batch
-(`gram.complete_squares`), each GramPoint carrying its own: a real G in
-real arithmetic, its pivot signs its signature (Sylvester's law of
-inertia), a complex G as three complex squares with signs +1.  Here they
-are put in canonical order, and a residual is read off the Gram matrix E =
-G - sum s_i w_i w_i^T left after the squares: f = sum s_i p_i^2 exactly
-when m^T E m is the zero quartic.  `verify` reads the residuals of a whole
-certificate file off the same map, with f's own Gram matrix G0 as G.
+The solver completes the squares of all the classes as one batch and puts
+them in canonical order once, in `SolutionSet.arrays`: a real G in real
+arithmetic, its signs its signature, a complex G with signs +1.  Here a
+residual is read off the Gram matrix E = G - sum s_i w_i w_i^T left after
+the squares: f = sum s_i p_i^2 exactly when m^T E m is the zero quartic.
+The report adds those residuals to the arrays; its `Representation`s are
+views built on first read.  `verify` reads the residuals of a certificate
+file off the same map, with f's own Gram matrix G0 as G.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .gram import (
     KERNEL_BASIS_TENSOR,
     GramFamily,
     build_family,
+    canonical_squares,
     complete_squares,
 )
 from .curves import (
@@ -157,38 +159,6 @@ def _finite(value, what: str) -> float:
     return x
 
 
-def _canonicalize(signs: np.ndarray, V: np.ndarray):
-    """Canonical order of a stack of classes, signs (n, 3) and forms V
-    (n, 3, 6), complex.  Each form is sign-flipped so that its leading
-    coefficient, the first whose modulus exceeds 1e-12 times its largest,
-    has positive real part (or zero real part and positive imaginary part);
-    then each class's three forms are sorted by their (re, im) coefficients,
-    stably, -0.0 equal to 0.0 as in a Python tuple sort.  Only +-1
-    rescalings preserve the squared terms, so canonical output is a sign
-    convention plus a lexicographic order, not a unit leading coefficient.
-
-    Returns the sorted signs and forms, every imaginary zero +0.0, and each
-    class's Python (signs, forms), a coefficient with zero imaginary part a
-    float."""
-    mag = np.hypot(V.real, V.imag)
-    first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True), axis=-1)
-    lead = np.take_along_axis(V, first[..., None], axis=-1)[..., 0]
-    flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
-    V = np.where(flip[..., None], -V, V)
-    # lexsort's last key is the primary one: re of the first coefficient
-    keys = np.stack([V.real, V.imag], axis=-1).reshape(V.shape[:2] + (12,))[..., ::-1]
-    order = np.lexsort(np.moveaxis(keys, -1, 0), axis=-1)
-    S = np.take_along_axis(signs, order, axis=1)
-    V = np.take_along_axis(V, order[..., None], axis=1)
-    real = V.imag == 0
-    V.imag[real] = 0
-    coeffs = V.astype(object)
-    coeffs[real] = V.real[real]
-    canon = [(tuple(s), tuple(map(QuadraticForm, forms)))
-             for s, forms in zip(S.tolist(), coeffs.tolist())]
-    return S, V, canon
-
-
 def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Relative residuals of a stack, G (n, 6, 6), signs (n, 3) and forms F
     (n, 3, 6), complex, or object of Fractions for exact ones.  E = G -
@@ -200,17 +170,17 @@ def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
     return coef[0].max(axis=1) / coef[1].max(axis=1)
 
 
-def _represent(G: np.ndarray, signs: np.ndarray, W: np.ndarray, class_lambdas,
-               basepoint_free: Optional[bool] = None):
-    """Representations of a stack of completions G (n, 6, 6) = sum_k s_k w_k
-    w_k^T, signs (n, 3) and W (n, 3, 6) complex: canonical, with residuals;
-    and their canonical signs (n, 3), forms (n, 3, 6) and residuals (n,)."""
-    S, F, canon = _canonicalize(signs, W)
-    residual = _residuals(G, S, F)
-    reps = [Representation(signs=s, forms=forms, class_lambda=tuple(lam), residual=r,
-                           basepoint_free=basepoint_free)
-            for (s, forms), lam, r in zip(canon, class_lambdas, residual.tolist())]
-    return reps, (S, F, residual)
+def _representations(signs: np.ndarray, V: np.ndarray, class_lambdas, residuals: np.ndarray,
+                     basepoint_free: Optional[bool] = None) -> Tuple[Representation, ...]:
+    """Representation objects of a stack of canonical squares, signs (n, 3)
+    and forms V (n, 3, 6), complex, a coefficient whose imaginary part is
+    +0.0 a float: each object writes the JSON bytes of its rows."""
+    real = (V.imag == 0) & ~np.signbit(V.imag)
+    coeffs = V.astype(object)
+    coeffs[real] = V.real[real]
+    return tuple(Representation(signs=tuple(s), forms=tuple(map(QuadraticForm, forms)), class_lambda=tuple(lam),
+                                residual=r, basepoint_free=basepoint_free)
+                 for s, forms, lam, r in zip(signs.tolist(), coeffs.tolist(), class_lambdas, residuals.tolist()))
 
 
 def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representation:
@@ -220,7 +190,8 @@ def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representat
     signs, W = complete_squares(G)
     if np.count_nonzero(signs) != 3:
         raise RankMismatchError(f"completion of squares has rank {np.count_nonzero(signs)}, not 3")
-    return _represent(G, signs[:, :3], W[:, :3], [class_lambda])[0][0]
+    S, F = canonical_squares(signs[:, :3], W[:, :3])
+    return _representations(S, F, [class_lambda], _residuals(G, S, F))[0]
 
 
 @dataclass(frozen=True)
@@ -266,14 +237,15 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
 
 
 def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Representation]:
-    """Representations of the solver classes, one batch: each point's
-    squares (`GramPoint.squares`), in canonical order, with residuals against
-    the same G(lam) = G0 + sum lam_i B_i the solver completed."""
+    """Representations of any points, hand-built ones too, one batch: each
+    point's squares in canonical order, with residuals against the G(lam) =
+    G0 + sum lam_i B_i the solver completed, as the report's views have."""
     lam = np.array([p.lam for p in points], dtype=complex).reshape(-1, 6)
     G = family.base.astype(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
     signs = np.array([p.squares[0] for p in points], dtype=int).reshape(-1, 3)
     W = np.array([p.squares[1] for p in points], dtype=complex).reshape(-1, 3, 6)
-    return _represent(G, signs, W, [p.lam for p in points])[0]
+    S, F = canonical_squares(signs, W)
+    return list(_representations(S, F, [p.lam for p in points], _residuals(G, S, F)))
 
 
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:
@@ -281,24 +253,29 @@ def classify_point(family: GramFamily, point: GramPoint) -> Representation:
     return classify_points(family, [point])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Theorem1Report:
-    """Full pipeline outcome for one quartic."""
+    """Full pipeline outcome for one quartic: the solve's classes and their
+    certificate residuals (n,).  `representations` is a view of both, built
+    on first read.  Each is basepoint-free, f being smooth: a common zero v
+    of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)
+    = 0.  The numeric basepoint test stays in `verify`, where f may not be."""
 
     curve: CurveStatus
     positivity: PositivityStatus
     solution_set: SolutionSet
-    representations: Tuple[Representation, ...]
+    residuals: np.ndarray
     count_report: dict
     sos_total: int
     mixed_real_total: int
     nonreal_total: int
     passed: bool
-    timings: dict = field(default_factory=dict, compare=False)
-    #: `representations` as arrays, for writers that skip the objects: their
-    #: canonical signs (n, 3), forms (n, 3, 6) and residuals (n,); every
-    #: class of a smooth quartic is basepoint-free
-    arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
+    timings: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def representations(self) -> Tuple[Representation, ...]:
+        a = self.solution_set.arrays
+        return _representations(a.signs, a.W, a.lam.tolist(), self.residuals, basepoint_free=True)
 
     def to_json(self) -> dict:
         return {
@@ -363,18 +340,13 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
         raise HypothesisFailed("nonnegative", "indeterminate: no proof, no counterexample")
 
     t0 = time.perf_counter()
-    # Smoothness makes every representation basepoint-free: a common zero v
-    # of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)
-    # = 0, so v would be a singular point, and smoothness was decided exactly
-    # above.  The numeric basepoint test stays in `verify`, where f may be
-    # singular.  The solve has completed the squares of every class already.
-    reps, rep_arrays = _represent(arrays.G, arrays.signs, arrays.W, arrays.lam.tolist(), basepoint_free=True)
+    residuals = _residuals(arrays.G, arrays.signs, arrays.W)
     timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
     total, real, psd = solution_set.counts
     passed = (positivity.nonnegative is True and count_report["all_pass"]
-              and all(r.residual <= REPRESENTATION_TOL for r in reps))
+              and bool(np.all(residuals <= REPRESENTATION_TOL)))
     return Theorem1Report(curve=curve, positivity=positivity, solution_set=solution_set,
-                          representations=tuple(reps), count_report=count_report,
+                          residuals=residuals, count_report=count_report,
                           sos_total=psd, mixed_real_total=real - psd, nonreal_total=total - real,
-                          passed=passed, timings=timings, arrays=rep_arrays)
+                          passed=passed, timings=timings)

@@ -48,7 +48,7 @@ from .forms import (
     quad_square,
 )
 from .gram import build_family
-from .solver import SolveConfig
+from .solver import FERMAT_CLASSES, SolveConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -120,7 +120,7 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
             report.sos_total, report.mixed_real_total, report.nonreal_total
         )
     )
-    worst = max((r.residual for r in report.representations), default=0.0)
+    worst = max(report.residuals.tolist(), default=0.0)
     if worst > REPRESENTATION_TOL:
         out.write(f"certificate residuals: max {worst:.3g} (limit {REPRESENTATION_TOL:g}) [MISMATCH]\n")
     out.write(f"certified: {'pass' if report.passed else 'FAIL'}\n")
@@ -163,23 +163,24 @@ def _float_texts(a: np.ndarray) -> List[str]:
 
 def _report_text(f: TernaryQuartic, seed: int, report: Theorem1Report) -> str:
     """`_dumps(_report_json(f, seed, report))`, its two class lists written
-    from the arrays (`SolutionSet.arrays`, `Theorem1Report.arrays`): each
-    float's text made once, lambda's shared by a point and its representation.
-    The rest goes through json.dumps, and so does a report with a float that
-    is not finite, which json writes NaN or Infinity, repr nan or inf."""
-    ss = report.solution_set
-    points, (signs, forms, residual) = ss.arrays, report.arrays
-    if not all(np.all(np.isfinite(a)) for a in (points.lam, points.residual, forms, residual)):
+    from the solve's arrays and the report's residuals, each float's text
+    made once; the rest is json.dumps of the report on zero-row arrays.  A
+    report with a float that is not finite, which json writes NaN or
+    Infinity and repr nan or inf, goes through json.dumps whole."""
+    ss, residual = report.solution_set, report.residuals
+    points = ss.arrays
+    if not all(np.all(np.isfinite(a)) for a in (points.lam, points.residual, points.W, residual)):
         return _dumps(_report_json(f, seed, report))
     lam = _float_texts(points.lam)
     lam = [lam[k:k + 12] for k in range(0, len(lam), 12)]
-    rows = zip(lam, _float_texts(points.residual), points.real.tolist(), points.signs.tolist())
+    signs = points.signs.tolist()
+    rows = zip(lam, _float_texts(points.residual), points.real.tolist(), signs)
     point_texts = [_record_template("real") % (*x, r, s.count(1), s.count(-1)) if real
                    else _record_template("non-real") % (*x, r) for x, r, real, s in rows]
-    form = _float_texts(forms)
-    rows = zip(lam, range(0, len(form), 36), _float_texts(residual), signs.tolist())
+    form = _float_texts(points.W)
+    rows = zip(lam, range(0, len(form), 36), _float_texts(residual), signs)
     rep_texts = [_record_template("representation") % (*x, *form[k:k + 36], r, *s) for x, k, r, s in rows]
-    bare = replace(report, representations=(), solution_set=replace(ss, points=()))
+    bare = replace(report, residuals=residual[:0], solution_set=replace(ss, arrays=points._make(a[:0] for a in points)))
     text = _dumps(_report_json(f, seed, bare))
     text = text.replace('"points": []', '"points": ' + _list_text(point_texts, 2), 1)
     return text.replace('"representations": []', '"representations": ' + _list_text(rep_texts, 1), 1)
@@ -362,7 +363,7 @@ def _run_pipeline(f: TernaryQuartic, config: SolveConfig):
     for stage, secs in report.timings.items():
         sys.stderr.write(f"timing {stage}: {secs:.3f}s\n")
     ss = report.solution_set
-    sys.stderr.write(f"paths: {ss.tracked} tracked, {ss.retracked} retracked, {ss.failed} failed; "
+    sys.stderr.write(f"paths: {len(FERMAT_CLASSES)} tracked, {ss.retracked} retracked, {ss.failed} failed; "
                      f"steps: {ss.steps} accepted (at most {ss.max_steps} per path), {ss.rejects} rejected\n")
     return report
 
@@ -396,8 +397,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
 
     _print_counts(report, out)
-    signs, forms, residual = report.arrays
-    real = ~np.any(forms.imag, axis=(1, 2))
+    classes = report.solution_set.arrays
+    signs, forms, real, residual = classes.signs, classes.W, classes.real, report.residuals
     if args.show_all:
         chosen, title = np.ones(len(real), dtype=bool), "all representation classes"
     elif args.sos_only:

@@ -231,6 +231,29 @@ def complete_squares(A: np.ndarray):
     return signs, np.sqrt(norm)[:, None, None] * W
 
 
+def canonical_squares(signs: np.ndarray, V: np.ndarray):
+    """Canonical order of a stack of completions, signs (n, 3) and forms V
+    (n, 3, 6), complex: each form flipped so that its leading coefficient,
+    the first above 1e-12 times its largest in modulus, has positive real
+    part (or zero real and positive imaginary part), then each class's forms
+    sorted stably by their (re, im) coefficients, -0.0 equal to 0.0.  Only
+    +-1 rescalings keep the squared terms, so this is a sign convention and
+    a lexicographic order.  Returns the sorted signs and forms, imaginary
+    zeros +0.0; a canonical stack comes back as it is."""
+    mag = np.hypot(V.real, V.imag)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(V, first[..., None], axis=-1)[..., 0]
+    flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
+    V = np.where(flip[..., None], -V, V)
+    # lexsort's last key is the primary one: re of the first coefficient
+    keys = np.stack([V.real, V.imag], axis=-1).reshape(V.shape[:2] + (12,))[..., ::-1]
+    order = np.lexsort(np.moveaxis(keys, -1, 0), axis=-1)
+    S = np.take_along_axis(signs, order, axis=1)
+    V = np.take_along_axis(V, order[..., None], axis=1)
+    V.imag[V.imag == 0] = 0
+    return S, V
+
+
 def lambda_of_gram(family: GramFamily, G: np.ndarray, tol: float = NOT_IN_FAMILY_TOL):
     """Coordinates of G in the family: the unique lam with G = G0 + sum lam_i B_i.
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gram import KERNEL_BASIS_TENSOR, GramFamily, complete_squares
+from .gram import KERNEL_BASIS_TENSOR, GramFamily, canonical_squares, complete_squares
 
 #: An endpoint is a class when |G(lam) N| < CONVERGENCE_TOL * max(1, |lam|).
 CONVERGENCE_TOL = 1e-12
@@ -73,12 +73,12 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class GramPoint:
-    """One class of quadratic representations, a rank-3 lam, found by path `first_restart`,
-    with its squares G(lam) = sum_k s_k w_k w_k^T, signs (3,) and W (3, 6)."""
+    """One class, a rank-3 lam found by path `first_restart`, with its canonical squares
+    G(lam) = sum_k s_k w_k w_k^T, signs (3,) and W (3, 6): a row of `SolutionSet.arrays`.
+    `hits` is always 1; it stays while the benchmark's counters read it (ROADMAP item 6)."""
 
     lam: Tuple[complex, ...]
     is_real: bool
-    rank: int
     residual: float
     hits: int
     first_restart: int
@@ -96,37 +96,43 @@ class GramPoint:
     def to_json(self) -> dict:
         return {
             "lambda": [[z.real, z.imag] for z in self.lam],
-            "rank": self.rank,
+            "rank": 3,
             "reality": self.is_real,
             "signature": list(self.signature) if self.signature is not None else None,
             "residual": self.residual,
         }
 
 
-#: The points of a SolutionSet as arrays, in their order: lam (n, 6), reality
-#: (n,), residuals (n,) and the squares of each G(lam) (n, 6, 6) = sum_k s_k
-#: w_k w_k^T, signs (n, 3) and W (n, 3, 6).
-PointArrays = collections.namedtuple("PointArrays", "lam real residual G signs W")
+#: The classes of a solve, one row each: lam (n, 6), reality (n,), the start
+#: index (n,) of the path that found it, the tracker's residual |G N| (n,),
+#: G(lam) (n, 6, 6) and its canonical squares G = sum_k s_k w_k w_k^T, signs
+#: (n, 3) and W (n, 3, 6), and `pair` (n,), the row nearest to each class's
+#: conjugate, -1 when that endpoint is no class.
+PointArrays = collections.namedtuple("PointArrays", "lam real start residual G signs W pair")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """All rank-3 classes found, their counts and the (deterministic, not
-    serialized) counts of paths tracked, retracked and failed, of accepted
-    tracker steps (in total and on the longest path, retracks included)
-    and of rejected ones.  `solve_all` also gives the points as arrays; a
-    copy that changes `points` must change `arrays` with them."""
+    """All rank-3 classes found, as `arrays`, their counts and the (not
+    serialized) counts of paths retracked and failed, of accepted tracker
+    steps (in total and on the longest path, retracks included) and of
+    rejected ones.  `points` is a view of the arrays, built on first read."""
 
-    points: Tuple[GramPoint, ...]
+    arrays: PointArrays
     counts: Tuple[int, int, int]
     config: SolveConfig
-    tracked: int = 0
     retracked: int = 0
     failed: int = 0
     steps: int = 0
     max_steps: int = 0
     rejects: int = 0
-    arrays: Optional[PointArrays] = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def points(self) -> Tuple[GramPoint, ...]:
+        a = self.arrays
+        return tuple(GramPoint(lam=tuple(lam), is_real=real, residual=res, hits=1, first_restart=i, squares=(s, w))
+                     for lam, real, res, i, s, w in zip(a.lam.tolist(), a.real.tolist(), a.residual.tolist(),
+                                                        a.start.tolist(), a.signs, a.W))
 
     def to_json(self) -> dict:
         return {
@@ -350,19 +356,18 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
             retracked += todo.size
         ok &= ~np.any(np.triu(near), axis=0)  # the lowest index keeps a shared endpoint
         idx = np.flatnonzero(ok)
-        real = idx[_conjugates(lam[idx]) == np.arange(idx.size)]
+        pair = _conjugates(lam[idx])
+        real = idx[pair == np.arange(idx.size)]
         xr = np.concatenate([np.ones((real.size, 1)), lam[real].real, x[real, 7:].real], axis=1)
         lr, rr, sr = _endpoints(xr, chart[real], G0f)
         good = rr < CONVERGENCE_TOL * sr  # else a non-real class whose conjugate was lost
         real = real[good]
         lam[real], res[real] = lr[good], rr[good]
-    points, arrays = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], family.base.astype(float), scale)
+    arrays = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], pair, family.base.astype(float), scale)
     psd = arrays.real & np.all(arrays.signs > 0, axis=1)
-    counts = (len(points), int(np.count_nonzero(arrays.real)), int(np.count_nonzero(psd)))
-    return SolutionSet(points=points, counts=counts, config=config,
-                       tracked=n, retracked=retracked, failed=n - len(points),
-                       steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()),
-                       arrays=arrays)
+    counts = (len(arrays.lam), int(np.count_nonzero(arrays.real)), int(np.count_nonzero(psd)))
+    return SolutionSet(arrays=arrays, counts=counts, config=config, retracked=retracked, failed=n - counts[0],
+                       steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()))
 
 
 def _conjugates(lam):
@@ -372,40 +377,37 @@ def _conjugates(lam):
     return np.argmin(gap, axis=1) if len(lam) else np.zeros(0, dtype=int)
 
 
-def _finalize(index, lam, is_real, residual, G0, scale: float):
-    """The classes as GramPoints and as PointArrays, lam mapped back by
-    `scale`, with the squares of one completion of every G(lam) = G0 + sum
-    lam_i B_i, G0 f's own; an endpoint whose completion does not have rank 3
-    is no class, its path failed.  The order is real first, then fewer
-    negative squares (PSD first), then the start-table index, not the float
-    lam, whose last bits would reorder Fermat's exactly tied classes."""
-    lam = np.asarray(lam) * scale
+def _finalize(index, lam, real, residual, pair, G0, scale: float) -> PointArrays:
+    """The classes as PointArrays, lam mapped back by `scale`, with the
+    canonical squares of one completion of every G(lam) = G0 + sum lam_i
+    B_i, G0 f's own; an endpoint whose completion does not have rank 3 is no
+    class, its path failed.  `pair`, the endpoints' conjugation map, is
+    re-indexed to the rows.  The order is real first, then fewer negative
+    squares (PSD first), then the start index, not the float lam, whose last
+    bits would reorder Fermat's exactly tied classes."""
+    lam = lam * scale
     G = G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
     signs, W = complete_squares(G)
-    real, index = np.asarray(is_real, dtype=bool), np.asarray(index, dtype=int)
     minus = np.where(real, np.count_nonzero(signs < 0, axis=1), 0)
     keep = np.flatnonzero(np.count_nonzero(signs, axis=1) == 3)
     order = keep[np.lexsort((index[keep], minus[keep], ~real[keep]))]
-    arrays = PointArrays(lam[order], real[order], np.asarray(residual, dtype=float)[order],
-                         G[order], signs[order, :3], W[order, :3])
-    points = tuple(GramPoint(lam=tuple(lm), is_real=r, rank=3, residual=res, hits=1,
-                             first_restart=i, squares=(s, w))
-                   for lm, r, res, i, s, w in zip(arrays.lam.tolist(), arrays.real.tolist(),
-                                                  arrays.residual.tolist(), index[order].tolist(),
-                                                  arrays.signs, arrays.W))
-    return points, arrays
+    row = np.full(len(index), -1)
+    row[order] = np.arange(order.size)
+    return PointArrays(lam[order], real[order], index[order], residual[order], G[order],
+                       *canonical_squares(signs[order, :3], W[order, :3]), row[pair[order]])
 
 
 def certify_count(solution_set: SolutionSet) -> dict:
     """Compare class counts against the smooth non-negative expectation:
     63 classes (2^6 - 1 two-torsion points), 15 real (2^4 - 1), 8 PSD, and
-    48 non-real in 24 pairs: `_conjugates` is a fixed-point-free involution."""
+    48 non-real in 24 pairs: the solve's conjugation map is, on the
+    non-real classes, an involution without fixed points."""
     expected = dict(zip(_COUNT_KEYS, (63, 15, 8)))
     actual = dict(zip(_COUNT_KEYS, solution_set.counts))
     passes = {k: actual[k] == expected[k] for k in expected}
-    nonreal = np.array([p.lam for p in solution_set.points if not p.is_real]).reshape(-1, 6)
-    pair, own = _conjugates(nonreal), np.arange(len(nonreal))
-    pairing_ok = bool(np.all((pair != own) & (pair[pair] == own)))
+    pair, nonreal = solution_set.arrays.pair, np.flatnonzero(~solution_set.arrays.real)
+    partner = pair[nonreal]  # -1 where the partner is no class; the pair[-1] read there is masked
+    pairing_ok = bool(np.all((partner >= 0) & (partner != nonreal) & (pair[partner] == nonreal)))
     return {
         "expected": expected,
         "actual": actual,

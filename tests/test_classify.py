@@ -20,6 +20,7 @@ from quartic_sos.forms import (
 )
 from quartic_sos.gram import (
     build_family,
+    canonical_squares,
     complete_squares,
     gram_to_poly,
     representation_to_gram,
@@ -28,7 +29,7 @@ from quartic_sos.classify import (
     HypothesisFailed,
     RankMismatchError,
     Representation,
-    _canonicalize,
+    _representations,
     _residuals,
     classify_point,
     classify_points,
@@ -302,7 +303,7 @@ def test_classify_point_on_trivial_fermat_class():
     f = parse_quartic("x^4+y^4+z^4")
     family = build_family(f)
     # its squares: signs (1, 1, 1) and the vectors e1, e2, e3
-    point = GramPoint(lam=(complex(0),) * 6, is_real=True, rank=3, residual=0.0, hits=1,
+    point = GramPoint(lam=(complex(0),) * 6, is_real=True, residual=0.0, hits=1,
                       first_restart=0, squares=((1, 1, 1), np.eye(3, 6)))
     rep = classify_point(family, point)
     assert rep.is_sum_of_squares
@@ -318,7 +319,7 @@ def _first_significant(coeffs) -> complex:
 
 
 def _canonicalize_one_class(signs: Sequence[int], vecs: Sequence[np.ndarray]):
-    """The one-class loop the batched `_canonicalize` replaced, kept as its
+    """The one-class loop the batched `canonical_squares` replaced, kept as its
     reference: flip each form so its leading coefficient points positive,
     then sort the three by their (re, im) tuples."""
     items = []
@@ -377,17 +378,22 @@ def test_canonical_order_of_a_stack_matches_the_one_class_loop():
     rng = np.random.default_rng(np.random.SeedSequence([17, 0]))
     for _ in range(20):
         signs, V = _planted_stack(rng, 40)
-        S, F, canon = _canonicalize(signs, V.copy())
-        for i, (got_signs, got_forms) in enumerate(canon):
+        S, F = canonical_squares(signs, V.copy())
+        reps = _representations(S, F, [()] * len(S), np.zeros(len(S)))
+        for i, rep in enumerate(reps):
             want_signs, want_forms = _canonicalize_one_class(signs[i].tolist(), V[i])
-            assert got_signs == want_signs and S[i].tolist() == list(want_signs)
-            for got, want in zip(got_forms, want_forms):
+            assert rep.signs == want_signs and S[i].tolist() == list(want_signs)
+            for got, want in zip(rep.forms, want_forms):
                 assert all(_same_bits(a, b) for a, b in zip(got.coeffs, want.coeffs))
             # the array forms are the Python ones, imaginary zeros +0.0
             want = np.array([form.coeffs for form in want_forms], dtype=complex)
             assert F[i].tobytes() == want.tobytes()
-    S, F, canon = _canonicalize(np.zeros((0, 3), dtype=int), np.zeros((0, 3, 6), dtype=complex))
-    assert S.shape == (0, 3) and F.shape == (0, 3, 6) and canon == []
+        # a canonical stack is its own canonical order
+        again = canonical_squares(S, F)
+        assert again[0].tobytes() == S.tobytes() and again[1].tobytes() == F.tobytes()
+    S, F = canonical_squares(np.zeros((0, 3), dtype=int), np.zeros((0, 3, 6), dtype=complex))
+    assert S.shape == (0, 3) and F.shape == (0, 3, 6)
+    assert _representations(S, F, [], np.zeros(0)) == ()
 
 
 # x -> M x for the second change of variables of acceptance criterion 7
@@ -443,6 +449,27 @@ def test_class_residual_measures_a_planted_error(f):
         want = _relative_residual(gram_to_poly(G), s, planted)
         assert r == pytest.approx(want, rel=0, abs=1e-12)
         assert min(r, want) > 1e-7
+
+
+@pytest.mark.parametrize("f", _CLASS_BATCH_INPUTS[:2], ids=["fermat", "random-0"])
+def test_report_views_are_the_classes_of_the_solve(f):
+    # the solve's arrays are the one store: its points, and the report's
+    # representations, are views that classify_points rebuilds from the points
+    report = theorem1_check(f, SolveConfig(master_seed=0))
+    a, points = report.solution_set.arrays, report.solution_set.points
+    assert [p.lam for p in points] == [tuple(z) for z in a.lam.tolist()]
+    assert [p.first_restart for p in points] == a.start.tolist()
+    assert [p.residual for p in points] == a.residual.tolist()
+    rebuilt = classify_points(build_family(f), points)
+    assert len(report.representations) == len(rebuilt) == 63
+    for view, rep in zip(report.representations, rebuilt):
+        assert view.signs == rep.signs and view.class_lambda == rep.class_lambda
+        assert view.residual == rep.residual
+        for got, want in zip(view.forms, rep.forms):
+            assert all(_same_bits(x, y) for x, y in zip(got.coeffs, want.coeffs))
+    # a view is built once per instance and not carried into a copy
+    assert report.representations is report.representations
+    assert replace(report, passed=False).representations is not report.representations
 
 
 def test_theorem1_check_completes_squares_once(monkeypatch):
@@ -503,10 +530,11 @@ def test_theorem1_check_certifies_nonnegativity_by_a_psd_class(monkeypatch):
 def test_theorem1_check_falls_back_to_the_ascent_without_a_psd_class(monkeypatch):
     def solve_without_psd(family, config):
         ss = solve_all(family, config)
-        keep = np.array([not p.is_psd for p in ss.points])
-        points = tuple(p for p, k in zip(ss.points, keep) if k)
-        return replace(ss, points=points, counts=(len(points), sum(p.is_real for p in points), 0),
-                       arrays=ss.arrays._make(a[keep] for a in ss.arrays))
+        a = ss.arrays
+        keep = ~(a.real & np.all(a.signs > 0, axis=1))
+        row = np.cumsum(keep) - 1  # the conjugation map, re-indexed to the rows kept
+        arrays = a._make(x[keep] for x in a)._replace(pair=row[a.pair[keep]])
+        return replace(ss, arrays=arrays, counts=(len(arrays.lam), int(np.count_nonzero(arrays.real)), 0))
 
     monkeypatch.setattr(quartic_sos.classify, "solve_all", solve_without_psd)
     f = parse_quartic("x^4+y^4+z^4")

@@ -36,8 +36,10 @@ from quartic_sos.cli import (
     main,
     random_corpus_quartic,
 )
-from quartic_sos.forms import QuadraticForm, apply_linear_change, parse_quartic
-from quartic_sos.solver import GramPoint, SolutionSet, SolveConfig, certify_count
+from quartic_sos.forms import apply_linear_change, parse_quartic
+from quartic_sos.solver import GramPoint, SolveConfig, certify_count
+
+from gram_arrays import nonreal_solution_set
 
 FERMAT = "x^4 + y^4 + z^4"
 SINGULAR = "(x^2 + y^2 + z^2)^2"
@@ -698,13 +700,10 @@ def test_decompose_decides_reality_by_conjugation_near_the_discriminant(capsys):
 
 def test_count_report_says_when_conjugate_pairing_fails():
     # three non-real classes, one of them without its conjugate
-    points = tuple(GramPoint(lam=(z,) + (0j,) * 5, is_real=False, rank=3, residual=0.0,
-                             hits=1, first_restart=i, squares=((1, 1, 1), np.eye(3, 6)))
-                   for i, z in enumerate((1 + 1j, 1 - 1j, 2 + 1j)))
-    ss = SolutionSet(points=points, counts=(3, 0, 0), config=SolveConfig())
+    ss = nonreal_solution_set([(z,) + (0j,) * 5 for z in (1 + 1j, 1 - 1j, 2 + 1j)])
     count_report = certify_count(ss)
     assert not count_report["conjugate_pairing_ok"]
-    report = Theorem1Report(curve=None, positivity=None, solution_set=ss, representations=(),
+    report = Theorem1Report(curve=None, positivity=None, solution_set=ss, residuals=np.zeros(3),
                             count_report=count_report, sos_total=0, mixed_real_total=0,
                             nonreal_total=3, passed=False)
     out = io.StringIO()
@@ -748,12 +747,13 @@ def _reference(f, seed, report) -> str:
 
 
 def _no_class_dicts(monkeypatch):
-    """Make building a per-class dict raise."""
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__}.to_json ran")
+    """Make building a per-class object or dict raise."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
 
-    monkeypatch.setattr(GramPoint, "to_json", refuse)
-    monkeypatch.setattr(Representation, "to_json", refuse)
+    for cls in (GramPoint, Representation):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "to_json", refuse)
 
 
 def _decompose_report(monkeypatch, argv):
@@ -813,15 +813,10 @@ def test_partial_and_error_reports_are_the_json_module_text(tmp_path, monkeypatc
 
 
 def _with_values(report, lam, point_residual, forms, residual):
-    """report with new class values, in its arrays and its objects alike."""
+    """report with new class values, written into its arrays."""
     ss = report.solution_set
-    points = tuple(replace(p, lam=tuple(z), residual=r)
-                   for p, z, r in zip(ss.points, lam.tolist(), point_residual.tolist()))
-    reps = tuple(replace(rep, class_lambda=tuple(z), residual=r,
-                         forms=tuple(QuadraticForm(tuple(c)) for c in F))
-                 for rep, z, F, r in zip(report.representations, lam.tolist(), forms.tolist(), residual.tolist()))
-    return replace(report, representations=reps, arrays=(report.arrays[0], forms, residual),
-                   solution_set=replace(ss, points=points, arrays=ss.arrays._replace(lam=lam, residual=point_residual)))
+    arrays = ss.arrays._replace(lam=lam, residual=point_residual, W=forms)
+    return replace(report, residuals=residual, solution_set=replace(ss, arrays=arrays))
 
 
 def _filled(shape, values, shift=0):

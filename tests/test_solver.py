@@ -35,6 +35,8 @@ from quartic_sos.solver import (
     solve_all,
 )
 
+from gram_arrays import nonreal_solution_set
+
 
 @pytest.fixture(scope="module")
 def fermat_family():
@@ -124,7 +126,7 @@ def test_real_points_carry_signatures(fermat_set):
             assert p.is_psd == (p.signature == (3, 0))
         else:
             assert p.signature is None
-        assert p.rank == 3
+        assert np.count_nonzero(p.squares[0]) == 3
 
 
 def test_points_sorted_real_first_by_signature(fermat_set):
@@ -145,29 +147,41 @@ def test_certify_count_report(fermat_set):
     assert report["conjugate_pairing_ok"]
 
 
-def _nonreal_points(lams):
-    return tuple(GramPoint(lam=lam, is_real=False, rank=3, residual=0.0, hits=1,
-                           first_restart=i, squares=((1, 1, 1), np.eye(3, 6)))
-                 for i, lam in enumerate(lams))
-
-
 def test_certify_count_pairs_conjugates_without_a_tolerance():
     # each class sits 2e-6 (relative) from its partner's conjugate, above
     # DEDUP_TOL: the nearest conjugate still pairs them, at any scale
     u, v = (3 + 4j, 0j, 1j, 0j, 0j, 2 + 0j), (-2 + 1j, 0.5j, 0j, 1 + 0j, 0j, 0j)
     lams = [u, v] + [tuple(np.conj(np.array(w)) * (1 + 2e-6)) for w in (u, v)]
     for scale in (1.0, 1e-9, 1e9):
-        points = _nonreal_points([tuple(np.array(lam) * scale) for lam in lams])
-        report = certify_count(SolutionSet(points=points, counts=(4, 0, 0), config=SolveConfig()))
+        report = certify_count(nonreal_solution_set(np.array(lams) * scale))
         assert report["conjugate_pairing_ok"] and report["conjugate_pairs"] == 2
 
 
 def test_certify_count_refuses_a_class_that_is_its_own_conjugate():
     # a non-real class nearest to its own conjugate is a fixed point of the
     # map: no pairing, although the set is even and the first two pair off
-    points = _nonreal_points([(z,) + (0j,) * 5 for z in (1 + 1j, 1 - 1j, 5 + 1e-3j, 7 + 1e-3j)])
-    report = certify_count(SolutionSet(points=points, counts=(4, 0, 0), config=SolveConfig()))
+    ss = nonreal_solution_set([(z,) + (0j,) * 5 for z in (1 + 1j, 1 - 1j, 5 + 1e-3j, 7 + 1e-3j)])
+    report = certify_count(ss)
     assert not report["conjugate_pairing_ok"] and report["conjugate_pairs"] is None
+
+
+def test_finalize_re_indexes_the_conjugation_map(fermat_set):
+    # the map is drawn on the endpoints, before the rank-3 filter; a class
+    # whose partner completes to another rank is left with -1, and fails
+    # the pairing although the others pair off
+    a = fermat_set.arrays
+    G0 = build_family(parse_quartic("x^4+y^4+z^4")).base.astype(float)
+    i = int(np.flatnonzero(~a.real)[0])
+    lam = a.lam.copy()
+    lam[a.pair[i]] = 0.3 + 0.1j  # a full-rank G: no class
+    again = _finalize(a.start, lam, a.real, a.residual, a.pair, G0, 1.0)
+    assert len(again.lam) == 62
+    row = int(np.flatnonzero(again.start == a.start[i])[0])
+    assert again.pair[row] == -1
+    others = np.flatnonzero(again.pair != -1)
+    assert len(others) == 61 and np.array_equal(again.pair[again.pair[others]], others)
+    ss = SolutionSet(arrays=again, counts=(62, 15, 8), config=SolveConfig())
+    assert not certify_count(ss)["conjugate_pairing_ok"]
 
 
 def test_real_part_guard_keeps_non_real_classes_non_real(fermat_family, monkeypatch):
@@ -279,11 +293,8 @@ def test_fermat_start_table_is_exact():
 
 
 def test_class_order_ignores_last_bits(fermat_set):
-    points = fermat_set.points
-    index = [p.first_restart for p in points]
-    lam = np.array([p.lam for p in points])
-    real = [p.is_real for p in points]
-    res = [p.residual for p in points]
+    a = fermat_set.arrays
+    lam = a.lam
     G0 = build_family(parse_quartic("x^4+y^4+z^4")).base.astype(float)
     rng = np.random.default_rng(np.random.SeedSequence([19]))
     nudged = lam.copy()
@@ -293,11 +304,8 @@ def test_class_order_ignores_last_bits(fermat_set):
             nudged.imag == 0, 0.0, np.nextafter(nudged.imag, -toward))
     assert not np.array_equal(nudged, lam)
     for values in (lam, nudged):
-        again, arrays = _finalize(index, values, real, res, G0, 1.0)
-        assert [p.first_restart for p in again] == index
-        # the arrays hold the points, in their order
-        assert arrays.lam.tolist() == [list(p.lam) for p in again]
-        assert arrays.signs.tolist() == [list(p.squares[0]) for p in again]
+        again = _finalize(a.start, values, a.real, a.residual, a.pair, G0, 1.0)
+        assert np.array_equal(again.start, a.start) and np.array_equal(again.pair, a.pair)
 
 
 def test_start_table_is_built_once(monkeypatch):
@@ -356,7 +364,6 @@ def test_path_with_a_vanishing_third_coefficient_leaves_its_start(seed):
 def test_singular_family_reports_failed_paths():
     # (x^2+y^2+z^2)^2 is singular: the homotopy has no 63 regular endpoints
     ss = solve_all(build_family(parse_quartic("(x^2+y^2+z^2)^2")), SolveConfig())
-    assert ss.tracked == 63
     assert ss.failed > 0
     assert ss.counts[0] == 63 - ss.failed
     assert not certify_count(ss)["all_pass"]
@@ -459,7 +466,7 @@ def test_ill_conditioned_change_of_variables():
     ss = solve_all(build_family(apply_linear_change(parse_quartic("x^4+y^4+z^4"), M)), SolveConfig())
     assert ss.counts == (63, 15, 8)
     assert certify_count(ss)["all_pass"]
-    assert (ss.tracked, ss.failed) == (63, 0)
+    assert ss.failed == 0
 
 
 def test_solution_set_json_shape(fermat_set):
@@ -473,9 +480,9 @@ def test_solution_set_json_shape(fermat_set):
 
 def test_gram_point_is_psd_property():
     # the signature is read off the point's squares
-    p = GramPoint(lam=(0,) * 6, is_real=True, rank=3, residual=0.0, hits=1,
+    p = GramPoint(lam=(0,) * 6, is_real=True, residual=0.0, hits=1,
                   first_restart=0, squares=((1, 1, 1), np.eye(3, 6)))
     assert p.signature == (3, 0) and p.is_psd
-    q = GramPoint(lam=(0,) * 6, is_real=True, rank=3, residual=0.0, hits=1,
+    q = GramPoint(lam=(0,) * 6, is_real=True, residual=0.0, hits=1,
                   first_restart=0, squares=((1, -1, 1), np.eye(3, 6)))
     assert q.signature == (2, 1) and not q.is_psd
