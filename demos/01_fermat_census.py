@@ -48,5 +48,6 @@ print("verified:", verdict.passed)
 # the remaining real classes all mix signs, and the non-real classes
 # come in conjugate pairs; the count report records both facts
 cr = report.count_report
-print("\nmixed-sign real classes:", report.mixed_real_total)
-print("non-real classes:", cr["nonreal_total"], "in", cr["conjugate_pairs"], "pairs")
+sos_total, mixed_real_total, nonreal_total = report.split
+print("\nmixed-sign real classes:", mixed_real_total)
+print("non-real classes:", nonreal_total, "in", cr["conjugate_pairs"], "pairs")

@@ -255,22 +255,28 @@ def classify_point(family: GramFamily, point: GramPoint) -> Representation:
 
 @dataclass(frozen=True, eq=False)
 class Theorem1Report:
-    """Full pipeline outcome for one quartic: the solve's classes and their
-    certificate residuals (n,).  `representations` is a view of both, built
-    on first read.  Each is basepoint-free, f being smooth: a common zero v
-    of p1, p2, p3 gives f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v)
-    = 0.  The numeric basepoint test stays in `verify`, where f may not be."""
+    """Full pipeline outcome for one quartic: the solve's classes, their
+    certificate residuals (n,) and the verdicts drawn once, `count_report`
+    and `passed`.  `split` is read off the counts; `representations` is a
+    view of the classes and residuals, built on first read.  Each is
+    basepoint-free, f being smooth: a common zero v of p1, p2, p3 gives
+    f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v) = 0.  The numeric
+    basepoint test stays in `verify`, where f may not be."""
 
     curve: CurveStatus
     positivity: PositivityStatus
     solution_set: SolutionSet
     residuals: np.ndarray
     count_report: dict
-    sos_total: int
-    mixed_real_total: int
-    nonreal_total: int
     passed: bool
     timings: dict = field(default_factory=dict)
+
+    @property
+    def split(self) -> Tuple[int, int, int]:
+        """(sums of squares, mixed-sign real, non-real): a real class has a real G, so
+        real forms whose signs are its signature; a non-real one, non-real forms."""
+        total, real, psd = self.solution_set.counts
+        return psd, real - psd, total - real
 
     @functools.cached_property
     def representations(self) -> Tuple[Representation, ...]:
@@ -288,11 +294,7 @@ class Theorem1Report:
             "solutions": self.solution_set.to_json(),
             "representations": [r.to_json() for r in self.representations],
             "count_report": self.count_report,
-            "split": {
-                "sos_total": self.sos_total,
-                "mixed_real_total": self.mixed_real_total,
-                "nonreal_total": self.nonreal_total,
-            },
+            "split": dict(zip(("sos_total", "mixed_real_total", "nonreal_total"), self.split)),
             "passed": self.passed,
         }
 
@@ -304,10 +306,8 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     the solve's PSD classes has as kernel the intersection of theirs, so it
     is PSD with room for rounding, and `proved_lambda` reads it as an exact
     lam_q whose G(lam_q) an exact LDL^T proves PSD.  Only when that fails
-    does `nonnegativity_test` decide.  The split is read off the counts: a
-    real class has a real G, so real forms whose signs are its signature,
-    and a non-real one non-real forms.  For a smooth non-negative quartic
-    it is 8 sums of squares, 7 mixed-sign real and 48 non-real classes.
+    does `nonnegativity_test` decide.  For a smooth non-negative quartic
+    the split is 8 sums of squares, 7 mixed-sign real and 48 non-real classes.
     Raises HypothesisFailed (no counts asserted) when a hypothesis fails;
     an undecided non-negativity after a solve that lost paths is left to
     fail the counts instead, since the lost paths may be the cause.
@@ -323,7 +323,7 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     solution_set = solve_all(family, config)
     timings["solve"] = time.perf_counter() - t0
     arrays = solution_set.arrays
-    psd = arrays.lam[arrays.real & np.all(arrays.signs > 0, axis=1)]
+    psd = arrays.lam[solution_set.psd]
     proof = proved_lambda(family, np.mean(psd.real, axis=0)) if len(psd) else None
     if proof is not None:
         positivity = PositivityStatus(nonnegative=True, certificate=proof)
@@ -343,10 +343,7 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     residuals = _residuals(arrays.G, arrays.signs, arrays.W)
     timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
-    total, real, psd = solution_set.counts
     passed = (positivity.nonnegative is True and count_report["all_pass"]
               and bool(np.all(residuals <= REPRESENTATION_TOL)))
     return Theorem1Report(curve=curve, positivity=positivity, solution_set=solution_set,
-                          residuals=residuals, count_report=count_report,
-                          sos_total=psd, mixed_real_total=real - psd, nonreal_total=total - real,
-                          passed=passed, timings=timings)
+                          residuals=residuals, count_report=count_report, passed=passed, timings=timings)

@@ -88,10 +88,10 @@ def _form_text(coeffs: Sequence[complex]) -> str:
     return " + ".join(parts).replace(" + -", " - ") or "0"  # a term's text holds no space
 
 
-def _rep_text(index: int, signs: Sequence[int], forms, residual: float, real: bool) -> str:
+def _rep_text(index: int, signs: Sequence[int], forms, residual: float, real: bool, psd: bool) -> str:
     """The listing of one class of a decompose report: its signs, kind and
     residual, then its three forms, each six complex coefficients."""
-    kind = ("sum of squares" if min(signs) > 0 else "real, mixed signs") if real else "non-real"
+    kind = "sum of squares" if psd else "real, mixed signs" if real else "non-real"
     signs = " ".join("+" if s > 0 else "-" for s in signs)
     return "".join([f"[{index}] signs ({signs})  {kind}  (residual {residual:.3g}, basepoint-free)\n"]
                    + [f"    p{k} = {_form_text(form)}\n" for k, form in enumerate(forms, start=1)])
@@ -99,29 +99,18 @@ def _rep_text(index: int, signs: Sequence[int], forms, residual: float, real: bo
 
 def _print_counts(report: Theorem1Report, out: TextIO) -> None:
     cr = report.count_report
-    labels = {
-        "complex_total": "classes",
-        "real_total": "real classes",
-        "psd_total": "sums of three squares",
-    }
-    for key, label in labels.items():
+    for key, label in (("complex_total", "classes"), ("real_total", "real classes"),
+                       ("psd_total", "sums of three squares")):
         status = "ok" if cr["pass"][key] else "MISMATCH"
-        out.write(
-            f"{label}: {cr['actual'][key]} "
-            f"(expected {cr['expected'][key]}) [{status}]\n"
-        )
+        out.write(f"{label}: {cr['actual'][key]} (expected {cr['expected'][key]}) [{status}]\n")
     if cr["conjugate_pairing_ok"]:
         pairing = f" in {cr['conjugate_pairs']} conjugate pairs [ok]"
     else:
         pairing = ", conjugate pairing failed [MISMATCH]"
     out.write(f"non-real classes: {cr['nonreal_total']}{pairing}\n")
-    out.write(
-        "split: {} sums of squares, {} mixed-sign real, {} non-real\n".format(
-            report.sos_total, report.mixed_real_total, report.nonreal_total
-        )
-    )
-    worst = max(report.residuals.tolist(), default=0.0)
-    if worst > REPRESENTATION_TOL:
+    out.write("split: {} sums of squares, {} mixed-sign real, {} non-real\n".format(*report.split))
+    worst = np.max(report.residuals, initial=0.0)  # NaN, a square that overflowed, is the worst
+    if not worst <= REPRESENTATION_TOL:
         out.write(f"certificate residuals: max {worst:.3g} (limit {REPRESENTATION_TOL:g}) [MISMATCH]\n")
     out.write(f"certified: {'pass' if report.passed else 'FAIL'}\n")
 
@@ -164,9 +153,11 @@ def _float_texts(a: np.ndarray) -> List[str]:
 def _report_text(f: TernaryQuartic, seed: int, report: Theorem1Report) -> str:
     """`_dumps(_report_json(f, seed, report))`, its two class lists written
     from the solve's arrays and the report's residuals, each float's text
-    made once; the rest is json.dumps of the report on zero-row arrays.  A
-    report with a float that is not finite, which json writes NaN or
-    Infinity and repr nan or inf, goes through json.dumps whole."""
+    made once; the rest is json.dumps of the report's own `to_json` on a
+    copy whose cached views `points` and `representations` are (), so its
+    counts and split are the rows'.  A report with a float that is not
+    finite, which json writes NaN or Infinity and repr nan or inf, goes
+    through json.dumps whole."""
     ss, residual = report.solution_set, report.residuals
     points = ss.arrays
     if not all(np.all(np.isfinite(a)) for a in (points.lam, points.residual, points.W, residual)):
@@ -180,7 +171,8 @@ def _report_text(f: TernaryQuartic, seed: int, report: Theorem1Report) -> str:
     form = _float_texts(points.W)
     rows = zip(lam, range(0, len(form), 36), _float_texts(residual), signs)
     rep_texts = [_record_template("representation") % (*x, *form[k:k + 36], r, *s) for x, k, r, s in rows]
-    bare = replace(report, residuals=residual[:0], solution_set=replace(ss, arrays=points._make(a[:0] for a in points)))
+    bare = replace(report, solution_set=replace(ss))
+    bare.__dict__["representations"] = bare.solution_set.__dict__["points"] = ()
     text = _dumps(_report_json(f, seed, bare))
     text = text.replace('"points": []', '"points": ' + _list_text(point_texts, 2), 1)
     return text.replace('"representations": []', '"representations": ' + _list_text(rep_texts, 1), 1)
@@ -397,16 +389,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
 
     _print_counts(report, out)
-    classes = report.solution_set.arrays
-    signs, forms, real, residual = classes.signs, classes.W, classes.real, report.residuals
+    ss = report.solution_set
+    real, psd = ss.arrays.real, ss.psd
     if args.show_all:
         chosen, title = np.ones(len(real), dtype=bool), "all representation classes"
     elif args.sos_only:
-        chosen, title = real & np.all(signs > 0, axis=1), "sum-of-three-squares certificates"
+        chosen, title = psd, "sum-of-three-squares certificates"
     else:
         chosen, title = real, "real representation certificates"
     out.write(f"{title} ({np.count_nonzero(chosen)}):\n")
-    rows = zip(signs[chosen].tolist(), forms[chosen].tolist(), residual[chosen].tolist(), real[chosen].tolist())
+    rows = zip(*(a[chosen].tolist() for a in (ss.arrays.signs, ss.arrays.W, report.residuals, real, psd)))
     for i, row in enumerate(rows, start=1):
         out.write(_rep_text(i, *row))
 

@@ -110,11 +110,14 @@ _CUT_FORM: PolyDict = {(1, 0, 0): Fraction(3), (0, 1, 0): Fraction(-5), (0, 0, 1
 
 @dataclass(frozen=True)
 class CurveStatus:
-    """Smoothness verdict for the complex projective curve f = 0."""
+    """Smoothness verdict for the complex projective curve f = 0, singular where its discriminant is zero."""
 
     smooth: bool
-    discriminant_sign: str  # "zero" or "nonzero"
     method: str = "macaulay"  # the one exact test; bench/spans.py reads it
+
+    @property
+    def discriminant_sign(self) -> str:
+        return "nonzero" if self.smooth else "zero"
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,7 @@ def smoothness_test(f: TernaryQuartic) -> CurveStatus:
     span all 36 septics exactly when the curve is smooth (`resultant`)."""
     if not f.is_rational():
         raise ValueError("smoothness_test requires exact rational coefficients")
-    if gradient_resultant_is_nonzero(f):
-        return CurveStatus(smooth=True, discriminant_sign="nonzero")
-    return CurveStatus(smooth=False, discriminant_sign="zero")
+    return CurveStatus(smooth=gradient_resultant_is_nonzero(f))
 
 
 def _balancing_exponents(f: TernaryQuartic) -> Tuple[int, int]:

@@ -91,7 +91,7 @@ class GramPoint:
 
     @property
     def is_psd(self) -> bool:
-        return self.is_real and self.signature == (3, 0)
+        return self.signature == (3, 0)
 
     def to_json(self) -> dict:
         return {
@@ -113,19 +113,30 @@ PointArrays = collections.namedtuple("PointArrays", "lam real start residual G s
 
 @dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """All rank-3 classes found, as `arrays`, their counts and the (not
-    serialized) counts of paths retracked and failed, of accepted tracker
-    steps (in total and on the longest path, retracks included) and of
-    rejected ones.  `points` is a view of the arrays, built on first read."""
+    """All rank-3 classes found, as `arrays`, and the (not serialized)
+    counts of paths retracked, of accepted tracker steps (in total and on
+    the longest path, retracks included) and of rejected ones.  Everything
+    else is read off the arrays: `psd`, `counts` and `failed` on each read,
+    `points`, a view, on the first."""
 
     arrays: PointArrays
-    counts: Tuple[int, int, int]
     config: SolveConfig
     retracked: int = 0
-    failed: int = 0
     steps: int = 0
     max_steps: int = 0
     rejects: int = 0
+
+    @property
+    def psd(self) -> np.ndarray:  # per row: a sum of three squares, real with three + signs
+        return self.arrays.real & np.all(self.arrays.signs > 0, axis=1)
+
+    @property
+    def counts(self) -> Tuple[int, int, int]:  # classes, real, PSD
+        return len(self.arrays.lam), int(np.count_nonzero(self.arrays.real)), int(np.count_nonzero(self.psd))
+
+    @property
+    def failed(self) -> int:  # paths that found no class: one starts at each of Fermat's
+        return len(FERMAT_CLASSES) - len(self.arrays.lam)
 
     @functools.cached_property
     def points(self) -> Tuple[GramPoint, ...]:
@@ -364,9 +375,7 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
         real = real[good]
         lam[real], res[real] = lr[good], rr[good]
     arrays = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], pair, family.base.astype(float), scale)
-    psd = arrays.real & np.all(arrays.signs > 0, axis=1)
-    counts = (len(arrays.lam), int(np.count_nonzero(arrays.real)), int(np.count_nonzero(psd)))
-    return SolutionSet(arrays=arrays, counts=counts, config=config, retracked=retracked, failed=n - counts[0],
+    return SolutionSet(arrays=arrays, config=config, retracked=retracked,
                        steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()))
 
 

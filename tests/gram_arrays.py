@@ -24,4 +24,4 @@ def nonreal_solution_set(lams) -> SolutionSet:
                          G=np.broadcast_to(np.diag([1.0, 1, 1, 0, 0, 0]) + 0j, (n, 6, 6)),
                          signs=np.ones((n, 3), dtype=int), W=np.broadcast_to(np.eye(3, 6) + 0j, (n, 3, 6)),
                          pair=_conjugates(lam))
-    return SolutionSet(arrays=arrays, counts=(n, 0, 0), config=SolveConfig())
+    return SolutionSet(arrays=arrays, config=SolveConfig())

@@ -531,10 +531,9 @@ def test_theorem1_check_falls_back_to_the_ascent_without_a_psd_class(monkeypatch
     def solve_without_psd(family, config):
         ss = solve_all(family, config)
         a = ss.arrays
-        keep = ~(a.real & np.all(a.signs > 0, axis=1))
+        keep = ~ss.psd
         row = np.cumsum(keep) - 1  # the conjugation map, re-indexed to the rows kept
-        arrays = a._make(x[keep] for x in a)._replace(pair=row[a.pair[keep]])
-        return replace(ss, arrays=arrays, counts=(len(arrays.lam), int(np.count_nonzero(arrays.real)), 0))
+        return replace(ss, arrays=a._make(x[keep] for x in a)._replace(pair=row[a.pair[keep]]))
 
     monkeypatch.setattr(quartic_sos.classify, "solve_all", solve_without_psd)
     f = parse_quartic("x^4+y^4+z^4")
@@ -542,7 +541,25 @@ def test_theorem1_check_falls_back_to_the_ascent_without_a_psd_class(monkeypatch
     assert report.positivity.nonnegative is True
     assert ldl_positive_semidefinite(build_family(f).matrix_at(report.positivity.certificate))
     assert "nonnegativity" in report.timings
-    assert report.sos_total == 0 and not report.passed
+    assert report.split == (0, 7, 48) and not report.passed
+
+
+def test_totals_are_read_off_the_rows():
+    # no total is stored beside the rows: a copy on every third of Fermat's
+    # (PSD first, then mixed-sign real, then non-real) has that subset's
+    report = theorem1_check(parse_quartic("x^4+y^4+z^4"))
+    ss = report.solution_set
+    keep = np.arange(63) % 3 == 0
+    sub = replace(ss, arrays=ss.arrays._make(x[keep] for x in ss.arrays))
+    assert np.array_equal(sub.psd, ss.psd[keep])
+    assert np.array_equal(sub.psd, sub.arrays.real & np.all(sub.arrays.signs == 1, axis=1))
+    assert (sub.counts, sub.failed) == ((21, 5, 3), 42)
+    sub_report = replace(report, solution_set=sub, residuals=report.residuals[keep])
+    assert sub_report.split == (3, 2, 16)
+    data = sub_report.to_json()
+    assert data["split"] == {"sos_total": 3, "mixed_real_total": 2, "nonreal_total": 16}
+    assert data["solutions"]["counts"] == {"complex_total": 21, "real_total": 5, "psd_total": 3}
+    assert len(data["representations"]) == len(data["solutions"]["points"]) == 21
 
 
 @pytest.mark.parametrize("e", ["1/1000", "1/10000"])

@@ -678,6 +678,19 @@ def test_failed_certificate_residuals_are_named(monkeypatch, capsys):
     assert lines[lines.index(line) + 1] == "certified: FAIL"
 
 
+@pytest.mark.parametrize("row", [0, 5])
+def test_a_nan_certificate_residual_is_named(row):
+    # NaN, a square that overflowed, is lost by max() (first or not) and by a
+    # > test; the failure must still be named
+    report = theorem1_check(parse_quartic(FERMAT))
+    residuals = report.residuals.copy()
+    residuals[row] = np.nan
+    out = io.StringIO()
+    _print_counts(replace(report, residuals=residuals, passed=False), out)
+    assert out.getvalue().splitlines()[-2:] == ["certificate residuals: max nan (limit 1e-08) [MISMATCH]",
+                                                "certified: FAIL"]
+
+
 def test_decompose_prints_path_counters_on_stderr(capsys):
     assert main(["decompose", FERMAT]) == EXIT_OK
     captured = capsys.readouterr()
@@ -704,12 +717,12 @@ def test_count_report_says_when_conjugate_pairing_fails():
     count_report = certify_count(ss)
     assert not count_report["conjugate_pairing_ok"]
     report = Theorem1Report(curve=None, positivity=None, solution_set=ss, residuals=np.zeros(3),
-                            count_report=count_report, sos_total=0, mixed_real_total=0,
-                            nonreal_total=3, passed=False)
+                            count_report=count_report, passed=False)
     out = io.StringIO()
     _print_counts(report, out)
     lines = out.getvalue().splitlines()
     assert "non-real classes: 3, conjugate pairing failed [MISMATCH]" in lines
+    assert "split: 0 sums of squares, 0 mixed-sign real, 3 non-real" in lines
     assert "None" not in out.getvalue()
 
 

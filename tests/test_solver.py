@@ -180,7 +180,8 @@ def test_finalize_re_indexes_the_conjugation_map(fermat_set):
     assert again.pair[row] == -1
     others = np.flatnonzero(again.pair != -1)
     assert len(others) == 61 and np.array_equal(again.pair[again.pair[others]], others)
-    ss = SolutionSet(arrays=again, counts=(62, 15, 8), config=SolveConfig())
+    ss = SolutionSet(arrays=again, config=SolveConfig())
+    assert (ss.counts, ss.failed) == ((62, 15, 8), 1)
     assert not certify_count(ss)["conjugate_pairing_ok"]
 
 
