@@ -4,12 +4,13 @@ A rank-3 Gram matrix G factors as e1 v1 v1^T + e2 v2 v2^T + e3 v3 v3^T,
 which reads as f = e1 p^2 + e2 q^2 + e3 r^2 with p, q, r quadratic forms.
 The solver completes the squares of all the classes as one batch and puts
 them in canonical order once, in `SolutionSet.arrays`: a real G in real
-arithmetic, its signs its signature, a complex G with signs +1.  Here a
-residual is read off the Gram matrix E = G - sum s_i w_i w_i^T left after
-the squares: f = sum s_i p_i^2 exactly when m^T E m is the zero quartic.
-The report adds those residuals to the arrays; its `Representation`s are
-views built on first read.  `verify` reads the residuals of a certificate
-file off the same map, with f's own Gram matrix G0 as G.
+arithmetic, its signs its signature, a complex G with signs +1.  It also
+measures each class's one residual there, off the Gram matrix E = G0 - sum
+s_i w_i w_i^T left after the squares, G0 f's own (`gram.residuals`): f =
+sum s_i p_i^2 exactly when m^T E m is the zero quartic.  The report's
+`Representation`s are views of those rows built on first read, and
+`verify` measures the certificates of a file by the same routine, so on
+decompose's own report it gives decompose's residuals.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .forms import QuadraticForm, TernaryQuartic, ZeroFormError
-from .gram import (
-    COEFF_MAP,
-    KERNEL_BASIS_TENSOR,
-    GramFamily,
-    build_family,
-    canonical_squares,
-    complete_squares,
-)
+from .gram import GramFamily, build_family, canonical_squares, complete_squares, residuals
 from .curves import (
     CurveStatus,
     PositivityStatus,
@@ -159,18 +153,7 @@ def _finite(value, what: str) -> float:
     return x
 
 
-def _residuals(G: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Relative residuals of a stack, G (n, 6, 6), signs (n, 3) and forms F
-    (n, 3, 6), complex, or object of Fractions for exact ones.  E = G -
-    sum_k s_k F_k F_k^T is the Gram matrix left after the squares, so m^T E m
-    = f - sum_k s_k p_k^2, and the residual is max |coef(E)| / max |coef(G)|,
-    NaN when a square overflows."""
-    E = G - np.einsum("nk,nka,nkb->nab", signs, F, F)
-    coef = np.abs(np.stack([E, G]).reshape(2, len(G), 36) @ COEFF_MAP)
-    return coef[0].max(axis=1) / coef[1].max(axis=1)
-
-
-def _representations(signs: np.ndarray, V: np.ndarray, class_lambdas, residuals: np.ndarray,
+def _representations(signs: np.ndarray, V: np.ndarray, class_lambdas, residual: np.ndarray,
                      basepoint_free: Optional[bool] = None) -> Tuple[Representation, ...]:
     """Representation objects of a stack of canonical squares, signs (n, 3)
     and forms V (n, 3, 6), complex, a coefficient whose imaginary part is
@@ -180,18 +163,18 @@ def _representations(signs: np.ndarray, V: np.ndarray, class_lambdas, residuals:
     coeffs[real] = V.real[real]
     return tuple(Representation(signs=tuple(s), forms=tuple(map(QuadraticForm, forms)), class_lambda=tuple(lam),
                                 residual=r, basepoint_free=basepoint_free)
-                 for s, forms, lam, r in zip(signs.tolist(), coeffs.tolist(), class_lambdas, residuals.tolist()))
+                 for s, forms, lam, r in zip(signs.tolist(), coeffs.tolist(), class_lambdas, residual.tolist()))
 
 
 def factor(G: np.ndarray, class_lambda: Tuple[complex, ...] = ()) -> Representation:
     """Factor a (6, 6) Gram matrix by one completion of squares, its signs the
     signature of a real G; RankMismatchError unless the rank is 3."""
-    G = np.asarray(G, dtype=complex)[None]
-    signs, W = complete_squares(G)
+    G = np.asarray(G, dtype=complex)
+    signs, W = complete_squares(G[None])
     if np.count_nonzero(signs) != 3:
         raise RankMismatchError(f"completion of squares has rank {np.count_nonzero(signs)}, not 3")
     S, F = canonical_squares(signs[:, :3], W[:, :3])
-    return _representations(S, F, [class_lambda], _residuals(G, S, F))[0]
+    return _representations(S, F, [class_lambda], residuals(G, S, F))[0]
 
 
 @dataclass(frozen=True)
@@ -208,12 +191,13 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
     """Compare each sum sign_i form_i^2 to f coefficientwise; one verdict per
     representation, in order.
 
-    Every residual comes from one `_residuals` call against f's Gram matrix
-    G0, whose coefficients are f's own (c on the diagonal, c/2 twice off it):
-    in Fractions, so exactly, for the representations whose forms are
-    rational when f is, and in complex128 for the rest.  A residual that is
-    not finite fails.  The basepoint tests of all the representations run
-    as one batch (`basepoint_check`).  ZeroFormError when a form is zero.
+    Every residual comes from `gram.residuals` against f's Gram matrix G0,
+    whose coefficients are f's own (c on the diagonal, c/2 twice off it): in
+    Fractions, so exactly, for the representations whose forms are rational
+    when f is, and in complex128 for the rest, as `decompose` measured its
+    own.  A residual that is not finite fails.  The basepoint tests of all
+    the representations run as one batch (`basepoint_check`).  ZeroFormError
+    when a form is zero.
     """
     if any(form.is_zero() for rep in reps for form in rep.forms):
         raise ZeroFormError("certificate form is identically zero")
@@ -229,23 +213,19 @@ def verify_representation(f: TernaryQuartic, reps: Sequence[Representation]) -> 
         idx = np.flatnonzero(part)
         if idx.size:
             F = np.array([[form.coeffs for form in reps[i].forms] for i in idx], dtype=dtype)
-            G = np.broadcast_to(G0.astype(dtype), (idx.size, 6, 6))
-            residual[idx] = _residuals(G, signs[idx], F)  # a Fraction rounds once, by float()
-    return [VerifyVerdict(passed=math.isfinite(r) and r <= REPRESENTATION_TOL,
-                          residual=r, basepoint_free=free, exact=e)
+            residual[idx] = residuals(G0.astype(dtype), signs[idx], F)  # a Fraction rounds once, by float()
+    return [VerifyVerdict(passed=r <= REPRESENTATION_TOL, residual=r, basepoint_free=free, exact=e)
             for r, free, e in zip(residual.tolist(), frees, exact.tolist())]
 
 
 def classify_points(family: GramFamily, points: Sequence[GramPoint]) -> List[Representation]:
     """Representations of any points, hand-built ones too, one batch: each
-    point's squares in canonical order, with residuals against the G(lam) =
-    G0 + sum lam_i B_i the solver completed, as the report's views have."""
-    lam = np.array([p.lam for p in points], dtype=complex).reshape(-1, 6)
-    G = family.base.astype(float) + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
+    point's squares in canonical order, with residuals against f's own G0,
+    as the solver measured the report's."""
     signs = np.array([p.squares[0] for p in points], dtype=int).reshape(-1, 3)
     W = np.array([p.squares[1] for p in points], dtype=complex).reshape(-1, 3, 6)
     S, F = canonical_squares(signs, W)
-    return list(_representations(S, F, [p.lam for p in points], _residuals(G, S, F)))
+    return list(_representations(S, F, [p.lam for p in points], residuals(family.base.astype(float), S, F)))
 
 
 def classify_point(family: GramFamily, point: GramPoint) -> Representation:
@@ -255,10 +235,10 @@ def classify_point(family: GramFamily, point: GramPoint) -> Representation:
 
 @dataclass(frozen=True, eq=False)
 class Theorem1Report:
-    """Full pipeline outcome for one quartic: the solve's classes, their
-    certificate residuals (n,) and the verdicts drawn once, `count_report`
+    """Full pipeline outcome for one quartic: the solve's classes, each with
+    its certificate's residual, and the verdicts drawn once, `count_report`
     and `passed`.  `split` is read off the counts; `representations` is a
-    view of the classes and residuals, built on first read.  Each is
+    view of the classes, built on first read.  Each is
     basepoint-free, f being smooth: a common zero v of p1, p2, p3 gives
     f(v) = 0 and grad f(v) = 2 sum s_i p_i(v) grad p_i(v) = 0.  The numeric
     basepoint test stays in `verify`, where f may not be."""
@@ -266,7 +246,6 @@ class Theorem1Report:
     curve: CurveStatus
     positivity: PositivityStatus
     solution_set: SolutionSet
-    residuals: np.ndarray
     count_report: dict
     passed: bool
     timings: dict = field(default_factory=dict)
@@ -281,7 +260,7 @@ class Theorem1Report:
     @functools.cached_property
     def representations(self) -> Tuple[Representation, ...]:
         a = self.solution_set.arrays
-        return _representations(a.signs, a.W, a.lam.tolist(), self.residuals, basepoint_free=True)
+        return _representations(a.signs, a.W, a.lam.tolist(), a.residual, basepoint_free=True)
 
     def to_json(self) -> dict:
         return {
@@ -300,7 +279,7 @@ class Theorem1Report:
 
 
 def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Theorem1Report:
-    """Exact smoothness, rank-3 solve, non-negativity, classification, counts.
+    """Exact smoothness, rank-3 solve, non-negativity, counts.
 
     Non-negativity is proved, not trusted to floats.  G at the mean lam of
     the solve's PSD classes has as kernel the intersection of theirs, so it
@@ -339,11 +318,8 @@ def theorem1_check(f: TernaryQuartic, config: SolveConfig = SolveConfig()) -> Th
     if positivity.nonnegative is None and not solution_set.failed:
         raise HypothesisFailed("nonnegative", "indeterminate: no proof, no counterexample")
 
-    t0 = time.perf_counter()
-    residuals = _residuals(arrays.G, arrays.signs, arrays.W)
-    timings["classify"] = time.perf_counter() - t0
     count_report = certify_count(solution_set)
     passed = (positivity.nonnegative is True and count_report["all_pass"]
-              and bool(np.all(residuals <= REPRESENTATION_TOL)))
+              and bool(np.all(arrays.residual <= REPRESENTATION_TOL)))
     return Theorem1Report(curve=curve, positivity=positivity, solution_set=solution_set,
-                          residuals=residuals, count_report=count_report, passed=passed, timings=timings)
+                          count_report=count_report, passed=passed, timings=timings)

@@ -109,7 +109,7 @@ def _print_counts(report: Theorem1Report, out: TextIO) -> None:
         pairing = ", conjugate pairing failed [MISMATCH]"
     out.write(f"non-real classes: {cr['nonreal_total']}{pairing}\n")
     out.write("split: {} sums of squares, {} mixed-sign real, {} non-real\n".format(*report.split))
-    worst = np.max(report.residuals, initial=0.0)  # NaN, a square that overflowed, is the worst
+    worst = np.max(report.solution_set.arrays.residual, initial=0.0)  # NaN, a square that overflowed, is the worst
     if not worst <= REPRESENTATION_TOL:
         out.write(f"certificate residuals: max {worst:.3g} (limit {REPRESENTATION_TOL:g}) [MISMATCH]\n")
     out.write(f"certified: {'pass' if report.passed else 'FAIL'}\n")
@@ -152,24 +152,24 @@ def _float_texts(a: np.ndarray) -> List[str]:
 
 def _report_text(f: TernaryQuartic, seed: int, report: Theorem1Report) -> str:
     """`_dumps(_report_json(f, seed, report))`, its two class lists written
-    from the solve's arrays and the report's residuals, each float's text
-    made once; the rest is json.dumps of the report's own `to_json` on a
-    copy whose cached views `points` and `representations` are (), so its
-    counts and split are the rows'.  A report with a float that is not
+    from the solve's arrays, each float's text made once, a class's one
+    residual in both; the rest is json.dumps of the report's own `to_json`
+    on a copy whose cached views `points` and `representations` are (), so
+    its counts and split are the rows'.  A report with a float that is not
     finite, which json writes NaN or Infinity and repr nan or inf, goes
     through json.dumps whole."""
-    ss, residual = report.solution_set, report.residuals
+    ss = report.solution_set
     points = ss.arrays
-    if not all(np.all(np.isfinite(a)) for a in (points.lam, points.residual, points.W, residual)):
+    if not all(np.all(np.isfinite(a)) for a in (points.lam, points.residual, points.W)):
         return _dumps(_report_json(f, seed, report))
     lam = _float_texts(points.lam)
     lam = [lam[k:k + 12] for k in range(0, len(lam), 12)]
-    signs = points.signs.tolist()
-    rows = zip(lam, _float_texts(points.residual), points.real.tolist(), signs)
+    residual, signs = _float_texts(points.residual), points.signs.tolist()
+    rows = zip(lam, residual, points.real.tolist(), signs)
     point_texts = [_record_template("real") % (*x, r, s.count(1), s.count(-1)) if real
                    else _record_template("non-real") % (*x, r) for x, r, real, s in rows]
     form = _float_texts(points.W)
-    rows = zip(lam, range(0, len(form), 36), _float_texts(residual), signs)
+    rows = zip(lam, range(0, len(form), 36), residual, signs)
     rep_texts = [_record_template("representation") % (*x, *form[k:k + 36], r, *s) for x, k, r, s in rows]
     bare = replace(report, solution_set=replace(ss))
     bare.__dict__["representations"] = bare.solution_set.__dict__["points"] = ()
@@ -211,7 +211,7 @@ def _refuse_constant(name: str):
 
 def _coeff_from_json(value):
     """A coefficient read exactly: a JSON number arrives as its text
-    (`_load_quartic`), a string is that text or 'num/den'."""
+    (`_read_form`), a string is that text or 'num/den', den not 0."""
     if isinstance(value, str):
         if any(sum(map(str.isdigit, run)) > MAX_LITERAL_DIGITS for run in _DIGIT_RUN_RE.findall(value)):
             raise FloatRangeError(f"coefficient has a number of more than {MAX_LITERAL_DIGITS} digits")
@@ -219,25 +219,33 @@ def _coeff_from_json(value):
         exponent = _EXPONENT_RE.search(value)
         if exponent and abs(int(exponent.group(1))) > MAX_CONSTANT_BITS:
             raise FloatRangeError(f"coefficient {value!r} is far beyond float range")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {value!r} has a zero denominator") from None
     if isinstance(value, bool):
         raise ValueError("boolean is not a coefficient")
     if isinstance(value, int):
         return Fraction(value)
-    raise ValueError(f"unsupported coefficient {value!r}")
+    raise ValueError(f"unsupported coefficient {dict(value) if isinstance(value, tuple) else value!r}")
 
 
 def _quartic_from_json(data) -> TernaryQuartic:
-    if not isinstance(data, dict):
+    """The quartic of a coefficient map: a dict, or the (key, value) pairs of
+    a JSON object, as `_read_form` reads them so that no key is lost.  Two
+    keys naming one monomial are refused."""
+    if not isinstance(data, (dict, tuple)):
         raise ValueError("coefficient map must be a JSON object")
     coeffs = {}
-    for key, value in data.items():
+    for key, value in data.items() if isinstance(data, dict) else data:
         try:
             expo = tuple(int(p) for p in key.split(","))
         except ValueError:
             expo = ()
         if len(expo) != 3:
             raise ValueError(f"key {key!r} is not an exponent triple 'a,b,c'")
+        if expo in coeffs:
+            raise ValueError(f"monomial {expo} is given twice")
         coeffs[expo] = _coeff_from_json(value)
     return TernaryQuartic(coeffs)
 
@@ -245,8 +253,8 @@ def _quartic_from_json(data) -> TernaryQuartic:
 def _read_form(args: argparse.Namespace) -> TernaryQuartic:
     """FORM, from text or --json-in, checked to fit float range; _Refused
     otherwise.  Every JSON number keeps its text, read exactly by
-    `_coeff_from_json`."""
-    options = dict(parse_float=str, parse_int=str, parse_constant=_refuse_constant)
+    `_coeff_from_json`, and every JSON object its (key, value) pairs."""
+    options = dict(parse_float=str, parse_int=str, parse_constant=_refuse_constant, object_pairs_hook=tuple)
     try:
         if not args.json_in:
             f = parse_quartic(args.form)
@@ -398,7 +406,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     else:
         chosen, title = real, "real representation certificates"
     out.write(f"{title} ({np.count_nonzero(chosen)}):\n")
-    rows = zip(*(a[chosen].tolist() for a in (ss.arrays.signs, ss.arrays.W, report.residuals, real, psd)))
+    rows = zip(*(a[chosen].tolist() for a in (ss.arrays.signs, ss.arrays.W, ss.arrays.residual, real, psd)))
     for i, row in enumerate(rows, start=1):
         out.write(_rep_text(i, *row))
 

@@ -154,6 +154,17 @@ def gram_to_quartic(G: np.ndarray) -> TernaryQuartic:
     return TernaryQuartic(gram_to_poly(G))
 
 
+def residuals(G0: np.ndarray, signs: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Relative residuals of a stack of squares, signs (n, 3) and forms F
+    (n, 3, 6), complex, against one Gram matrix G0 (6, 6) of f; F and G0 of
+    Fractions, object arrays, for exact ones.  E = G0 - sum_k s_k F_k F_k^T
+    is the Gram matrix left after the squares, so m^T E m = f - sum_k s_k
+    p_k^2, and the residual is max |coef(E)| / max |coef(f)|, NaN when a
+    square overflows."""
+    E = G0 - np.einsum("nk,nka,nkb->nab", signs, F, F)
+    return np.abs(E.reshape(len(E), 36) @ COEFF_MAP).max(axis=1) / np.abs(G0.reshape(36) @ COEFF_MAP).max()
+
+
 def representation_to_gram(signs: Sequence[int], forms: Sequence[QuadraticForm]) -> np.ndarray:
     """G = e1 v_p v_p^T + e2 v_q v_q^T + e3 v_r v_r^T, exactly, an object array.
 

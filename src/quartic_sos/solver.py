@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gram import KERNEL_BASIS_TENSOR, GramFamily, canonical_squares, complete_squares
+from .gram import KERNEL_BASIS_TENSOR, GramFamily, canonical_squares, complete_squares, residuals
 
 #: An endpoint is a class when |G(lam) N| < CONVERGENCE_TOL * max(1, |lam|).
 CONVERGENCE_TOL = 1e-12
@@ -74,8 +74,9 @@ class SolveConfig:
 @dataclass(frozen=True)
 class GramPoint:
     """One class, a rank-3 lam found by path `first_restart`, with its canonical squares
-    G(lam) = sum_k s_k w_k w_k^T, signs (3,) and W (3, 6): a row of `SolutionSet.arrays`.
-    `hits` is always 1; it stays while the benchmark's counters read it (ROADMAP item 6)."""
+    G(lam) = sum_k s_k w_k w_k^T, signs (3,) and W (3, 6), and their residual against f:
+    a row of `SolutionSet.arrays`.  `hits` is always 1; it stays while the benchmark's
+    counters read it (ROADMAP item 6)."""
 
     lam: Tuple[complex, ...]
     is_real: bool
@@ -104,11 +105,11 @@ class GramPoint:
 
 
 #: The classes of a solve, one row each: lam (n, 6), reality (n,), the start
-#: index (n,) of the path that found it, the tracker's residual |G N| (n,),
-#: G(lam) (n, 6, 6) and its canonical squares G = sum_k s_k w_k w_k^T, signs
+#: index (n,) of the path that found it, the residual (n,) of its certificate
+#: against f's own G0, the canonical squares G(lam) = sum_k s_k w_k w_k^T, signs
 #: (n, 3) and W (n, 3, 6), and `pair` (n,), the row nearest to each class's
 #: conjugate, -1 when that endpoint is no class.
-PointArrays = collections.namedtuple("PointArrays", "lam real start residual G signs W pair")
+PointArrays = collections.namedtuple("PointArrays", "lam real start residual signs W pair")
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,8 +374,8 @@ def solve_all(family: GramFamily, config: SolveConfig = SolveConfig()) -> Soluti
         lr, rr, sr = _endpoints(xr, chart[real], G0f)
         good = rr < CONVERGENCE_TOL * sr  # else a non-real class whose conjugate was lost
         real = real[good]
-        lam[real], res[real] = lr[good], rr[good]
-    arrays = _finalize(idx, lam[idx], np.isin(idx, real), res[idx], pair, family.base.astype(float), scale)
+        lam[real] = lr[good]
+    arrays = _finalize(idx, lam[idx], np.isin(idx, real), pair, family.base.astype(float), scale)
     return SolutionSet(arrays=arrays, config=config, retracked=retracked,
                        steps=int(steps.sum()), max_steps=int(steps.max()), rejects=int(rejects.sum()))
 
@@ -386,24 +387,25 @@ def _conjugates(lam):
     return np.argmin(gap, axis=1) if len(lam) else np.zeros(0, dtype=int)
 
 
-def _finalize(index, lam, real, residual, pair, G0, scale: float) -> PointArrays:
+def _finalize(index, lam, real, pair, G0, scale: float) -> PointArrays:
     """The classes as PointArrays, lam mapped back by `scale`, with the
     canonical squares of one completion of every G(lam) = G0 + sum lam_i
-    B_i, G0 f's own; an endpoint whose completion does not have rank 3 is no
-    class, its path failed.  `pair`, the endpoints' conjugation map, is
-    re-indexed to the rows.  The order is real first, then fewer negative
-    squares (PSD first), then the start index, not the float lam, whose last
-    bits would reorder Fermat's exactly tied classes."""
+    B_i, G0 f's own, and their residuals against G0 (`gram.residuals`, row
+    by row as `verify` reads them from the report); an endpoint whose
+    completion does not have rank 3 is no class, its path failed.  `pair`,
+    the endpoints' conjugation map, is re-indexed to the rows.  The order
+    is real first, then fewer negative squares (PSD first), then the start
+    index, not the float lam, whose last bits would reorder Fermat's
+    exactly tied classes."""
     lam = lam * scale
-    G = G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR)
-    signs, W = complete_squares(G)
+    signs, W = complete_squares(G0 + np.einsum("ni,iab->nab", lam, KERNEL_BASIS_TENSOR))
     minus = np.where(real, np.count_nonzero(signs < 0, axis=1), 0)
     keep = np.flatnonzero(np.count_nonzero(signs, axis=1) == 3)
     order = keep[np.lexsort((index[keep], minus[keep], ~real[keep]))]
     row = np.full(len(index), -1)
     row[order] = np.arange(order.size)
-    return PointArrays(lam[order], real[order], index[order], residual[order], G[order],
-                       *canonical_squares(signs[order, :3], W[order, :3]), row[pair[order]])
+    S, F = canonical_squares(signs[order, :3], W[order, :3])
+    return PointArrays(lam[order], real[order], index[order], residuals(G0, S, F), S, F, row[pair[order]])
 
 
 def certify_count(solution_set: SolutionSet) -> dict:

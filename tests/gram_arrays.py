@@ -21,7 +21,6 @@ def nonreal_solution_set(lams) -> SolutionSet:
     lam = np.array(lams, dtype=complex).reshape(-1, 6)
     n = len(lam)
     arrays = PointArrays(lam=lam, real=np.zeros(n, dtype=bool), start=np.arange(n), residual=np.zeros(n),
-                         G=np.broadcast_to(np.diag([1.0, 1, 1, 0, 0, 0]) + 0j, (n, 6, 6)),
                          signs=np.ones((n, 3), dtype=int), W=np.broadcast_to(np.eye(3, 6) + 0j, (n, 3, 6)),
                          pair=_conjugates(lam))
     return SolutionSet(arrays=arrays, config=SolveConfig())

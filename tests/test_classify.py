@@ -1,5 +1,6 @@
 """Unit tests for factorization of rank-3 Gram matrices and verification."""
 
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -24,13 +25,13 @@ from quartic_sos.gram import (
     complete_squares,
     gram_to_poly,
     representation_to_gram,
+    residuals,
 )
 from quartic_sos.classify import (
     HypothesisFailed,
     RankMismatchError,
     Representation,
     _representations,
-    _residuals,
     classify_point,
     classify_points,
     factor,
@@ -245,6 +246,23 @@ def test_verify_residual_of_a_report_is_the_dict_residual(f):
         assert verdict.residual == pytest.approx(want, rel=0, abs=_rounding(f, rep))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("f", [parse_quartic("x^4+y^4+z^4"), random_corpus_quartic(0, 0),
+                               parse_quartic("x^2*y^2+y^2*z^2+z^2*x^2 + 1/1000*(x^4+y^4+z^4)")],
+                         ids=["fermat", "random-0", "xy-1000"])
+def test_verify_reproduces_the_residuals_of_decompose(f, seed):
+    # a class has one residual, its squares measured against f's own G0 in
+    # the solve; verify, on the report's certificates and on their JSON
+    # text, must measure the same number bit for bit
+    report = theorem1_check(f, SolveConfig(master_seed=seed))
+    want = report.solution_set.arrays.residual.tolist()
+    assert [p.residual for p in report.solution_set.points] == want
+    assert [r.residual for r in report.representations] == want
+    read = [Representation.from_json(json.loads(json.dumps(r.to_json()))) for r in report.representations]
+    for reps in (report.representations, read):
+        assert [v.residual for v in verify_representation(f, reps)] == want
+
+
 def test_verify_residual_of_a_rational_certificate_is_exact():
     # a planted error of 1e-12 in one Fraction coefficient: the residual is
     # float() of the exact Fraction residual, not a float computation of it
@@ -411,8 +429,8 @@ _CLASS_BATCH_INPUTS = [
 def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
     # the batch completes and orders every class at once; each class must
     # come out bit for bit as one completion of its own G(lam) and the
-    # one-class canonical order give it, and its residual, read off the Gram
-    # matrix left after the squares, must be the dict residual to rounding
+    # one-class canonical order give it, and its residual, read off f's G0
+    # less the squares, must be f's dict residual to rounding
     family = build_family(f)
     points = solve_all(family, SolveConfig(master_seed=0)).points
     assert len(points) == 63
@@ -424,8 +442,7 @@ def test_class_batch_is_bit_identical_to_one_matrix_at_a_time(f):
         assert rep.signs == signs
         for got, want in zip(rep.forms, forms):
             assert all(_same_bits(a, b) for a, b in zip(got.coeffs, want.coeffs))
-        assert rep.residual == pytest.approx(_relative_residual(gram_to_poly(G), signs, forms),
-                                             rel=0, abs=1e-12)
+        assert rep.residual == pytest.approx(_relative_residual(dict(f.coeffs), signs, forms), rel=0, abs=1e-12)
         assert rep.class_lambda == point.lam
 
 
@@ -437,16 +454,15 @@ def test_class_residual_measures_a_planted_error(f):
     family = build_family(f)
     points = solve_all(family, SolveConfig(master_seed=0)).points
     reps = classify_points(family, points)
-    Gs = [family.matrix_at(point.lam) for point in points]
     signs = np.array([rep.signs for rep in reps])
     F = np.array([[form.coeffs for form in rep.forms] for rep in reps], dtype=complex)
     k, j = np.unravel_index(np.argmax(np.abs(F).reshape(len(reps), 18), axis=1), (3, 6))
     F[np.arange(len(reps)), k, j] *= 1 + 1e-6
-    batch = _residuals(np.array(Gs).astype(complex), signs, F)
-    for G, s, forms, r in zip(Gs, signs.tolist(), F, batch):
+    batch = residuals(family.base.astype(complex), signs, F)
+    for s, forms, r in zip(signs.tolist(), F, batch):
         planted = [QuadraticForm(tuple(c if c.imag else c.real for c in form.tolist()))
                    for form in forms]
-        want = _relative_residual(gram_to_poly(G), s, planted)
+        want = _relative_residual(dict(f.coeffs), s, planted)
         assert r == pytest.approx(want, rel=0, abs=1e-12)
         assert min(r, want) > 1e-7
 
@@ -554,7 +570,7 @@ def test_totals_are_read_off_the_rows():
     assert np.array_equal(sub.psd, ss.psd[keep])
     assert np.array_equal(sub.psd, sub.arrays.real & np.all(sub.arrays.signs == 1, axis=1))
     assert (sub.counts, sub.failed) == ((21, 5, 3), 42)
-    sub_report = replace(report, solution_set=sub, residuals=report.residuals[keep])
+    sub_report = replace(report, solution_set=sub)
     assert sub_report.split == (3, 2, 16)
     data = sub_report.to_json()
     assert data["split"] == {"sos_total": 3, "mixed_real_total": 2, "nonreal_total": 16}

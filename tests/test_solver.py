@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from quartic_sos import solver
+from quartic_sos.classify import REPRESENTATION_TOL
 from quartic_sos.cli import random_corpus_quartic
 from quartic_sos.forms import QuadraticForm, apply_linear_change, parse_quartic
 from quartic_sos.gram import (
@@ -174,7 +175,7 @@ def test_finalize_re_indexes_the_conjugation_map(fermat_set):
     i = int(np.flatnonzero(~a.real)[0])
     lam = a.lam.copy()
     lam[a.pair[i]] = 0.3 + 0.1j  # a full-rank G: no class
-    again = _finalize(a.start, lam, a.real, a.residual, a.pair, G0, 1.0)
+    again = _finalize(a.start, lam, a.real, a.pair, G0, 1.0)
     assert len(again.lam) == 62
     row = int(np.flatnonzero(again.start == a.start[i])[0])
     assert again.pair[row] == -1
@@ -305,7 +306,7 @@ def test_class_order_ignores_last_bits(fermat_set):
             nudged.imag == 0, 0.0, np.nextafter(nudged.imag, -toward))
     assert not np.array_equal(nudged, lam)
     for values in (lam, nudged):
-        again = _finalize(a.start, values, a.real, a.residual, a.pair, G0, 1.0)
+        again = _finalize(a.start, values, a.real, a.pair, G0, 1.0)
         assert np.array_equal(again.start, a.start) and np.array_equal(again.pair, a.pair)
 
 
@@ -452,11 +453,12 @@ def test_corrector_norm_keeps_paths_on_their_class():
     # another path's class at seed 2 and has to be retracked
     ss = solve_all(build_family(random_corpus_quartic(0, 0)), SolveConfig(master_seed=2))
     assert (ss.counts, ss.retracked, ss.failed) == ((63, 15, 8), 0, 0)
-    # a real class is the real part of its endpoint, and is a class itself
+    # a real class is the real part of its endpoint, and is a class itself:
+    # its real squares, completed at that real lam, give f back
     for p in ss.points:
         if p.is_real:
             assert all(z.imag == 0 for z in p.lam)
-            assert p.residual < solver.CONVERGENCE_TOL * max(1.0, max(abs(z) for z in p.lam))
+            assert p.residual <= REPRESENTATION_TOL
 
 
 def test_ill_conditioned_change_of_variables():
